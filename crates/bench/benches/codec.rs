@@ -4,16 +4,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fgqos_encoder::entropy::{encode_block, BitWriter};
-use fgqos_encoder::frame::Frame;
+use fgqos_encoder::frame::{Frame, PaddedFrame};
 use fgqos_encoder::motion::{radius_for_quality, search};
 use fgqos_encoder::synth::SyntheticCamera;
 use fgqos_encoder::{dct, quant};
 use fgqos_sim::scenario::LoadScenario;
 
-fn test_frames() -> (Frame, Frame) {
+fn test_frames() -> (PaddedFrame, Frame) {
     let scenario = LoadScenario::paper_benchmark(5).truncated(4);
     let cam = SyntheticCamera::new(&scenario, 176, 144, 9);
-    (cam.frame(2), cam.frame(3))
+    (PaddedFrame::from_frame(&cam.frame(2)), cam.frame(3))
 }
 
 fn bench_dct(c: &mut Criterion) {
@@ -62,8 +62,9 @@ fn bench_entropy(c: &mut Criterion) {
 fn bench_synth(c: &mut Criterion) {
     let scenario = LoadScenario::paper_benchmark(5).truncated(8);
     let cam = SyntheticCamera::new(&scenario, 176, 144, 9);
+    let mut out = Frame::new(176, 144);
     c.bench_function("synth_frame_qcif", |b| {
-        b.iter(|| std::hint::black_box(cam.frame(3)));
+        b.iter(|| cam.render_into(3, std::hint::black_box(&mut out)));
     });
 }
 

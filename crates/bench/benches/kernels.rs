@@ -7,19 +7,27 @@
 //!   which remain in tree as the bit-identity oracle;
 //! * `quant_roundtrip` — the DC-peeled branch-free quantizer loops vs a
 //!   local copy of the original per-element branchy form;
-//! * `motion_search` — the allocation-free bounded-SAD search vs a local
-//!   copy of the original `Vec`-ring, exhaustive-SAD search, on noise
-//!   frames (worst case: early exit never fires) and correlated frames
-//!   (typical case).
+//! * `motion_search` — the allocation-free bounded-SAD search over the
+//!   padded reference vs the original `Vec`-ring, exhaustive-SAD search
+//!   over per-pixel clamped candidates
+//!   ([`fgqos_bench::kernel_refs::search_reference`]), on noise frames
+//!   (worst case: early exit never fires), mixing interior and border
+//!   macroblocks, plus a corner macroblock alone at radius 16 (about
+//!   three quarters of its candidates hang over the border);
+//! * `compress` — one macroblock's `Compress` kernel (const zigzag
+//!   table, word-accumulator writer) vs the original per-block zigzag
+//!   rebuild and bit-at-a-time writer
+//!   ([`fgqos_bench::kernel_refs::compress_reference`]).
 //!
 //! The smoke gate lives in `bench_smoke` (`BENCH_kernels.json`); this
 //! bench is the statistically careful version of the same comparisons.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use fgqos_bench::kernel_refs::{compress, compress_reference, search_reference};
 use fgqos_encoder::dct;
-use fgqos_encoder::frame::{sad, Frame};
-use fgqos_encoder::motion::{search, MotionResult, EARLY_EXIT_SAD};
+use fgqos_encoder::frame::{Frame, PaddedFrame};
+use fgqos_encoder::motion::search;
 use fgqos_encoder::quant::{dequantize, quantize};
 
 fn lcg(seed: &mut u64) -> u64 {
@@ -48,53 +56,6 @@ fn noise_frame(w: usize, h: usize, seed: &mut u64) -> Frame {
         *p = lcg(seed) as u8;
     }
     f
-}
-
-/// The pre-optimization search, verbatim: `Vec`-collected rings and an
-/// exhaustive SAD per candidate.
-fn search_reference(
-    current: &Frame,
-    reference: &Frame,
-    ox: usize,
-    oy: usize,
-    radius: i32,
-) -> MotionResult {
-    fn ring(r: i32) -> Vec<(i32, i32)> {
-        if r == 0 {
-            return vec![(0, 0)];
-        }
-        let mut out = Vec::with_capacity((8 * r) as usize);
-        for d in -r..=r {
-            out.push((d, -r));
-            out.push((d, r));
-        }
-        for d in (-r + 1)..r {
-            out.push((-r, d));
-            out.push((r, d));
-        }
-        out
-    }
-    let target = current.block(ox, oy);
-    let mut best = MotionResult {
-        mv: (0, 0),
-        sad: u32::MAX,
-        evaluations: 0,
-    };
-    'rings: for r in 0..=radius {
-        for (dx, dy) in ring(r) {
-            let cand = reference.block_clamped(ox as i32 + dx, oy as i32 + dy);
-            let s = sad(&target, &cand);
-            best.evaluations += 1;
-            if s < best.sad || (s == best.sad && (dx, dy) < best.mv) {
-                best.sad = s;
-                best.mv = (dx, dy);
-            }
-            if best.sad <= EARLY_EXIT_SAD {
-                break 'rings;
-            }
-        }
-    }
-    best
 }
 
 fn bench_dct(c: &mut Criterion) {
@@ -169,13 +130,14 @@ fn bench_motion(c: &mut Criterion) {
     let mut seed = 0x0b07_u64;
     let noise_cur = noise_frame(128, 96, &mut seed);
     let noise_ref = noise_frame(128, 96, &mut seed);
+    let padded_ref = PaddedFrame::from_frame(&noise_ref);
     let mut g = c.benchmark_group("kernels_motion");
     for radius in [4i32, 16] {
         g.bench_with_input(BenchmarkId::new("search", radius), &radius, |b, &r| {
             b.iter(|| {
                 for mb in [0usize, 21, 47] {
                     let (ox, oy) = noise_cur.mb_origin(mb);
-                    std::hint::black_box(search(&noise_cur, &noise_ref, ox, oy, r));
+                    std::hint::black_box(search(&noise_cur, &padded_ref, ox, oy, r));
                 }
             });
         });
@@ -192,8 +154,44 @@ fn bench_motion(c: &mut Criterion) {
             },
         );
     }
+    g.bench_function("search_border_16", |b| {
+        b.iter(|| std::hint::black_box(search(&noise_cur, &padded_ref, 0, 0, 16)));
+    });
+    g.bench_function("search_border_16_reference", |b| {
+        b.iter(|| std::hint::black_box(search_reference(&noise_cur, &noise_ref, 0, 0, 16)));
+    });
     g.finish();
 }
 
-criterion_group!(benches, bench_dct, bench_quant, bench_motion);
+fn bench_compress(c: &mut Criterion) {
+    let blocks = residual_blocks(64);
+    let macroblocks: Vec<[[i16; 64]; 4]> = blocks
+        .chunks_exact(4)
+        .map(|mb| std::array::from_fn(|i| quantize(&dct::forward(&mb[i]), 12)))
+        .collect();
+    let mut g = c.benchmark_group("kernels_compress");
+    g.bench_function("macroblock", |b| {
+        b.iter(|| {
+            for levels in &macroblocks {
+                std::hint::black_box(compress(levels, Some((3, -2))));
+            }
+        });
+    });
+    g.bench_function("macroblock_reference", |b| {
+        b.iter(|| {
+            for levels in &macroblocks {
+                std::hint::black_box(compress_reference(levels, Some((3, -2))));
+            }
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dct,
+    bench_quant,
+    bench_motion,
+    bench_compress
+);
 criterion_main!(benches);

@@ -10,7 +10,9 @@
 //! when the parametric table path loses to the legacy paths it
 //! replaces, when an adaptive (estimator-driven) run costs more than
 //! 1.5× its static twin, when the LUT DCT fails to beat the
-//! `cos()`-per-multiply reference by 2×, or when the channel-sourced
+//! `cos()`-per-multiply reference by 2×, when any encoder kernel (DCT,
+//! motion search on interior and border macroblocks, `Compress`) differs
+//! from its original form by one bit, or when the channel-sourced
 //! controller loses a safety or overhead gate across a bandwidth cliff.
 //!
 //! Usage: `bench_smoke [out_dir]` (default `.`). Exit code 1 on gate
@@ -18,12 +20,13 @@
 
 use std::time::{Duration, Instant};
 
+use fgqos_bench::kernel_refs::{compress, compress_reference, search_reference};
 use fgqos_core::estimator::EwmaEstimator;
 use fgqos_core::policy::MaxQuality;
 use fgqos_encoder::app::EncoderApp;
 use fgqos_encoder::dct;
-use fgqos_encoder::frame::{sad, Frame};
-use fgqos_encoder::motion::{search, MotionResult, EARLY_EXIT_SAD};
+use fgqos_encoder::frame::{Frame, PaddedFrame};
+use fgqos_encoder::motion::search;
 use fgqos_encoder::quant::{dequantize, quantize};
 use fgqos_graph::iterate::IterationMode;
 use fgqos_serve::{
@@ -275,6 +278,8 @@ const KRN_ITERS: usize = 200;
 /// The LUT DCT must beat the `cos()`-per-multiply reference by this
 /// factor (the real margin is far larger; 2× absorbs any host noise).
 const KRN_DCT_MIN_SPEEDUP: f64 = 2.0;
+/// Repetitions of the single border-macroblock search per timed rep.
+const KRN_BORDER_ITERS: usize = 20;
 
 fn krn_lcg(seed: &mut u64) -> u64 {
     *seed = seed
@@ -290,53 +295,6 @@ fn krn_time(mut f: impl FnMut()) -> Duration {
         let start = Instant::now();
         f();
         best = best.min(start.elapsed());
-    }
-    best
-}
-
-/// The pre-optimization motion search, verbatim (`Vec` rings,
-/// exhaustive SAD) — both the timing baseline and the identity oracle.
-fn krn_search_reference(
-    current: &Frame,
-    reference: &Frame,
-    ox: usize,
-    oy: usize,
-    radius: i32,
-) -> MotionResult {
-    fn ring(r: i32) -> Vec<(i32, i32)> {
-        if r == 0 {
-            return vec![(0, 0)];
-        }
-        let mut out = Vec::with_capacity((8 * r) as usize);
-        for d in -r..=r {
-            out.push((d, -r));
-            out.push((d, r));
-        }
-        for d in (-r + 1)..r {
-            out.push((-r, d));
-            out.push((r, d));
-        }
-        out
-    }
-    let target = current.block(ox, oy);
-    let mut best = MotionResult {
-        mv: (0, 0),
-        sad: u32::MAX,
-        evaluations: 0,
-    };
-    'rings: for r in 0..=radius {
-        for (dx, dy) in ring(r) {
-            let cand = reference.block_clamped(ox as i32 + dx, oy as i32 + dy);
-            let s = sad(&target, &cand);
-            best.evaluations += 1;
-            if s < best.sad || (s == best.sad && (dx, dy) < best.mv) {
-                best.sad = s;
-                best.mv = (dx, dy);
-            }
-            if best.sad <= EARLY_EXIT_SAD {
-                break 'rings;
-            }
-        }
     }
     best
 }
@@ -427,25 +385,73 @@ fn kernels() -> KernelReport {
     };
     let cur = noise(W, H);
     let reff = noise(W, H);
+    let padded = PaddedFrame::from_frame(&reff);
     let mbs = [0usize, 21, 47];
     for &mb in &mbs {
         let (ox, oy) = cur.mb_origin(mb);
         bit_identical &=
-            search(&cur, &reff, ox, oy, 16) == krn_search_reference(&cur, &reff, ox, oy, 16);
+            search(&cur, &padded, ox, oy, 16) == search_reference(&cur, &reff, ox, oy, 16);
     }
     let t_search = krn_time(|| {
         for &mb in &mbs {
             let (ox, oy) = cur.mb_origin(mb);
-            std::hint::black_box(search(&cur, &reff, ox, oy, 16));
+            std::hint::black_box(search(&cur, &padded, ox, oy, 16));
         }
     });
     let t_search_ref = krn_time(|| {
         for &mb in &mbs {
             let (ox, oy) = cur.mb_origin(mb);
-            std::hint::black_box(krn_search_reference(&cur, &reff, ox, oy, 16));
+            std::hint::black_box(search_reference(&cur, &reff, ox, oy, 16));
         }
     });
     let search_speedup = t_search_ref.as_secs_f64() / t_search.as_secs_f64().max(1e-9);
+
+    // Border macroblocks: about three quarters of the radius-16
+    // candidates of the bottom-right corner hang over the frame edge,
+    // the case the padded reference exists for.
+    let corner = cur.macroblocks() - 1;
+    let (cx, cy) = cur.mb_origin(corner);
+    bit_identical &= search(&cur, &padded, cx, cy, 16) == search_reference(&cur, &reff, cx, cy, 16);
+    let t_border = krn_time(|| {
+        for _ in 0..KRN_BORDER_ITERS {
+            std::hint::black_box(search(&cur, &padded, cx, cy, 16));
+        }
+    });
+    let t_border_ref = krn_time(|| {
+        for _ in 0..KRN_BORDER_ITERS {
+            std::hint::black_box(search_reference(&cur, &reff, cx, cy, 16));
+        }
+    });
+    let border_speedup = t_border_ref.as_secs_f64() / t_border.as_secs_f64().max(1e-9);
+
+    // Compress: one macroblock's entropy coding (inter, so the vector is
+    // coded too) over the quantized residual blocks.
+    let macroblocks: Vec<[[i16; 64]; 4]> = coeffs
+        .chunks_exact(4)
+        .map(|mb| std::array::from_fn(|i| quantize(&mb[i], 12)))
+        .collect();
+    for levels in &macroblocks {
+        bit_identical &=
+            compress(levels, Some((3, -2))) == compress_reference(levels, Some((3, -2)));
+    }
+    let t_compress = krn_time(|| {
+        for _ in 0..KRN_ITERS {
+            for levels in &macroblocks {
+                std::hint::black_box(compress(std::hint::black_box(levels), Some((3, -2))));
+            }
+        }
+    });
+    let t_compress_ref = krn_time(|| {
+        for _ in 0..KRN_ITERS {
+            for levels in &macroblocks {
+                std::hint::black_box(compress_reference(
+                    std::hint::black_box(levels),
+                    Some((3, -2)),
+                ));
+            }
+        }
+    });
+    let compress_speedup = t_compress_ref.as_secs_f64() / t_compress.as_secs_f64().max(1e-9);
 
     let pass = bit_identical && dct_speedup >= KRN_DCT_MIN_SPEEDUP;
     let json = JsonObj::new()
@@ -474,6 +480,28 @@ fn kernels() -> KernelReport {
                 .fixed("search_ms", t_search.as_secs_f64() * 1e3, 3)
                 .fixed("search_reference_ms", t_search_ref.as_secs_f64() * 1e3, 3)
                 .fixed("speedup", search_speedup, 3),
+        )
+        .obj(
+            "motion_border",
+            JsonObj::new()
+                .int("radius", 16)
+                .int("macroblock", corner as u64)
+                .int("iters", KRN_BORDER_ITERS as u64)
+                .fixed("search_ms", t_border.as_secs_f64() * 1e3, 3)
+                .fixed("search_reference_ms", t_border_ref.as_secs_f64() * 1e3, 3)
+                .fixed("speedup", border_speedup, 3),
+        )
+        .obj(
+            "compress",
+            JsonObj::new()
+                .int("macroblocks", macroblocks.len() as u64)
+                .fixed("compress_ms", t_compress.as_secs_f64() * 1e3, 3)
+                .fixed(
+                    "compress_reference_ms",
+                    t_compress_ref.as_secs_f64() * 1e3,
+                    3,
+                )
+                .fixed("speedup", compress_speedup, 3),
         )
         .bool("bit_identical", bit_identical)
         .obj(

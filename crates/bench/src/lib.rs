@@ -23,5 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod kernel_refs;
 
 pub use experiments::ExpConfig;

@@ -51,7 +51,7 @@ use fgqos_time::{fig5, Cycles, Quality, QualityProfile};
 
 use crate::dct;
 use crate::entropy::{encode_block, encode_mv, BitWriter};
-use crate::frame::{Frame, MB_SIZE};
+use crate::frame::{Frame, PaddedFrame, MB_SIZE};
 use crate::intra::{dc_predict_blocks, decide_mode, MbMode};
 use crate::motion::{predict, radius_for_quality, search};
 use crate::psnr::psnr;
@@ -156,15 +156,20 @@ pub struct EncoderApp {
     profile: QualityProfile,
     ids: Fig2Ids,
     rc: RateController,
-    /// Reference frame for motion compensation (last completed recon).
-    reference: Frame,
+    /// Last completed reconstruction, edge-replicated: the reference of
+    /// motion search and compensation. Refilled in place per frame.
+    reference: PaddedFrame,
     /// Reconstruction of the frame being encoded.
     recon: Frame,
     /// Last *completed* reconstruction — what the display repeats when a
-    /// frame is skipped.
+    /// frame is skipped, and the unpadded form of `reference`.
     displayed: Frame,
     has_reference: bool,
+    /// Camera frame being encoded (rendered in place per frame).
     source: Frame,
+    /// Camera frame a skipped frame is measured against (rendered in
+    /// place per skip).
+    skipped_source: Frame,
     frame_idx: usize,
     force_intra: bool,
     qp: u8,
@@ -231,11 +236,12 @@ impl EncoderApp {
             profile,
             ids,
             rc: RateController::new(per_frame, 12),
-            reference: Frame::new(width, height),
+            reference: PaddedFrame::new(width, height),
             recon: Frame::new(width, height),
             displayed: Frame::new(width, height),
             has_reference: false,
             source: Frame::new(width, height),
+            skipped_source: Frame::new(width, height),
             frame_idx: 0,
             force_intra: true,
             qp: 12,
@@ -302,10 +308,10 @@ impl EncoderApp {
     }
 
     /// Reference frame used for motion compensation of the *next* frame
-    /// (equals the last completed reconstruction).
+    /// (the last completed reconstruction, i.e. the displayed frame).
     #[must_use]
     pub fn reference(&self) -> &Frame {
-        &self.reference
+        &self.displayed
     }
 
     /// The reference frame the *last completed* frame was predicted from
@@ -493,7 +499,7 @@ impl VideoApp for EncoderApp {
 
     fn begin_frame(&mut self, frame: usize) {
         self.frame_idx = frame;
-        self.source = self.camera.frame(frame);
+        self.camera.render_into(frame, &mut self.source);
         self.force_intra = self.scenario.frame(frame).is_iframe || !self.has_reference;
         self.qp = self.rc.qp();
         self.frame_bits = 0;
@@ -528,11 +534,12 @@ impl VideoApp for EncoderApp {
         self.last_frame_keyframe = self.force_intra;
         self.fresh_output = true;
         // Rotate the frame planes without reallocating: the old
-        // reference becomes the previous reference, and the recon pixels
-        // are copied over the (recycled) plane it displaced.
-        std::mem::swap(&mut self.prev_reference, &mut self.reference);
-        self.reference.data_mut().copy_from_slice(self.recon.data());
+        // displayed frame becomes the previous reference, the recon
+        // pixels are copied over the (recycled) plane it displaced, and
+        // the padded reference is refilled in place.
+        std::mem::swap(&mut self.prev_reference, &mut self.displayed);
         self.displayed.data_mut().copy_from_slice(self.recon.data());
+        self.reference.refill(&self.recon);
         self.has_reference = true;
         self.frames_encoded += 1;
         self.rc.end_frame(self.frame_bits);
@@ -540,8 +547,8 @@ impl VideoApp for EncoderApp {
     }
 
     fn skipped_psnr(&mut self, frame: usize) -> f64 {
-        let source = self.camera.frame(frame);
-        psnr(&source, &self.displayed)
+        self.camera.render_into(frame, &mut self.skipped_source);
+        psnr(&self.skipped_source, &self.displayed)
     }
 
     fn stream_len(&self) -> usize {

@@ -14,7 +14,7 @@
 
 use crate::dct::{self, BLOCK};
 use crate::entropy::{decode_block, decode_mv, BitReader};
-use crate::frame::{Frame, MB_SIZE};
+use crate::frame::{Frame, PaddedFrame, MB_SIZE};
 use crate::intra::dc_predict;
 use crate::motion::predict;
 use crate::quant::dequantize;
@@ -39,8 +39,8 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Decodes one macroblock from `reader` into `recon` at origin
-/// `(ox, oy)`, predicting from `reference` (inter) or from the already
-/// decoded part of `recon` (intra).
+/// `(ox, oy)`, predicting from the padded `reference` (inter) or from the
+/// already decoded part of `recon` (intra).
 ///
 /// # Errors
 ///
@@ -48,7 +48,7 @@ impl std::error::Error for DecodeError {}
 /// returns `None` on truncation.
 fn decode_macroblock(
     reader: &mut BitReader<'_>,
-    reference: &Frame,
+    reference: &PaddedFrame,
     recon: &mut Frame,
     ox: usize,
     oy: usize,
@@ -91,13 +91,14 @@ pub fn decode_frame(
     height: usize,
     qp: u8,
 ) -> Result<Frame, DecodeError> {
+    let reference = PaddedFrame::from_frame(reference);
     let mut recon = Frame::new(width, height);
     let expected = recon.macroblocks();
     for mb in 0..expected {
         let stream = mb_streams.get(mb).ok_or(DecodeError { macroblock: mb })?;
         let mut reader = BitReader::new(stream);
         let (ox, oy) = recon.mb_origin(mb);
-        decode_macroblock(&mut reader, reference, &mut recon, ox, oy, qp)
+        decode_macroblock(&mut reader, &reference, &mut recon, ox, oy, qp)
             .ok_or(DecodeError { macroblock: mb })?;
     }
     Ok(recon)

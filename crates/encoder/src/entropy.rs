@@ -4,10 +4,30 @@
 //! roundtrip tests can prove the bitstream is genuinely decodable — the
 //! bit counts driving rate control and the Compress action's work units
 //! are real.
+//!
+//! # Hot path
+//!
+//! `Compress` runs four times per macroblock, so its per-block cost is
+//! kept to the coding itself: the scan order is the `const` table
+//! [`ZIGZAG`] (checked against its construction, [`zigzag_order`]), and
+//! [`BitWriter`] appends whole codes through a 64-bit accumulator that
+//! is flushed to the byte buffer a word at a time. Its bytes and
+//! [`BitWriter::bit_len`] equal a bit-at-a-time writer's exactly — the
+//! bit count drives rate control and the Compress work count.
 
 use crate::dct::BLOCK;
 
-/// Zigzag scan order for an 8×8 block.
+/// Zigzag scan order for an 8×8 block: `ZIGZAG[k]` is the raster index
+/// of the `k`-th scanned coefficient.
+pub const ZIGZAG: [u8; BLOCK * BLOCK] = [
+    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, //
+    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28, //
+    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, //
+    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
+];
+
+/// Zigzag scan order for an 8×8 block, constructed diagonal by diagonal
+/// (the derivation of [`ZIGZAG`]).
 #[must_use]
 pub fn zigzag_order() -> [usize; BLOCK * BLOCK] {
     let mut order = [0usize; BLOCK * BLOCK];
@@ -35,10 +55,18 @@ pub fn zigzag_order() -> [usize; BLOCK * BLOCK] {
     order
 }
 
-/// A growable bitstream writer.
+/// A growable bitstream writer, MSB first.
+///
+/// Bits collect in a 64-bit accumulator; each full word is appended to
+/// the byte buffer at once, and [`BitWriter::into_bytes`] flushes the
+/// zero-padded tail.
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
+    /// Pending bits, right-aligned (the oldest is the highest).
+    acc: u64,
+    /// Number of pending bits in `acc` (0–63).
+    acc_bits: u32,
     bit_len: usize,
 }
 
@@ -58,42 +86,58 @@ impl BitWriter {
         buf.clear();
         BitWriter {
             bytes: buf,
-            bit_len: 0,
+            ..Self::default()
         }
     }
 
     /// Appends one bit.
     pub fn put_bit(&mut self, bit: bool) {
-        if self.bit_len.is_multiple_of(8) {
-            self.bytes.push(0);
-        }
-        if bit {
-            let byte = self.bit_len / 8;
-            self.bytes[byte] |= 1 << (7 - self.bit_len % 8);
-        }
-        self.bit_len += 1;
+        self.put_bits(u64::from(bit), 1);
     }
 
-    /// Appends `count` bits of `value`, most significant first.
+    /// Appends the low `count` bits of `value`, most significant first
+    /// (higher bits of `value` are ignored).
     ///
     /// # Panics
     ///
     /// Panics if `count > 64`.
     pub fn put_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 64);
-        for i in (0..count).rev() {
-            self.put_bit(value >> i & 1 == 1);
+        if count == 0 {
+            return;
         }
+        let value = value & (u64::MAX >> (64 - count));
+        let free = 64 - self.acc_bits;
+        if count < free {
+            self.acc = self.acc << count | value;
+            self.acc_bits += count;
+        } else {
+            // Fill the word, flush it, keep the remainder pending.
+            let rest = count - free;
+            let word = if free == 64 {
+                value
+            } else {
+                self.acc << free | value >> rest
+            };
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+            self.acc = value & !(u64::MAX << rest);
+            self.acc_bits = rest;
+        }
+        self.bit_len += count as usize;
     }
 
-    /// Unsigned Exp-Golomb code of `value`.
+    /// Unsigned Exp-Golomb code of `value`: `bits - 1` zeros, then
+    /// `value + 1` in `bits` bits — one `2·bits − 1`-bit group whenever
+    /// it fits in a word.
     pub fn put_ue(&mut self, value: u64) {
         let v = value + 1;
         let bits = 64 - v.leading_zeros();
-        for _ in 0..bits - 1 {
-            self.put_bit(false);
+        if bits <= 32 {
+            self.put_bits(v, 2 * bits - 1);
+        } else {
+            self.put_bits(0, bits - 1);
+            self.put_bits(v, bits);
         }
-        self.put_bits(v, bits);
     }
 
     /// Signed Exp-Golomb code (0, 1, −1, 2, −2, ... mapping).
@@ -114,7 +158,12 @@ impl BitWriter {
 
     /// Finishes and returns the byte buffer (zero-padded).
     #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        if self.acc_bits > 0 {
+            let tail = (self.acc << (64 - self.acc_bits)).to_be_bytes();
+            self.bytes
+                .extend_from_slice(&tail[..self.acc_bits.div_ceil(8) as usize]);
+        }
         self.bytes
     }
 }
@@ -187,10 +236,9 @@ impl<'a> BitReader<'a> {
 /// order, terminated by an end-of-block marker. Returns bits written.
 pub fn encode_block(w: &mut BitWriter, levels: &[i16; BLOCK * BLOCK]) -> usize {
     let start = w.bit_len();
-    let order = zigzag_order();
     let mut run = 0u64;
-    for &pos in order.iter() {
-        let l = levels[pos];
+    for &pos in &ZIGZAG {
+        let l = levels[usize::from(pos)];
         if l == 0 {
             run += 1;
         } else {
@@ -209,7 +257,6 @@ pub fn encode_block(w: &mut BitWriter, levels: &[i16; BLOCK * BLOCK]) -> usize {
 /// Decodes one 8×8 block written by [`encode_block`].
 #[must_use]
 pub fn decode_block(r: &mut BitReader<'_>) -> Option<[i16; BLOCK * BLOCK]> {
-    let order = zigzag_order();
     let mut out = [0i16; BLOCK * BLOCK];
     let mut idx = 0usize;
     loop {
@@ -219,11 +266,9 @@ pub fn decode_block(r: &mut BitReader<'_>) -> Option<[i16; BLOCK * BLOCK]> {
             // End of block (run is the 63 sentinel by construction).
             return Some(out);
         }
-        idx += run as usize;
-        if idx >= order.len() {
-            return None; // corrupt stream
-        }
-        out[order[idx]] = i16::try_from(level).ok()?;
+        idx = idx.saturating_add(usize::try_from(run).ok()?);
+        let &pos = ZIGZAG.get(idx)?; // `None`: corrupt stream
+        out[usize::from(pos)] = i16::try_from(level).ok()?;
         idx += 1;
     }
 }

@@ -1,10 +1,32 @@
-//! Luma frames and macroblock addressing.
+//! Luma frames, macroblock addressing, and the padded reference plane.
+//!
+//! Motion vectors are unrestricted: a candidate block may hang over the
+//! frame edge, and its outside pixels take the value of the nearest edge
+//! pixel ([`Frame::get_clamped`]). Clamping every pixel of every
+//! candidate made border macroblocks cost about three times as much
+//! per candidate as interior ones. [`PaddedFrame`] does that clamping
+//! once per frame instead: it stores the reference with [`PAD`] pixels
+//! of edge replication on every side. Motion search
+//! ([`PaddedFrame::sad_bounded`]) and motion compensation
+//! ([`PaddedFrame::block`]) then read every candidate as 16 plain row
+//! slices, with the same bytes the per-pixel clamp would have produced.
 
 use std::fmt;
 
 /// Macroblock edge length in pixels (16×16 = the paper's "macroblocks of
 /// 256 pixels").
 pub const MB_SIZE: usize = 16;
+
+/// Edge replication around a [`PaddedFrame`], in pixels on each side.
+///
+/// One macroblock is enough for *any* vector: a block whose origin lies
+/// more than `PAD` pixels outside the frame sees only replicated edge
+/// pixels, exactly like the block at `PAD` pixels out. So clamping the
+/// origin into the padded plane gives the same bytes as clamping every
+/// pixel. It also equals the largest search radius
+/// ([`crate::motion::RADIUS_BY_QUALITY`]), so real searches never need
+/// that origin clamp.
+pub const PAD: usize = MB_SIZE;
 
 /// A grayscale (luma) frame whose dimensions are multiples of 16.
 ///
@@ -131,8 +153,9 @@ impl Frame {
         out
     }
 
-    /// 16×16 block sampled at a *signed* origin with border clamping
-    /// (motion-compensated prediction).
+    /// 16×16 block sampled at a *signed* origin with per-pixel border
+    /// clamping: the definition [`PaddedFrame::block`] reproduces from
+    /// the padded plane.
     #[must_use]
     pub fn block_clamped(&self, ox: i32, oy: i32) -> [u8; MB_SIZE * MB_SIZE] {
         let mut out = [0u8; MB_SIZE * MB_SIZE];
@@ -157,67 +180,6 @@ impl Frame {
         }
     }
 
-    /// SAD between `target` and the clamped 16×16 block at signed origin
-    /// `(ox, oy)`, with a row-wise early bail once the running sum
-    /// exceeds `limit`.
-    ///
-    /// The return value is the *exact* SAD whenever it is `<= limit`;
-    /// above the limit it may be any partial sum that is `> limit` (the
-    /// running sum is monotone, so a bail can only happen when the true
-    /// SAD also exceeds the limit). This lets motion search pass its
-    /// current best as the limit and skip the tail of hopeless
-    /// candidates without ever changing which candidate wins — ties at
-    /// exactly `limit` are still summed in full.
-    ///
-    /// Fully interior origins read their rows straight from the frame
-    /// (no border clamping, no 256-byte staging copy).
-    #[must_use]
-    pub fn sad_block_clamped_bounded(
-        &self,
-        target: &[u8; MB_SIZE * MB_SIZE],
-        ox: i32,
-        oy: i32,
-        limit: u32,
-    ) -> u32 {
-        let mut total = 0u32;
-        let interior = ox >= 0
-            && oy >= 0
-            && ox as usize + MB_SIZE <= self.width
-            && oy as usize + MB_SIZE <= self.height;
-        if interior {
-            let (ox, oy) = (ox as usize, oy as usize);
-            for dy in 0..MB_SIZE {
-                let row = (oy + dy) * self.width + ox;
-                let cand = &self.data[row..row + MB_SIZE];
-                let trow = &target[dy * MB_SIZE..(dy + 1) * MB_SIZE];
-                let mut acc = 0u32;
-                for (&t, &c) in trow.iter().zip(cand) {
-                    acc += u32::from(t.abs_diff(c));
-                }
-                total += acc;
-                if total > limit {
-                    return total;
-                }
-            }
-        } else {
-            for dy in 0..MB_SIZE {
-                let yi = (oy + dy as i32).clamp(0, self.height as i32 - 1) as usize;
-                let base = yi * self.width;
-                let trow = &target[dy * MB_SIZE..(dy + 1) * MB_SIZE];
-                let mut acc = 0u32;
-                for (dx, &t) in trow.iter().enumerate() {
-                    let xi = (ox + dx as i32).clamp(0, self.width as i32 - 1) as usize;
-                    acc += u32::from(t.abs_diff(self.data[base + xi]));
-                }
-                total += acc;
-                if total > limit {
-                    return total;
-                }
-            }
-        }
-        total
-    }
-
     /// Raw pixel data, row-major.
     #[must_use]
     pub fn data(&self) -> &[u8] {
@@ -234,6 +196,146 @@ impl Frame {
 impl fmt::Display for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}x{} luma frame", self.width, self.height)
+    }
+}
+
+/// A frame stored with [`PAD`] pixels of edge replication on every side:
+/// the reference plane of motion search and motion compensation.
+///
+/// # Example
+///
+/// ```
+/// use fgqos_encoder::frame::{Frame, PaddedFrame};
+///
+/// let mut f = Frame::new(32, 16);
+/// f.set(0, 0, 200);
+/// let padded = PaddedFrame::from_frame(&f);
+/// // Outside the frame, the nearest edge pixel is repeated.
+/// assert_eq!(padded.block(-16, -16), f.block_clamped(-16, -16));
+/// assert_eq!(padded.block(-16, -16)[255], 200);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PaddedFrame {
+    width: usize,
+    height: usize,
+    /// Bytes per padded row: `width + 2 * PAD`.
+    stride: usize,
+    data: Vec<u8>,
+}
+
+impl PaddedFrame {
+    /// Creates a black padded plane for frames of `width × height`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Frame::new`].
+    #[must_use]
+    pub fn new(width: usize, height: usize) -> Self {
+        let _probe = Frame::new(width, height);
+        let stride = width + 2 * PAD;
+        PaddedFrame {
+            width,
+            height,
+            stride,
+            data: vec![0; stride * (height + 2 * PAD)],
+        }
+    }
+
+    /// Builds the padded plane of `frame`.
+    #[must_use]
+    pub fn from_frame(frame: &Frame) -> Self {
+        let mut out = PaddedFrame::new(frame.width, frame.height);
+        out.refill(frame);
+        out
+    }
+
+    /// Overwrites this plane in place with `frame` and its replicated
+    /// edges (no allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` has different dimensions.
+    pub fn refill(&mut self, frame: &Frame) {
+        assert_eq!(
+            (frame.width, frame.height),
+            (self.width, self.height),
+            "padded plane and frame dimensions differ"
+        );
+        let (w, s) = (self.width, self.stride);
+        for (y, row) in frame.data.chunks_exact(w).enumerate() {
+            let out = &mut self.data[(y + PAD) * s..(y + PAD + 1) * s];
+            out[..PAD].fill(row[0]);
+            out[PAD..PAD + w].copy_from_slice(row);
+            out[PAD + w..].fill(row[w - 1]);
+        }
+        let first = PAD * s;
+        let last = (PAD + self.height - 1) * s;
+        for r in 0..PAD {
+            self.data.copy_within(first..first + s, r * s);
+            self.data
+                .copy_within(last..last + s, (PAD + self.height + r) * s);
+        }
+    }
+
+    /// Index of the top-left pixel of the 16×16 block at signed origin
+    /// `(ox, oy)`. The origin is clamped into the padded plane, which
+    /// leaves the block's bytes unchanged (see [`PAD`]).
+    #[inline]
+    fn block_start(&self, ox: i32, oy: i32) -> usize {
+        let max_x = (self.width + 2 * PAD - MB_SIZE) as i32;
+        let max_y = (self.height + 2 * PAD - MB_SIZE) as i32;
+        let px = ox.saturating_add(PAD as i32).clamp(0, max_x) as usize;
+        let py = oy.saturating_add(PAD as i32).clamp(0, max_y) as usize;
+        py * self.stride + px
+    }
+
+    /// The 16×16 block at signed origin `(ox, oy)`; equals
+    /// [`Frame::block_clamped`] of the source frame for every origin.
+    #[must_use]
+    pub fn block(&self, ox: i32, oy: i32) -> [u8; MB_SIZE * MB_SIZE] {
+        let start = self.block_start(ox, oy);
+        let mut out = [0u8; MB_SIZE * MB_SIZE];
+        for (dy, dst) in out.chunks_exact_mut(MB_SIZE).enumerate() {
+            let row = start + dy * self.stride;
+            dst.copy_from_slice(&self.data[row..row + MB_SIZE]);
+        }
+        out
+    }
+
+    /// SAD between `target` and the 16×16 block at signed origin
+    /// `(ox, oy)`, with a row-wise early bail once the running sum
+    /// exceeds `limit`.
+    ///
+    /// The return value is the *exact* SAD whenever it is `<= limit`;
+    /// above the limit it may be any partial sum that is `> limit` (the
+    /// running sum is monotone, so a bail can only happen when the true
+    /// SAD also exceeds the limit). This lets motion search pass its
+    /// current best as the limit and skip the tail of hopeless
+    /// candidates without ever changing which candidate wins — ties at
+    /// exactly `limit` are still summed in full.
+    #[must_use]
+    pub fn sad_bounded(
+        &self,
+        target: &[u8; MB_SIZE * MB_SIZE],
+        ox: i32,
+        oy: i32,
+        limit: u32,
+    ) -> u32 {
+        let start = self.block_start(ox, oy);
+        let mut total = 0u32;
+        for (dy, trow) in target.chunks_exact(MB_SIZE).enumerate() {
+            let row = start + dy * self.stride;
+            let cand = &self.data[row..row + MB_SIZE];
+            let mut acc = 0u32;
+            for (&t, &c) in trow.iter().zip(cand) {
+                acc += u32::from(t.abs_diff(c));
+            }
+            total += acc;
+            if total > limit {
+                return total;
+            }
+        }
+        total
     }
 }
 
@@ -303,9 +405,8 @@ mod tests {
         assert_eq!(sad(&a, &a), 0);
     }
 
-    #[test]
-    fn bounded_sad_is_exact_up_to_the_limit() {
-        let mut f = Frame::new(48, 32);
+    fn noise_frame(w: usize, h: usize) -> Frame {
+        let mut f = Frame::new(w, h);
         let mut seed = 0x5ad_cafe_u64;
         for p in f.data_mut() {
             seed = seed
@@ -313,19 +414,105 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             *p = (seed >> 33) as u8;
         }
+        f
+    }
+
+    /// The original bounded SAD's per-pixel clamped path: the oracle
+    /// for [`PaddedFrame::sad_bounded`] at every origin and limit.
+    fn sad_clamped_bounded(
+        f: &Frame,
+        target: &[u8; MB_SIZE * MB_SIZE],
+        ox: i32,
+        oy: i32,
+        limit: u32,
+    ) -> u32 {
+        let mut total = 0u32;
+        for dy in 0..MB_SIZE {
+            let yi = (oy + dy as i32).clamp(0, f.height as i32 - 1) as usize;
+            let base = yi * f.width;
+            let trow = &target[dy * MB_SIZE..(dy + 1) * MB_SIZE];
+            let mut acc = 0u32;
+            for (dx, &t) in trow.iter().enumerate() {
+                let xi = (ox + dx as i32).clamp(0, f.width as i32 - 1) as usize;
+                acc += u32::from(t.abs_diff(f.data[base + xi]));
+            }
+            total += acc;
+            if total > limit {
+                return total;
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn padded_border_replicates_the_clamped_edge() {
+        for (w, h) in [(16, 16), (48, 32), (176, 144)] {
+            let f = noise_frame(w, h);
+            let padded = PaddedFrame::from_frame(&f);
+            // Padded row `py`, column `px` holds frame pixel
+            // `(px - PAD, py - PAD)`.
+            let pad = PAD as i32;
+            for (py, row) in padded.data.chunks_exact(padded.stride).enumerate() {
+                for (px, &got) in row.iter().enumerate() {
+                    let (x, y) = (px as i32 - pad, py as i32 - pad);
+                    assert_eq!(got, f.get_clamped(x, y), "({x}, {y}) at {w}x{h}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refill_overwrites_in_place() {
+        let mut padded = PaddedFrame::from_frame(&noise_frame(48, 32));
+        let ptr = padded.data.as_ptr();
+        let mut next = Frame::new(48, 32);
+        next.set(47, 31, 9);
+        padded.refill(&next);
+        assert_eq!(padded, PaddedFrame::from_frame(&next));
+        assert_eq!(padded.data.as_ptr(), ptr, "allocation must be reused");
+        assert!(std::panic::catch_unwind(move || padded.refill(&Frame::new(32, 32))).is_err());
+    }
+
+    #[test]
+    fn padded_blocks_equal_clamped_blocks_at_every_origin() {
+        let f = noise_frame(48, 32);
+        let padded = PaddedFrame::from_frame(&f);
+        for oy in -40..56 {
+            for ox in -40..72 {
+                assert_eq!(
+                    padded.block(ox, oy),
+                    f.block_clamped(ox, oy),
+                    "({ox}, {oy})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_sad_matches_the_clamped_oracle_at_every_limit() {
+        let f = noise_frame(48, 32);
+        let padded = PaddedFrame::from_frame(&f);
         let target = f.block(16, 16);
         // Interior and border origins, with and without a binding limit.
-        for (ox, oy) in [(16, 16), (18, 15), (0, 0), (-7, -3), (40, 20), (45, 29)] {
+        for (ox, oy) in [
+            (16, 16),
+            (18, 15),
+            (0, 0),
+            (-7, -3),
+            (40, 20),
+            (45, 29),
+            (-30, 50),
+        ] {
             let exact = sad(&target, &f.block_clamped(ox, oy));
-            assert_eq!(
-                f.sad_block_clamped_bounded(&target, ox, oy, u32::MAX),
-                exact
-            );
-            assert_eq!(f.sad_block_clamped_bounded(&target, ox, oy, exact), exact);
-            if exact > 0 {
-                let bailed = f.sad_block_clamped_bounded(&target, ox, oy, exact - 1);
-                assert!(bailed > exact - 1, "bail must exceed the limit");
-                assert!(bailed <= exact, "partial sums never exceed the true SAD");
+            for limit in [u32::MAX, exact, exact.saturating_sub(1), exact / 2, 0] {
+                let got = padded.sad_bounded(&target, ox, oy, limit);
+                assert_eq!(got, sad_clamped_bounded(&f, &target, ox, oy, limit));
+                if limit >= exact {
+                    assert_eq!(got, exact, "exact up to the limit");
+                } else {
+                    assert!(got > limit, "bail must exceed the limit");
+                    assert!(got <= exact, "partial sums never exceed the true SAD");
+                }
             }
         }
     }

@@ -13,21 +13,26 @@
 //! [`search`] is the encoder's dominant kernel at high quality (up to
 //! 33×33 = 1089 candidates per macroblock at radius 16). It allocates
 //! nothing: ring offsets are enumerated inline rather than collected
-//! into a `Vec`, and each candidate is scored with
-//! [`Frame::sad_block_clamped_bounded`], which reads interior rows
-//! straight from the reference plane and bails out of a candidate as
-//! soon as its running sum exceeds the current best. The bail is
+//! into a `Vec`. It searches a [`PaddedFrame`], the reference with its
+//! edges replicated once per frame, so every candidate — border
+//! macroblocks included — is scored by one path,
+//! [`PaddedFrame::sad_bounded`]: 16 row slices read straight from the
+//! plane, with no per-pixel clamping, bailing out of a candidate as soon
+//! as its running sum exceeds the current best. The bail is
 //! conservative — a candidate is abandoned only once it *strictly*
 //! exceeds the best SAD — so the winning vector, its SAD, the
 //! first-found tie-break, and the `evaluations` count are byte-identical
-//! to an exhaustive scorer.
+//! to an exhaustive scorer over the per-pixel clamped reference.
 
-use crate::frame::{Frame, MB_SIZE};
+use crate::frame::{Frame, PaddedFrame, MB_SIZE, PAD};
 
 /// Search radius (pixels) per quality level 0–7. Level 0 checks only the
 /// zero vector (the paper's level-0 `Motion_Estimate` averages a mere 215
 /// cycles — a trivial check).
 pub const RADIUS_BY_QUALITY: [i32; 8] = [0, 1, 2, 4, 6, 8, 12, 16];
+
+// Every candidate of a real search lies inside the padded reference.
+const _: () = assert!(RADIUS_BY_QUALITY[RADIUS_BY_QUALITY.len() - 1] as usize <= PAD);
 
 /// Early-termination threshold: a SAD below this (per 256-pixel block)
 /// counts as "good enough" and stops the search.
@@ -51,8 +56,8 @@ pub fn radius_for_quality(q: u8) -> i32 {
 }
 
 /// Full-search motion estimation of the macroblock at `(ox, oy)` of
-/// `current` against `reference`, within `radius` pixels, spiralling
-/// outward from the zero vector with early termination.
+/// `current` against the padded `reference`, within `radius` pixels,
+/// spiralling outward from the zero vector with early termination.
 ///
 /// The spiral order matters: natural video has mostly small motion, so
 /// checking near-zero candidates first makes early termination effective
@@ -60,7 +65,7 @@ pub fn radius_for_quality(q: u8) -> i32 {
 #[must_use]
 pub fn search(
     current: &Frame,
-    reference: &Frame,
+    reference: &PaddedFrame,
     ox: usize,
     oy: usize,
     radius: i32,
@@ -80,12 +85,7 @@ pub fn search(
     macro_rules! cand {
         ($dx:expr, $dy:expr) => {{
             let (dx, dy) = ($dx, $dy);
-            let s = reference.sad_block_clamped_bounded(
-                &target,
-                ox as i32 + dx,
-                oy as i32 + dy,
-                best.sad,
-            );
+            let s = reference.sad_bounded(&target, ox as i32 + dx, oy as i32 + dy, best.sad);
             best.evaluations += 1;
             if s < best.sad || (s == best.sad && (dx, dy) < best.mv) {
                 best.sad = s;
@@ -135,15 +135,26 @@ fn ring(r: i32) -> Vec<(i32, i32)> {
     out
 }
 
-/// Motion-compensated 16×16 prediction for a vector.
+/// Motion-compensated 16×16 prediction for a vector: a plain block copy
+/// from the padded reference.
 #[must_use]
-pub fn predict(reference: &Frame, ox: usize, oy: usize, mv: (i32, i32)) -> [u8; MB_SIZE * MB_SIZE] {
-    reference.block_clamped(ox as i32 + mv.0, oy as i32 + mv.1)
+pub fn predict(
+    reference: &PaddedFrame,
+    ox: usize,
+    oy: usize,
+    mv: (i32, i32),
+) -> [u8; MB_SIZE * MB_SIZE] {
+    reference.block(
+        (ox as i32).saturating_add(mv.0),
+        (oy as i32).saturating_add(mv.1),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::SyntheticCamera;
+    use fgqos_sim::scenario::LoadScenario;
 
     /// A frame with a bright 16x16 square at (x, y) on a mid-gray field.
     fn frame_with_square(x: usize, y: usize) -> Frame {
@@ -159,6 +170,28 @@ mod tests {
         f
     }
 
+    fn noise_frame(w: usize, h: usize, seed: &mut u64) -> Frame {
+        let mut f = Frame::new(w, h);
+        for p in f.data_mut() {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *p = (*seed >> 33) as u8;
+        }
+        f
+    }
+
+    /// `search` against the padded plane of `reference`.
+    fn search_frame(
+        current: &Frame,
+        reference: &Frame,
+        ox: usize,
+        oy: usize,
+        radius: i32,
+    ) -> MotionResult {
+        search(current, &PaddedFrame::from_frame(reference), ox, oy, radius)
+    }
+
     #[test]
     fn finds_exact_translation_within_radius() {
         let reference = frame_with_square(16, 16);
@@ -167,7 +200,7 @@ mod tests {
         // MB at (16,16) in current contains part of the square; its true
         // match in the reference is at offset (-4, -2)... search from the
         // current square MB (20 rounds to MB at 16): use MB origin 16,16.
-        let r = search(&current, &reference, 16, 16, 8);
+        let r = search_frame(&current, &reference, 16, 16, 8);
         assert_eq!(r.mv, (-4, -2));
         assert_eq!(r.sad, 0);
         assert!(r.evaluations > 1);
@@ -177,7 +210,7 @@ mod tests {
     fn zero_radius_checks_only_zero_vector() {
         let reference = frame_with_square(16, 16);
         let current = frame_with_square(24, 16);
-        let r = search(&current, &reference, 16, 16, 0);
+        let r = search_frame(&current, &reference, 16, 16, 0);
         assert_eq!(r.evaluations, 1);
         assert_eq!(r.mv, (0, 0));
         assert!(r.sad > 0);
@@ -187,7 +220,7 @@ mod tests {
     fn early_exit_on_static_content() {
         let reference = frame_with_square(16, 16);
         let current = reference.clone();
-        let r = search(&current, &reference, 16, 16, 16);
+        let r = search_frame(&current, &reference, 16, 16, 16);
         // Zero vector matches perfectly: one evaluation, done.
         assert_eq!(r.evaluations, 1);
         assert_eq!(r.sad, 0);
@@ -198,8 +231,8 @@ mod tests {
     fn larger_radius_never_worse() {
         let reference = frame_with_square(16, 16);
         let current = frame_with_square(28, 24); // (+12, +8)
-        let small = search(&current, &reference, 16, 16, 2);
-        let large = search(&current, &reference, 16, 16, 16);
+        let small = search_frame(&current, &reference, 16, 16, 2);
+        let large = search_frame(&current, &reference, 16, 16, 16);
         assert!(large.sad <= small.sad);
         assert!(large.evaluations >= small.evaluations);
     }
@@ -219,8 +252,8 @@ mod tests {
         assert_eq!(all.len(), 81);
     }
 
-    /// The pre-optimization search, verbatim: `Vec`-collected rings and
-    /// an exhaustive (unbounded) SAD per candidate.
+    /// The original search, verbatim: `Vec`-collected rings and an
+    /// exhaustive (unbounded) SAD of each per-pixel clamped candidate.
     fn search_reference(
         current: &Frame,
         reference: &Frame,
@@ -252,41 +285,70 @@ mod tests {
         best
     }
 
-    #[test]
-    fn bounded_search_matches_the_exhaustive_reference_exactly() {
-        // Noise frames defeat the early-exit threshold, so the bounded
-        // SAD's bail logic (not just EARLY_EXIT_SAD) decides the work
-        // done; the result — vector, SAD, and evaluation count — must
-        // still be byte-identical, including at border macroblocks where
-        // candidates clamp.
-        let mut seed = 0xbee5_u64;
-        let mut noise = |f: &mut Frame| {
-            for p in f.data_mut() {
-                seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                *p = (seed >> 33) as u8;
-            }
-        };
-        let mut current = Frame::new(64, 48);
-        let mut reference = Frame::new(64, 48);
-        noise(&mut current);
-        noise(&mut reference);
-        for radius in [0, 1, 2, 4, 8, 16] {
-            for (ox, oy) in [(0, 0), (16, 16), (48, 32), (0, 32), (48, 0)] {
-                let fast = search(&current, &reference, ox, oy, radius);
-                let slow = search_reference(&current, &reference, ox, oy, radius);
-                assert_eq!(fast, slow, "radius {radius} at ({ox}, {oy})");
+    /// Asserts padded `search` ≡ `search_reference` at every radius 0–16
+    /// on every macroblock of `current`, border ones included.
+    fn assert_matches_reference(current: &Frame, reference: &Frame, what: &str) {
+        let padded = PaddedFrame::from_frame(reference);
+        for mb in 0..current.macroblocks() {
+            let (ox, oy) = current.mb_origin(mb);
+            for radius in 0..=16 {
+                assert_eq!(
+                    search(current, &padded, ox, oy, radius),
+                    search_reference(current, reference, ox, oy, radius),
+                    "{what}: radius {radius} at macroblock {mb}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn padded_search_matches_the_exhaustive_clamped_reference_on_noise() {
+        // Noise defeats the early-exit threshold, so the bounded SAD's
+        // bail logic (not just EARLY_EXIT_SAD) decides the work done; the
+        // result — vector, SAD, and evaluation count — must still be
+        // identical, including where candidates hang over the border.
+        let mut seed = 0xbee5_u64;
+        let current = noise_frame(64, 48, &mut seed);
+        let reference = noise_frame(64, 48, &mut seed);
+        assert_matches_reference(&current, &reference, "noise");
         // And on correlated content where early exit does fire.
         let reference = frame_with_square(16, 16);
         let current = frame_with_square(21, 19);
-        for radius in [2, 8, 16] {
+        assert_matches_reference(&current, &reference, "square");
+    }
+
+    #[test]
+    fn padded_search_matches_the_exhaustive_clamped_reference_on_camera_frames() {
+        for seed in 1..=3 {
+            let scenario = LoadScenario::paper_benchmark(seed).truncated(6);
+            let cam = SyntheticCamera::new(&scenario, 64, 48, seed);
+            for f in [1, 4] {
+                let (reference, current) = (cam.frame(f), cam.frame(f + 1));
+                assert_matches_reference(&current, &reference, &format!("seed {seed} frame {f}"));
+            }
+        }
+    }
+
+    #[test]
+    fn vectors_past_the_padding_still_sample_the_clamped_edge() {
+        let mut seed = 0x0dd_u64;
+        let current = noise_frame(48, 32, &mut seed);
+        let reference = noise_frame(48, 32, &mut seed);
+        let padded = PaddedFrame::from_frame(&reference);
+        for mb in 0..current.macroblocks() {
+            let (ox, oy) = current.mb_origin(mb);
             assert_eq!(
-                search(&current, &reference, 16, 16, radius),
-                search_reference(&current, &reference, 16, 16, radius),
+                search(&current, &padded, ox, oy, 24),
+                search_reference(&current, &reference, ox, oy, 24),
+                "macroblock {mb}"
             );
+            for mv in [(-40, 3), (70, -70), (-1000, 999)] {
+                let (x, y) = (
+                    (ox as i32).saturating_add(mv.0),
+                    (oy as i32).saturating_add(mv.1),
+                );
+                assert_eq!(predict(&padded, ox, oy, mv), reference.block_clamped(x, y));
+            }
         }
     }
 
@@ -303,9 +365,12 @@ mod tests {
     #[test]
     fn prediction_samples_reference() {
         let reference = frame_with_square(16, 16);
-        let p = predict(&reference, 16, 16, (0, 0));
+        let padded = PaddedFrame::from_frame(&reference);
+        let p = predict(&padded, 16, 16, (0, 0));
         assert_eq!(p, reference.block(16, 16));
-        let shifted = predict(&reference, 16, 16, (4, 2));
+        let shifted = predict(&padded, 16, 16, (4, 2));
         assert_eq!(shifted, reference.block_clamped(20, 18));
+        let border = predict(&padded, 0, 48, (-16, 16));
+        assert_eq!(border, reference.block_clamped(-16, 64));
     }
 }

@@ -8,6 +8,21 @@
 //! rectangles; velocity scales with the scene's motion parameter and
 //! texture with its texture parameter. Rendering frame `f` is a pure
 //! function of `(seed, f)`, so the camera needs no storage.
+//!
+//! # Hot path
+//!
+//! Rendering is serial per-frame work on the encoder's critical path, so
+//! [`SyntheticCamera::render_into`] is written for speed without changing
+//! a single output byte:
+//!
+//! * the grating `sin(x·fx + drift + phase) + cos(y·fy − 0.6·drift)` is
+//!   separable, so each frame computes one table of `width` sines and
+//!   one cosine per row — the same `f64` expressions as a per-pixel
+//!   evaluation, `width + height` calls instead of `2·width·height`;
+//! * objects are filled by row spans that wrap at the frame edge, not by
+//!   two `%` per pixel;
+//! * the frame is rendered into a caller-owned buffer, so the encoder
+//!   reuses one plane instead of allocating a frame per call.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -140,41 +155,66 @@ impl SyntheticCamera {
         self.frame_map.is_empty()
     }
 
-    /// Renders frame `f` (pure function; no state).
+    /// Renders frame `f` into a new frame (pure function; no state).
     ///
     /// # Panics
     ///
     /// Panics if `f >= len()`.
     #[must_use]
     pub fn frame(&self, f: usize) -> Frame {
+        let mut out = Frame::new(self.width, self.height);
+        self.render_into(f, &mut out);
+        out
+    }
+
+    /// Renders frame `f` over every pixel of `out`, reusing its buffer.
+    /// The bytes equal [`SyntheticCamera::frame`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f >= len()` or `out` is not `width × height`.
+    pub fn render_into(&self, f: usize, out: &mut Frame) {
+        assert_eq!(
+            (out.width(), out.height()),
+            (self.width, self.height),
+            "render target must match the camera dimensions"
+        );
         let (scene_idx, k) = self.frame_map[f];
         let scene = &self.scenes[scene_idx];
         let t = k as f64;
-        let mut out = Frame::new(self.width, self.height);
-        // Background: drifting sinusoidal grating.
+        let w = self.width;
+        // Background: drifting sinusoidal grating, one sine per column
+        // and one cosine per row.
         let (fx, fy) = scene.grating_freq;
         let drift = t * 0.35;
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let v = f64::from(scene.base_luma)
-                    + scene.grating_amp
-                        * ((x as f64 * fx + drift + scene.phase).sin()
-                            + (y as f64 * fy - drift * 0.6).cos())
-                        / 2.0;
-                out.set(x, y, v.clamp(0.0, 255.0) as u8);
+        let base = f64::from(scene.base_luma);
+        let sin_x: Vec<f64> = (0..w)
+            .map(|x| (x as f64 * fx + drift + scene.phase).sin())
+            .collect();
+        for (y, row) in out.data_mut().chunks_exact_mut(w).enumerate() {
+            let cos_y = (y as f64 * fy - drift * 0.6).cos();
+            for (p, &sx) in row.iter_mut().zip(&sin_x) {
+                let v = base + scene.grating_amp * (sx + cos_y) / 2.0;
+                *p = v.clamp(0.0, 255.0) as u8;
             }
         }
-        // Moving objects (wrap around the frame).
+        // Moving objects (wrap around the frame), filled span by span.
         for o in &scene.objects {
-            let cx = (o.x0 + o.vx * t).rem_euclid(self.width as f64) as usize;
+            let cx = (o.x0 + o.vx * t).rem_euclid(w as f64) as usize;
             let cy = (o.y0 + o.vy * t).rem_euclid(self.height as f64) as usize;
             for dy in 0..o.h {
-                for dx in 0..o.w {
-                    let x = (cx + dx) % self.width;
-                    let y = (cy + dy) % self.height;
-                    // Slight internal gradient so objects carry texture.
-                    let v = i32::from(o.brightness) + ((dx + dy) % 16) as i32 - 8;
-                    out.set(x, y, v.clamp(0, 255) as u8);
+                let y = (cy + dy) % self.height;
+                let row = &mut out.data_mut()[y * w..(y + 1) * w];
+                let mut dx = 0;
+                while dx < o.w {
+                    let x = (cx + dx) % w;
+                    let span = (w - x).min(o.w - dx);
+                    for (i, p) in row[x..x + span].iter_mut().enumerate() {
+                        // Slight internal gradient so objects carry texture.
+                        let v = i32::from(o.brightness) + ((dx + i + dy) % 16) as i32 - 8;
+                        *p = v.clamp(0, 255) as u8;
+                    }
+                    dx += span;
                 }
             }
         }
@@ -186,7 +226,6 @@ impl SyntheticCamera {
             let n = rng.gen_range(-amp..=amp);
             *p = (f64::from(*p) + n).clamp(0.0, 255.0) as u8;
         }
-        out
     }
 }
 
@@ -194,6 +233,76 @@ impl SyntheticCamera {
 mod tests {
     use super::*;
     use crate::frame::sad;
+
+    impl SyntheticCamera {
+        /// The original per-pixel renderer, verbatim: the oracle for
+        /// [`SyntheticCamera::render_into`].
+        fn render_reference(&self, f: usize) -> Frame {
+            let (scene_idx, k) = self.frame_map[f];
+            let scene = &self.scenes[scene_idx];
+            let t = k as f64;
+            let mut out = Frame::new(self.width, self.height);
+            let (fx, fy) = scene.grating_freq;
+            let drift = t * 0.35;
+            for y in 0..self.height {
+                for x in 0..self.width {
+                    let v = f64::from(scene.base_luma)
+                        + scene.grating_amp
+                            * ((x as f64 * fx + drift + scene.phase).sin()
+                                + (y as f64 * fy - drift * 0.6).cos())
+                            / 2.0;
+                    out.set(x, y, v.clamp(0.0, 255.0) as u8);
+                }
+            }
+            for o in &scene.objects {
+                let cx = (o.x0 + o.vx * t).rem_euclid(self.width as f64) as usize;
+                let cy = (o.y0 + o.vy * t).rem_euclid(self.height as f64) as usize;
+                for dy in 0..o.h {
+                    for dx in 0..o.w {
+                        let x = (cx + dx) % self.width;
+                        let y = (cy + dy) % self.height;
+                        let v = i32::from(o.brightness) + ((dx + dy) % 16) as i32 - 8;
+                        out.set(x, y, v.clamp(0, 255) as u8);
+                    }
+                }
+            }
+            let mut rng =
+                StdRng::seed_from_u64(self.seed ^ (f as u64).wrapping_mul(0xD134_2543_DE82_EF95));
+            let amp = scene.noise_amp;
+            for p in out.data_mut() {
+                let n = rng.gen_range(-amp..=amp);
+                *p = (f64::from(*p) + n).clamp(0.0, 255.0) as u8;
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn render_into_matches_the_per_pixel_renderer_on_every_frame() {
+        for (w, h) in [(48, 32), (176, 144)] {
+            for seed in 1..=3 {
+                let scenario = LoadScenario::paper_benchmark(seed);
+                let cam = SyntheticCamera::new(&scenario, w, h, seed);
+                // One buffer for the whole stream: every pixel must be
+                // overwritten, whatever the previous frame left there.
+                let mut out = Frame::new(w, h);
+                for f in 0..cam.len() {
+                    cam.render_into(f, &mut out);
+                    assert!(
+                        out == cam.render_reference(f),
+                        "frame {f} of seed {seed} at {w}x{h}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn render_into_rejects_a_mismatched_buffer() {
+        let cam = camera(2);
+        let mut wrong = Frame::new(32, 32);
+        assert!(std::panic::catch_unwind(move || cam.render_into(0, &mut wrong)).is_err());
+    }
 
     fn camera(frames: usize) -> SyntheticCamera {
         let scenario = LoadScenario::paper_benchmark(3).truncated(frames);
@@ -259,6 +368,7 @@ mod tests {
         let cam = camera(20);
         let a = cam.frame(10);
         let b = cam.frame(11);
+        let padded = crate::frame::PaddedFrame::from_frame(&a);
         // Some macroblock should match better with a nonzero motion vector
         // than with the zero vector (i.e. motion estimation has something
         // to find).
@@ -267,7 +377,7 @@ mod tests {
             let (ox, oy) = a.mb_origin(mb);
             let target = b.block(ox, oy);
             let zero = sad(&target, &a.block(ox, oy));
-            let best = crate::motion::search(&b, &a, ox, oy, 8);
+            let best = crate::motion::search(&b, &padded, ox, oy, 8);
             if best.sad + 256 < zero {
                 any_gain = true;
                 break;
