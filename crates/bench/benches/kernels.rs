@@ -2,9 +2,9 @@
 //! references they replaced.
 //!
 //! * `dct_forward` / `dct_inverse` — the LUT-basis fixed-lane transforms
-//!   vs [`fgqos_encoder::dct::forward_reference`] /
-//!   [`fgqos_encoder::dct::inverse_reference`] (per-multiply `cos()`),
-//!   which remain in tree as the bit-identity oracle;
+//!   vs [`fgqos_bench::kernel_refs::dct_forward_reference`] /
+//!   [`fgqos_bench::kernel_refs::dct_inverse_reference`] (per-multiply
+//!   `cos()`), the bit-identity oracle;
 //! * `quant_roundtrip` — the DC-peeled branch-free quantizer loops vs a
 //!   local copy of the original per-element branchy form;
 //! * `motion_search` — the allocation-free bounded-SAD search over the
@@ -24,7 +24,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use fgqos_bench::kernel_refs::{compress, compress_reference, search_reference};
+use fgqos_bench::kernel_refs::{
+    compress, compress_reference, dct_forward_reference, dct_inverse_reference, search_reference,
+};
 use fgqos_encoder::dct;
 use fgqos_encoder::frame::{Frame, PaddedFrame};
 use fgqos_encoder::motion::search;
@@ -72,7 +74,7 @@ fn bench_dct(c: &mut Criterion) {
     g.bench_function("forward_reference", |b| {
         b.iter(|| {
             for blk in &blocks {
-                std::hint::black_box(dct::forward_reference(blk));
+                std::hint::black_box(dct_forward_reference(blk));
             }
         });
     });
@@ -86,7 +88,7 @@ fn bench_dct(c: &mut Criterion) {
     g.bench_function("inverse_reference", |b| {
         b.iter(|| {
             for cf in &coeffs {
-                std::hint::black_box(dct::inverse_reference(cf));
+                std::hint::black_box(dct_inverse_reference(cf));
             }
         });
     });

@@ -8,9 +8,12 @@
 //!
 //! Two further gates ride on the same run:
 //!
-//! * **resident vs scoped** — an 8-stream pixel workload served on the
-//!   persistent resident pool must not be slower than the same workload
-//!   on the scoped spawn-per-job pool (the pre-refactor baseline);
+//! * **resident vs spawn-per-call** — an 8-stream pixel workload served
+//!   tick by tick as the server does (one merged kernel DAG per tick)
+//!   must not be slower on one persistent resident pool than on a fresh
+//!   pool per tick (threads spawned and joined per call, the
+//!   pre-resident baseline); both must produce results identical to
+//!   `StreamServer` serving the same streams;
 //! * **churn determinism** — the seeded churn storm must produce
 //!   byte-identical admission logs and stream results at 1 and 4
 //!   workers.
@@ -20,15 +23,16 @@
 
 use std::time::{Duration, Instant};
 
-use fgqos_core::policy::MaxQuality;
+use fgqos_core::policy::{MaxQuality, QualityPolicy};
 use fgqos_encoder::app::EncoderApp;
 use fgqos_graph::iterate::IterationMode;
-use fgqos_serve::{ChurnStorm, PacedSource, PoolMode, ServeReport, ServerConfig, StreamSpec};
+use fgqos_serve::{ChurnStorm, PacedSource, ServeReport, ServerConfig, StreamSpec};
 use fgqos_sim::app::TableApp;
-use fgqos_sim::exec::StochasticLoad;
-use fgqos_sim::runner::{Mode, RunConfig, Runner, StreamResult};
-use fgqos_sim::runtime::{ExecBackend, ModelBackend, VirtualClock};
+use fgqos_sim::exec::{StochasticLoad, WorkDriven};
+use fgqos_sim::runner::{Mode, ParallelStream, RunConfig, Runner, StreamResult};
+use fgqos_sim::runtime::{ExecBackend, ModelBackend, VirtualClock, WorkStealingPool};
 use fgqos_sim::scenario::LoadScenario;
+use fgqos_time::Cycles;
 
 /// Pixel workload shape per stream: 6×4 macroblocks gives the wavefront
 /// enough width for 4 workers while 4 concurrent streams stay in CI
@@ -132,56 +136,182 @@ fn fps(frames: usize, d: Duration) -> f64 {
     frames as f64 / d.as_secs_f64().max(1e-9)
 }
 
-/// Pool-pricing workload: many small-frame pixel streams, so per-tick
+/// Pool-pricing workload: many small-frame pixel streams, so per-frame
 /// kernel work is light and the pool's fixed costs (thread spawns for
-/// the scoped baseline, wakeups for the resident pool) dominate.
+/// the spawn-per-call baseline, wakeups for the resident pool) dominate.
 const POOL_STREAMS: usize = 8;
 const POOL_W: usize = 48;
 const POOL_H: usize = 32;
 const POOL_FRAMES: usize = 25;
 
-/// Best-of-`REPS` wall time of serving the 8-stream pixel workload,
-/// on the resident pool or on the scoped spawn-per-job baseline.
-/// Results are byte-identical either way; only the pool's ownership
-/// model differs.
-fn time_pool(workers: usize, scoped: bool) -> Duration {
-    let mb = (POOL_W / 16) * (POOL_H / 16);
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let pool = if scoped {
-            PoolMode::Scoped
-        } else {
-            PoolMode::Resident
-        };
-        let server = ServerConfig::new(workers).capacity(1e6).pool(pool).build();
-        let specs: Vec<StreamSpec> = (0..POOL_STREAMS)
-            .map(|i| {
-                StreamSpec::builder(format!("p{i}"))
-                    .priority(1)
-                    .seed(seed(i))
-                    .config(
-                        RunConfig::paper_defaults()
-                            .scaled_to_macroblocks(mb)
-                            .with_iteration_mode(IterationMode::Pipelined),
-                    )
-                    .source(PacedSource::new(
-                        LoadScenario::paper_benchmark(80 + i as u64).truncated(POOL_FRAMES),
-                    ))
-                    .build()
-            })
-            .collect();
-        let start = Instant::now();
-        let report = server
-            .serve(
-                specs,
-                |scn, spec| EncoderApp::new(scn, POOL_W, POOL_H, spec.seed),
-                |spec| Box::new(EncoderApp::work_backend(spec.seed)),
-            )
-            .expect("pool-pricing serve");
-        best = best.min(start.elapsed());
-        assert!(report.all_safe(), "pool-pricing streams must stay safe");
+fn pool_scenario(i: usize) -> LoadScenario {
+    LoadScenario::paper_benchmark(80 + i as u64).truncated(POOL_FRAMES)
+}
+
+fn pool_config() -> RunConfig {
+    stream_config((POOL_W / 16) * (POOL_H / 16))
+}
+
+/// One pool-pricing stream, as a session slot holds it.
+struct PoolSlot {
+    runner: Runner<EncoderApp>,
+    st: Option<ParallelStream>,
+    clock: VirtualClock,
+    backend: ModelBackend<WorkDriven>,
+    policy: MaxQuality,
+    result: Option<StreamResult>,
+}
+
+impl PoolSlot {
+    fn new(i: usize) -> Self {
+        let app = EncoderApp::new(pool_scenario(i), POOL_W, POOL_H, seed(i)).expect("app");
+        let mut runner = Runner::new(app, pool_config()).expect("runner");
+        let st = runner.start_parallel(Mode::Controlled).expect("start");
+        PoolSlot {
+            runner,
+            st: Some(st),
+            clock: VirtualClock::new(),
+            backend: EncoderApp::work_backend(seed(i)),
+            policy: MaxQuality::new(),
+            result: None,
+        }
     }
-    best
+
+    fn finish(&mut self) {
+        if let Some(st) = self.st.take() {
+            self.result = Some(self.runner.finish_parallel(st, self.policy.name()));
+        }
+    }
+}
+
+/// Serves the pool-pricing streams tick by tick as `StreamSession::step`
+/// does — departures first, every stream at the earliest ready time is
+/// due, the due frames' kernel DAGs merged into one task graph, commits
+/// in stream order — and runs each tick's merged DAG on `resident` or,
+/// when `None`, on a fresh pool of `workers` threads spawned (and
+/// joined) for that tick.
+fn serve_pool_streams(workers: usize, resident: Option<&WorkStealingPool>) -> Vec<StreamResult> {
+    let mut slots: Vec<PoolSlot> = (0..POOL_STREAMS).map(PoolSlot::new).collect();
+    loop {
+        let mut ready: Vec<(usize, Cycles)> = Vec::new();
+        for (i, s) in slots.iter_mut().enumerate() {
+            match s.st.as_ref().map(|st| st.next_ready_time(&mut s.clock)) {
+                Some(Some(t)) => ready.push((i, t)),
+                Some(None) => s.finish(),
+                None => {}
+            }
+        }
+        let Some(t_min) = ready.iter().map(|&(_, t)| t).min() else {
+            break;
+        };
+        let mut due = Vec::new();
+        for &(i, _) in ready.iter().filter(|&&(_, t)| t == t_min) {
+            let s = &mut slots[i];
+            let st = s.st.as_mut().expect("ready slots are running");
+            let more = s
+                .runner
+                .next_parallel_frame(st, &mut s.clock, &mut s.policy, &mut None)
+                .expect("prepare");
+            if more {
+                due.push(i);
+            } else {
+                s.finish();
+            }
+        }
+        if due.is_empty() {
+            continue;
+        }
+        {
+            let views: Vec<_> = due
+                .iter()
+                .map(|&i| {
+                    let s = &slots[i];
+                    let st = s.st.as_ref().expect("due slots are running");
+                    s.runner.parallel_kernels(st).expect("frame just prepared")
+                })
+                .collect();
+            let mut offsets = Vec::with_capacity(views.len());
+            let mut indegree = Vec::new();
+            let mut succs: Vec<Vec<usize>> = Vec::new();
+            for v in &views {
+                let off = indegree.len();
+                offsets.push(off);
+                indegree.extend_from_slice(v.indegree());
+                succs.extend(
+                    v.succs()
+                        .iter()
+                        .map(|s| s.iter().map(|&x| x + off).collect()),
+                );
+            }
+            let run = |g: usize| {
+                let vi = offsets.partition_point(|&o| o <= g) - 1;
+                views[vi].run_kernel(g - offsets[vi]);
+            };
+            match resident {
+                Some(pool) => pool.run_dag(&indegree, &succs, run),
+                None => WorkStealingPool::new(workers).run_dag(&indegree, &succs, run),
+            }
+        }
+        for &i in &due {
+            let s = &mut slots[i];
+            let st = s.st.as_mut().expect("due slots are running");
+            s.runner
+                .commit_parallel_frame(st, &mut s.clock, &mut s.backend, &mut s.policy, &mut None)
+                .expect("commit");
+        }
+    }
+    slots
+        .into_iter()
+        .map(|s| s.result.expect("every stream finished"))
+        .collect()
+}
+
+/// Best-of-`REPS` wall time of the 8-stream pixel workload on one
+/// resident pool, or on a fresh pool per tick; returns the last rep's
+/// results (identical either way — only the pool's ownership differs).
+fn time_pool(workers: usize, spawn_per_call: bool) -> (Duration, Vec<StreamResult>) {
+    let mut best = Duration::MAX;
+    let mut last = Vec::new();
+    for _ in 0..REPS {
+        let start = Instant::now();
+        let resident = (!spawn_per_call).then(|| WorkStealingPool::new(workers));
+        last = serve_pool_streams(workers, resident.as_ref());
+        best = best.min(start.elapsed());
+        assert!(
+            last.iter().all(|r| r.skips() == 0 && r.misses() == 0),
+            "pool-pricing streams must stay safe"
+        );
+    }
+    (best, last)
+}
+
+/// The pool-pricing streams served by `StreamServer` itself: the
+/// reference the tick replica above must reproduce.
+fn served_pool_streams(workers: usize) -> Vec<StreamResult> {
+    let specs: Vec<StreamSpec> = (0..POOL_STREAMS)
+        .map(|i| {
+            StreamSpec::builder(format!("p{i}"))
+                .priority(1)
+                .seed(seed(i))
+                .config(pool_config())
+                .source(PacedSource::new(pool_scenario(i)))
+                .build()
+        })
+        .collect();
+    let report = ServerConfig::new(workers)
+        .capacity(1e6)
+        .build()
+        .serve(
+            specs,
+            |scn, spec| EncoderApp::new(scn, POOL_W, POOL_H, spec.seed),
+            |spec| Box::new(EncoderApp::work_backend(spec.seed)),
+        )
+        .expect("pool-pricing serve");
+    report
+        .outcomes()
+        .iter()
+        .map(|o| o.result.clone().expect("all admitted"))
+        .collect()
 }
 
 /// Runs the seeded churn storm (timing-only streams, virtual clocks) at
@@ -239,11 +369,17 @@ fn main() {
     let gate_enforced = cores >= 4;
     let gate_pass = !gate_enforced || speedup >= 1.0;
 
-    // Resident pool vs scoped spawn-per-job baseline on the 8-stream
+    // Resident pool vs the spawn-per-call baseline on the 8-stream
     // pixel workload.
-    let t_resident = time_pool(workers, false);
-    let t_scoped = time_pool(workers, true);
-    let pool_speedup = t_scoped.as_secs_f64() / t_resident.as_secs_f64().max(1e-9);
+    let (t_resident, resident_results) = time_pool(workers, false);
+    let (t_spawn, spawn_results) = time_pool(workers, true);
+    let served_results = served_pool_streams(workers);
+    let same = |a: &[StreamResult], b: &[StreamResult]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.frames() == y.frames())
+    };
+    let pool_identical =
+        same(&resident_results, &spawn_results) && same(&resident_results, &served_results);
+    let pool_speedup = t_spawn.as_secs_f64() / t_resident.as_secs_f64().max(1e-9);
     let pool_gate_pass = !gate_enforced || pool_speedup >= 1.0;
 
     // Churn determinism: the storm replayed at 1 and 4 workers.
@@ -276,8 +412,8 @@ fn main() {
          \"isolation_byte_identical\": {isolated},\n  \
          \"streams\": [\n{streams}  ],\n  \
          \"pool\": {{\"workload\": \"{POOL_STREAMS} pixel streams {POOL_W}x{POOL_H}, {POOL_FRAMES} frames each\", \
-\"resident_wall_ms\": {:.3}, \"scoped_wall_ms\": {:.3}, \"speedup_resident_vs_scoped\": {pool_speedup:.3}, \
-\"gate\": {{\"enforced\": {gate_enforced}, \"pass\": {pool_gate_pass}}}}},\n  \
+\"resident_wall_ms\": {:.3}, \"spawn_per_call_wall_ms\": {:.3}, \"speedup_resident_vs_spawn_per_call\": {pool_speedup:.3}, \
+\"identical\": {pool_identical}, \"gate\": {{\"enforced\": {gate_enforced}, \"pass\": {pool_gate_pass}}}}},\n  \
          \"churn\": {{\"events\": {churn_events}, \"ticks\": {}, \"deterministic\": {churn_deterministic}}},\n  \
          \"gate\": {{\"enforced\": {gate_enforced}, \"pass\": {gate_pass}}}\n}}\n",
         t_seq.as_secs_f64() * 1e3,
@@ -285,7 +421,7 @@ fn main() {
         t_shared.as_secs_f64() * 1e3,
         fps(total_frames, t_shared),
         t_resident.as_secs_f64() * 1e3,
-        t_scoped.as_secs_f64() * 1e3,
+        t_spawn.as_secs_f64() * 1e3,
         churn_ref.ticks(),
     );
 
@@ -307,9 +443,15 @@ fn main() {
         eprintln!("FAIL: churn storm diverged between 1 and {workers} workers");
         std::process::exit(1);
     }
+    if !pool_identical {
+        eprintln!(
+            "FAIL: resident pool, spawn-per-call pool and StreamServer produced different results"
+        );
+        std::process::exit(1);
+    }
     if !pool_gate_pass {
         eprintln!(
-            "FAIL: resident pool slower than scoped spawn-per-job baseline \
+            "FAIL: resident pool slower than the spawn-per-call baseline \
              (speedup {pool_speedup:.3}) on a {cores}-core host"
         );
         std::process::exit(1);

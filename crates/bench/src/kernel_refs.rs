@@ -2,6 +2,9 @@
 //! baselines and bit-identity oracles shared by `benches/kernels.rs` and
 //! `bench_smoke` (`BENCH_kernels.json`).
 //!
+//! * [`dct_forward_reference`] / [`dct_inverse_reference`] — the 8×8
+//!   DCT with a `cos()` per multiply, the oracle of
+//!   [`fgqos_encoder::dct::forward`] / [`fgqos_encoder::dct::inverse`];
 //! * [`search_reference`] — `Vec`-collected rings and an exhaustive SAD
 //!   of each per-pixel clamped candidate, against the unpadded frame;
 //! * [`compress_reference`] — one macroblock's `Compress` kernel with the
@@ -11,9 +14,83 @@
 //! built from the public entropy API exactly as the encoder's `Compress`
 //! action uses it.
 
+use fgqos_encoder::dct::BLOCK;
 use fgqos_encoder::entropy::{encode_block, encode_mv, zigzag_order, BitWriter};
 use fgqos_encoder::frame::{sad, Frame};
 use fgqos_encoder::motion::{MotionResult, EARLY_EXIT_SAD};
+
+#[inline]
+fn basis(x: usize, u: usize) -> f32 {
+    let angle = std::f32::consts::PI * (2.0 * x as f32 + 1.0) * u as f32 / (2.0 * BLOCK as f32);
+    angle.cos()
+}
+
+#[inline]
+fn scale(u: usize) -> f32 {
+    if u == 0 {
+        (1.0 / BLOCK as f32).sqrt()
+    } else {
+        (2.0 / BLOCK as f32).sqrt()
+    }
+}
+
+/// The original scalar forward DCT: the oracle of
+/// [`fgqos_encoder::dct::forward`] (bit-identical coefficients).
+#[must_use]
+pub fn dct_forward_reference(input: &[i16; BLOCK * BLOCK]) -> [f32; BLOCK * BLOCK] {
+    let mut tmp = [0f32; BLOCK * BLOCK];
+    let mut out = [0f32; BLOCK * BLOCK];
+    // Rows.
+    for y in 0..BLOCK {
+        for u in 0..BLOCK {
+            let mut acc = 0f32;
+            for x in 0..BLOCK {
+                acc += f32::from(input[y * BLOCK + x]) * basis(x, u);
+            }
+            tmp[y * BLOCK + u] = acc * scale(u);
+        }
+    }
+    // Columns.
+    for u in 0..BLOCK {
+        for v in 0..BLOCK {
+            let mut acc = 0f32;
+            for y in 0..BLOCK {
+                acc += tmp[y * BLOCK + u] * basis(y, v);
+            }
+            out[v * BLOCK + u] = acc * scale(v);
+        }
+    }
+    out
+}
+
+/// The original scalar inverse DCT: the oracle of
+/// [`fgqos_encoder::dct::inverse`] (identical residuals).
+#[must_use]
+pub fn dct_inverse_reference(coeffs: &[f32; BLOCK * BLOCK]) -> [i16; BLOCK * BLOCK] {
+    let mut tmp = [0f32; BLOCK * BLOCK];
+    let mut out = [0i16; BLOCK * BLOCK];
+    // Columns.
+    for u in 0..BLOCK {
+        for y in 0..BLOCK {
+            let mut acc = 0f32;
+            for v in 0..BLOCK {
+                acc += scale(v) * coeffs[v * BLOCK + u] * basis(y, v);
+            }
+            tmp[y * BLOCK + u] = acc;
+        }
+    }
+    // Rows.
+    for y in 0..BLOCK {
+        for x in 0..BLOCK {
+            let mut acc = 0f32;
+            for u in 0..BLOCK {
+                acc += scale(u) * tmp[y * BLOCK + u] * basis(x, u);
+            }
+            out[y * BLOCK + x] = acc.round().clamp(-4096.0, 4096.0) as i16;
+        }
+    }
+    out
+}
 
 /// Candidate offsets on the square ring of Chebyshev radius `r`, in
 /// search order.
@@ -150,4 +227,36 @@ pub fn compress_reference(levels: &[[i16; 64]; 4], mv: Option<(i32, i32)>) -> (V
         w.put_se(0);
     }
     (w.bytes, w.bit_len)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fgqos_encoder::dct;
+
+    /// Deterministic pseudo-random residual in the full ±255 range.
+    fn lcg_block(seed: &mut u64) -> [i16; 64] {
+        let mut out = [0i16; 64];
+        for v in out.iter_mut() {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *v = ((*seed >> 33) % 511) as i16 - 255;
+        }
+        out
+    }
+
+    #[test]
+    fn vectorized_dct_matches_the_scalar_reference_bit_for_bit() {
+        let mut seed = 0x5eed_cafe_u64;
+        for _ in 0..64 {
+            let input = lcg_block(&mut seed);
+            let f_new = dct::forward(&input);
+            let f_ref = dct_forward_reference(&input);
+            for (i, (a, b)) in f_new.iter().zip(f_ref.iter()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "forward coeff {i}");
+            }
+            assert_eq!(dct::inverse(&f_new), dct_inverse_reference(&f_ref));
+        }
+    }
 }

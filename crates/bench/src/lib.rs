@@ -18,11 +18,16 @@
 //! `--out DIR` (CSV output, default `target/figures`), and `--pixels`
 //! (use the pixel-level encoder at CIF scale instead of the table-driven
 //! application).
+//!
+//! The comparison baselines the production crates no longer carry live
+//! here too: [`kernel_refs`] (the encoder kernels in their original
+//! form) and [`table_refs`] (per-budget constraint-table rebuilds).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod kernel_refs;
+pub mod table_refs;
 
 pub use experiments::ExpConfig;

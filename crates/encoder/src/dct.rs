@@ -13,11 +13,11 @@
 //! never calls libm and cannot drift across math-library versions. Each
 //! pass accumulates all eight outputs of a row/column in lockstep over
 //! fixed-width `[f32; 8]` lanes — per-output operation order is unchanged
-//! from the scalar reference (bit-identical results, verified in tests),
-//! but the compiler can keep the lanes in vector registers. The original
-//! per-multiply-`cos()` implementation is kept as
-//! [`forward_reference`]/[`inverse_reference`] for equivalence tests and
-//! the before/after kernel microbench.
+//! from the original scalar code (bit-identical results), but the compiler
+//! can keep the lanes in vector registers. The original
+//! per-multiply-`cos()` implementation lives in bench code
+//! (`fgqos_bench::kernel_refs`), which checks the bit identity and times
+//! the two against each other.
 
 /// Transform block edge (8×8 like MPEG-4; a 16×16 macroblock holds four
 /// luma blocks).
@@ -146,9 +146,9 @@ const fn transpose(m: [[f32; BLOCK]; BLOCK]) -> [[f32; BLOCK]; BLOCK] {
 /// Forward 8×8 DCT of a residual block (row-major `i16`, range roughly
 /// ±255 after prediction). Returns coefficients as `f32`.
 ///
-/// Bit-identical to [`forward_reference`]: the lane restructuring only
-/// hoists loop-invariant loads — every output still accumulates its
-/// terms in the same order.
+/// Bit-identical to the original scalar transform: the lane
+/// restructuring only hoists loop-invariant loads — every output still
+/// accumulates its terms in the same order.
 #[must_use]
 pub fn forward(input: &[i16; BLOCK * BLOCK]) -> [f32; BLOCK * BLOCK] {
     let mut tmp = [0f32; BLOCK * BLOCK];
@@ -188,8 +188,8 @@ pub fn forward(input: &[i16; BLOCK * BLOCK]) -> [f32; BLOCK * BLOCK] {
 
 /// Inverse 8×8 DCT back to spatial residuals (`i16`).
 ///
-/// Bit-identical to [`inverse_reference`] (same per-output term order
-/// and association, `(scale·coeff)·basis`).
+/// Bit-identical to the original scalar transform (same per-output term
+/// order and association, `(scale·coeff)·basis`).
 #[must_use]
 pub fn inverse(coeffs: &[f32; BLOCK * BLOCK]) -> [i16; BLOCK * BLOCK] {
     let mut tmp = [0f32; BLOCK * BLOCK];
@@ -222,79 +222,6 @@ pub fn inverse(coeffs: &[f32; BLOCK * BLOCK]) -> [i16; BLOCK * BLOCK] {
         }
     }
     out
-}
-
-/// Reference scalar forward DCT: the original per-multiply-`cos()`
-/// implementation, kept for equivalence tests and the before/after
-/// kernel microbench.
-#[must_use]
-pub fn forward_reference(input: &[i16; BLOCK * BLOCK]) -> [f32; BLOCK * BLOCK] {
-    let mut tmp = [0f32; BLOCK * BLOCK];
-    let mut out = [0f32; BLOCK * BLOCK];
-    // Rows.
-    for y in 0..BLOCK {
-        for u in 0..BLOCK {
-            let mut acc = 0f32;
-            for x in 0..BLOCK {
-                acc += f32::from(input[y * BLOCK + x]) * basis(x, u);
-            }
-            tmp[y * BLOCK + u] = acc * scale(u);
-        }
-    }
-    // Columns.
-    for u in 0..BLOCK {
-        for v in 0..BLOCK {
-            let mut acc = 0f32;
-            for y in 0..BLOCK {
-                acc += tmp[y * BLOCK + u] * basis(y, v);
-            }
-            out[v * BLOCK + u] = acc * scale(v);
-        }
-    }
-    out
-}
-
-/// Reference scalar inverse DCT (see [`forward_reference`]).
-#[must_use]
-pub fn inverse_reference(coeffs: &[f32; BLOCK * BLOCK]) -> [i16; BLOCK * BLOCK] {
-    let mut tmp = [0f32; BLOCK * BLOCK];
-    let mut out = [0i16; BLOCK * BLOCK];
-    // Columns.
-    for u in 0..BLOCK {
-        for y in 0..BLOCK {
-            let mut acc = 0f32;
-            for v in 0..BLOCK {
-                acc += scale(v) * coeffs[v * BLOCK + u] * basis(y, v);
-            }
-            tmp[y * BLOCK + u] = acc;
-        }
-    }
-    // Rows.
-    for y in 0..BLOCK {
-        for x in 0..BLOCK {
-            let mut acc = 0f32;
-            for u in 0..BLOCK {
-                acc += scale(u) * tmp[y * BLOCK + u] * basis(x, u);
-            }
-            out[y * BLOCK + x] = acc.round().clamp(-4096.0, 4096.0) as i16;
-        }
-    }
-    out
-}
-
-#[inline]
-fn basis(x: usize, u: usize) -> f32 {
-    let angle = std::f32::consts::PI * (2.0 * x as f32 + 1.0) * u as f32 / (2.0 * BLOCK as f32);
-    angle.cos()
-}
-
-#[inline]
-fn scale(u: usize) -> f32 {
-    if u == 0 {
-        (1.0 / BLOCK as f32).sqrt()
-    } else {
-        (2.0 / BLOCK as f32).sqrt()
-    }
 }
 
 /// Splits a 16×16 macroblock residual into its four 8×8 blocks
@@ -334,6 +261,21 @@ pub fn merge_macroblock(blocks: &[[i16; BLOCK * BLOCK]; 4]) -> [i16; 256] {
 mod tests {
     use super::*;
 
+    /// `cos(π·(2x+1)·u/16)` computed as the original scalar code did.
+    fn basis(x: usize, u: usize) -> f32 {
+        let angle = std::f32::consts::PI * (2.0 * x as f32 + 1.0) * u as f32 / (2.0 * BLOCK as f32);
+        angle.cos()
+    }
+
+    /// The orthonormal scale computed as the original scalar code did.
+    fn scale(u: usize) -> f32 {
+        if u == 0 {
+            (1.0 / BLOCK as f32).sqrt()
+        } else {
+            (2.0 / BLOCK as f32).sqrt()
+        }
+    }
+
     #[test]
     fn dc_block_transforms_to_single_coefficient() {
         let input = [64i16; 64];
@@ -370,20 +312,6 @@ mod tests {
             *v = ((*seed >> 33) % 511) as i16 - 255;
         }
         out
-    }
-
-    #[test]
-    fn vectorized_transforms_match_the_scalar_reference_bit_for_bit() {
-        let mut seed = 0x5eed_cafe_u64;
-        for _ in 0..64 {
-            let input = lcg_block(&mut seed);
-            let f_new = forward(&input);
-            let f_ref = forward_reference(&input);
-            for (i, (a, b)) in f_new.iter().zip(f_ref.iter()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "forward coeff {i}");
-            }
-            assert_eq!(inverse(&f_new), inverse_reference(&f_ref));
-        }
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub enum DeadlineShape {
 /// match `fgqos_graph::iterate::IteratedGraph`.
 ///
 /// This is the single source of truth for the budget → deadline mapping;
-/// [`BudgetTables`] and the simulator's legacy per-budget path both use
+/// [`BudgetTables`] and the simulator's materialized per-budget tables use
 /// it. The arithmetic widens to `u128` before multiplying, so budgets up
 /// to `u64::MAX − 1` (e.g. replayed wall-clock traces) produce exact
 /// deadlines instead of wrapping, and a degenerate `iterations == 0`

@@ -103,8 +103,7 @@ pub use distribute::{
 };
 pub use error::ServeError;
 pub use server::{
-    stochastic_backends, table_apps, CeilingPolicy, FeedbackConfig, PoolMode, ServeReport,
-    ServerConfig, StreamOutcome, StreamServer, StreamSession, StreamSpec, StreamSpecBuilder,
-    TablesMode,
+    stochastic_backends, table_apps, CeilingPolicy, FeedbackConfig, ServeReport, ServerConfig,
+    StreamOutcome, StreamServer, StreamSession, StreamSpec, StreamSpecBuilder,
 };
 pub use source::{ChannelSource, FrameProducer, FrameSource, PacedSource, TraceSource};

@@ -115,25 +115,6 @@ impl StreamSpec {
             source: None,
         }
     }
-
-    /// Builds a spec from five positional arguments.
-    #[deprecated(since = "0.2.0", note = "use `StreamSpec::builder(name)` instead")]
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        priority: u8,
-        seed: u64,
-        config: RunConfig,
-        source: Box<dyn FrameSource>,
-    ) -> Self {
-        StreamSpec {
-            name: name.into(),
-            priority,
-            seed,
-            config,
-            source,
-        }
-    }
 }
 
 /// Builder for [`StreamSpec`] — see [`StreamSpec::builder`].
@@ -311,8 +292,8 @@ pub struct StreamOutcome {
     /// how many frames (and fresh budgets) it encoded.
     pub envelope_builds: u64,
     /// How many full `ConstraintTables` builds the stream's runner ran —
-    /// 0 on the default path, one per distinct budget on the legacy
-    /// path.
+    /// 0 for a stream whose budgets never repeat, one per promoted
+    /// recurring budget otherwise (see `Runner::full_table_builds`).
     pub table_builds: u64,
     /// How many in-place envelope refreshes the stream's runner ran —
     /// 0 without an online estimator, one per profile-moving frame with
@@ -451,53 +432,18 @@ impl ServeReport {
     }
 }
 
-/// Which worker-pool implementation a server runs its kernels on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Resident parked workers, woken per tick (the production path).
-    #[default]
-    Resident,
-    /// Spawn-per-call scoped threads — the bench baseline the resident
-    /// pool is priced against. Results are byte-identical either way.
-    Scoped,
-}
-
-/// Which constraint-table path every served stream's runner uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TablesMode {
-    /// Budget-parametric envelopes: built once per stream, O(log
-    /// segments) feasibility at any budget (the production path).
-    #[default]
-    Parametric,
-    /// Legacy per-budget `ConstraintTables` rebuilds — the bench
-    /// baseline. Served results are identical either way.
-    Legacy,
-}
-
-/// Typed construction of a [`StreamServer`] — replaces the old
-/// `new`/`with_capacity` split and the `set_scoped_pool` /
-/// `set_legacy_tables` boolean setters:
+/// Typed construction of a [`StreamServer`]:
 ///
 /// ```ignore
 /// let server = ServerConfig::new(8).capacity(6.5).build();
-/// let bench = ServerConfig {
-///     pool: PoolMode::Scoped,
-///     tables: TablesMode::Legacy,
-///     ..ServerConfig::new(4)
-/// }
-/// .build();
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
-    /// Pool width (resident or scoped worker threads).
+    /// Pool width (resident worker threads, the caller included).
     pub workers: usize,
     /// Admission capacity in cores; `None` grants one core's worth of
     /// sustained demand per worker.
     pub capacity: Option<f64>,
-    /// Worker-pool implementation.
-    pub pool: PoolMode,
-    /// Constraint-table path for every served stream.
-    pub tables: TablesMode,
     /// Retention policy of per-stream output rings (used only when
     /// someone subscribes; see [`crate::distribute`]).
     pub ring: RingConfig,
@@ -574,8 +520,6 @@ impl ServerConfig {
         ServerConfig {
             workers,
             capacity: None,
-            pool: PoolMode::default(),
-            tables: TablesMode::default(),
             ring: RingConfig::default(),
             telemetry: false,
             feedback: None,
@@ -587,20 +531,6 @@ impl ServerConfig {
     #[must_use]
     pub fn capacity(mut self, cores: f64) -> Self {
         self.capacity = Some(cores);
-        self
-    }
-
-    /// Selects the worker-pool implementation.
-    #[must_use]
-    pub fn pool(mut self, pool: PoolMode) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Selects the constraint-table path.
-    #[must_use]
-    pub fn tables(mut self, tables: TablesMode) -> Self {
-        self.tables = tables;
         self
     }
 
@@ -647,10 +577,6 @@ impl ServerConfig {
 pub struct StreamServer {
     pool: WorkStealingPool,
     admission: AdmissionController,
-    /// Benchmark/diagnostics toggle: force every stream's runner onto
-    /// the legacy per-budget table path (see
-    /// [`fgqos_sim::runner::Runner::set_legacy_tables`]).
-    legacy_tables: bool,
     /// Retention policy handed to each session's output rings.
     ring: RingConfig,
     /// Lag-driven ceiling feedback thresholds (`None` = off).
@@ -677,10 +603,7 @@ impl StreamServer {
         } else {
             Telemetry::disabled()
         };
-        let mut pool = match config.pool {
-            PoolMode::Resident => WorkStealingPool::new(config.workers),
-            PoolMode::Scoped => WorkStealingPool::scoped(config.workers),
-        };
+        let mut pool = WorkStealingPool::new(config.workers);
         pool.set_telemetry(&telemetry);
         StreamServer {
             pool,
@@ -688,59 +611,10 @@ impl StreamServer {
                 Some(cores) => AdmissionController::new(cores),
                 None => AdmissionController::for_workers(config.workers),
             },
-            legacy_tables: config.tables == TablesMode::Legacy,
             ring: config.ring,
             feedback: config.feedback,
             telemetry,
         }
-    }
-
-    /// A server with `workers` resident pool threads and the matching
-    /// default capacity.
-    #[deprecated(since = "0.2.0", note = "use `ServerConfig::new(workers).build()`")]
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        StreamServer::with_config(ServerConfig::new(workers))
-    }
-
-    /// A server with an explicit admission capacity (in cores).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not finite and positive.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ServerConfig::new(workers).capacity(cores).build()`"
-    )]
-    #[must_use]
-    pub fn with_capacity(workers: usize, capacity: f64) -> Self {
-        StreamServer::with_config(ServerConfig::new(workers).capacity(capacity))
-    }
-
-    /// Replaces the resident pool with a scoped-spawn pool of the same
-    /// width (or back).
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct with `ServerConfig { pool: PoolMode::Scoped, .. }` instead"
-    )]
-    pub fn set_scoped_pool(&mut self, scoped: bool) {
-        let workers = self.pool.workers();
-        self.pool = if scoped {
-            WorkStealingPool::scoped(workers)
-        } else {
-            WorkStealingPool::new(workers)
-        };
-        self.pool.set_telemetry(&self.telemetry);
-    }
-
-    /// Forces every served stream onto the legacy per-budget constraint
-    /// tables instead of the budget-parametric envelopes.
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct with `ServerConfig { tables: TablesMode::Legacy, .. }` instead"
-    )]
-    pub fn set_legacy_tables(&mut self, on: bool) {
-        self.legacy_tables = on;
     }
 
     /// Pool width.
@@ -794,7 +668,6 @@ impl StreamServer {
     {
         StreamSession {
             pool: &self.pool,
-            legacy_tables: self.legacy_tables,
             ring: self.ring,
             feedback: self.feedback,
             elastic: true,
@@ -809,24 +682,6 @@ impl StreamServer {
             telemetry: self.telemetry.clone(),
             metrics: SessionMetrics::new(&self.telemetry, self.pool.workers()),
         }
-    }
-
-    /// Serves timing-only [`TableApp`] streams with the paper's
-    /// stochastic load model seeded per stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`StreamServer::serve`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `serve(specs, table_apps(macroblocks), stochastic_backends())`"
-    )]
-    pub fn serve_tables(
-        &self,
-        specs: Vec<StreamSpec>,
-        macroblocks: usize,
-    ) -> Result<ServeReport, ServeError> {
-        self.serve(specs, table_apps(macroblocks), stochastic_backends())
     }
 
     /// Serves a batch of streams to completion on the shared pool — a
@@ -876,9 +731,8 @@ impl StreamServer {
     }
 }
 
-/// App factory for timing-only [`TableApp`] streams — what the one
-/// generic [`StreamServer::serve`] takes to cover the old
-/// `serve_tables` configuration:
+/// App factory for timing-only [`TableApp`] streams, seeded per stream
+/// by [`stochastic_backends`]:
 ///
 /// ```ignore
 /// server.serve(specs, table_apps(8), stochastic_backends())?
@@ -1014,7 +868,6 @@ struct MergedDag {
 /// only wall-clock speed.
 pub struct StreamSession<'a, A: ParallelApp> {
     pool: &'a WorkStealingPool,
-    legacy_tables: bool,
     /// Retention policy for lazily created per-stream output rings.
     ring: RingConfig,
     /// Lag-driven ceiling feedback thresholds (`None` = off).
@@ -1084,7 +937,6 @@ impl<A: ParallelApp> StreamSession<'_, A> {
         let backend = (self.make_backend)(&spec);
         let clock = (self.make_clock)(&spec);
         let mut runner = Runner::new(app, spec.config).map_err(ServeError::Sim)?;
-        runner.set_legacy_tables(self.legacy_tables);
         runner.set_telemetry(&self.telemetry);
         let profile = runner.app().profile();
         let n = runner.app().iterations() as f64;
@@ -1990,44 +1842,6 @@ mod tests {
         assert_eq!(parked.result.as_ref().unwrap().frames().len(), 12);
         assert_eq!(report.admission().lifecycle().readmitted, 1);
         assert!(report.all_safe());
-    }
-
-    /// The deprecated constructor/setter/entry-point shims must keep old
-    /// call sites compiling and behaving identically for one release.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_compile_and_match_new_surface() {
-        let mut old = StreamServer::with_capacity(2, 64.0);
-        old.set_scoped_pool(false);
-        old.set_legacy_tables(false);
-        let old_spec = StreamSpec::new(
-            "a",
-            1,
-            3,
-            RunConfig::paper_defaults().scaled_to_macroblocks(8),
-            Box::new(PacedSource::new(
-                LoadScenario::paper_benchmark(3).truncated(10),
-            )),
-        );
-        let old_report = old.serve_tables(vec![old_spec], 8).unwrap();
-
-        let new = ServerConfig::new(2).capacity(64.0).build();
-        let new_report = new
-            .serve(
-                vec![spec("a", 1, 3, 10, 8)],
-                table_apps(8),
-                stochastic_backends(),
-            )
-            .unwrap();
-        let (o, n) = (
-            old_report.outcome("a").unwrap(),
-            new_report.outcome("a").unwrap(),
-        );
-        assert_eq!(
-            o.result.as_ref().unwrap().frames(),
-            n.result.as_ref().unwrap().frames()
-        );
-        assert!(StreamServer::new(2).workers() == 2);
     }
 
     /// Table apps have no bitstream: a subscriber on a table session

@@ -22,7 +22,7 @@
 //!   [`crate::scenario::LoadScenario::from_trace_csv`]); frames without
 //!   a recorded budget fall back to the pipeline deadline.
 //! * [`BudgetSpec::Channel`] → a seeded simulated channel
-//!   ([`ChannelSource`]): bandwidth level shifts (cliffs and ramps),
+//!   ([`ChannelBudget`]): bandwidth level shifts (cliffs and ramps),
 //!   loss-driven multiplicative backoff, and RTT-smoothed recovery —
 //!   the channel-side counterpart of
 //!   [`crate::scenario::LoadScenario::adversarial`].
@@ -44,8 +44,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fgqos_time::Cycles;
-
-use crate::scenario::LoadScenario;
 
 /// Declarative selection of a stream's budget source.
 ///
@@ -78,7 +76,7 @@ impl BudgetSpec {
     }
 }
 
-/// Parameters of the simulated channel ([`ChannelSource`]).
+/// Parameters of the simulated channel ([`ChannelBudget`]).
 ///
 /// All-integer so the spec stays `Copy + Eq` and the dynamics are exact:
 /// probabilities are per-mille per frame, the budget band is
@@ -125,8 +123,8 @@ impl ChannelParams {
 
     /// A hostile channel: frequent level shifts (cliffs included),
     /// heavy loss, fast dynamics — the channel-side counterpart of
-    /// [`LoadScenario::adversarial`]. Use it to stress the safety
-    /// argument across bandwidth cliffs and flash congestion.
+    /// [`crate::scenario::LoadScenario::adversarial`]. Use it to stress
+    /// the safety argument across bandwidth cliffs and flash congestion.
     #[must_use]
     pub fn adversarial(floor_cycles: u64, cap_cycles: u64, seed: u64) -> Self {
         ChannelParams {
@@ -158,20 +156,20 @@ pub enum BudgetSource {
     /// Pipeline deadlines pass through untouched.
     Constant,
     /// Recorded per-frame budgets.
-    Trace(TraceSource),
+    Trace(TraceBudget),
     /// Simulated channel.
-    Channel(ChannelSource),
+    Channel(ChannelBudget),
 }
 
 impl BudgetSource {
-    /// Builds the live source for a spec. `Trace` reads its per-frame
-    /// budgets from `scenario`.
+    /// Builds the live source for a spec. `Trace` replays `trace`, the
+    /// recorded per-frame budgets (consumed only for that variant).
     #[must_use]
-    pub fn for_scenario(spec: BudgetSpec, scenario: &LoadScenario) -> Self {
+    pub fn new(spec: BudgetSpec, trace: impl IntoIterator<Item = Option<Cycles>>) -> Self {
         match spec {
             BudgetSpec::Constant => BudgetSource::Constant,
-            BudgetSpec::Trace => BudgetSource::Trace(TraceSource::from_scenario(scenario)),
-            BudgetSpec::Channel(p) => BudgetSource::Channel(ChannelSource::new(p)),
+            BudgetSpec::Trace => BudgetSource::Trace(TraceBudget::new(trace.into_iter().collect())),
+            BudgetSpec::Channel(p) => BudgetSource::Channel(ChannelBudget::new(p)),
         }
     }
 
@@ -193,28 +191,19 @@ impl BudgetSource {
 
 /// Replay of a recorded bandwidth trace: one optional budget per frame.
 ///
-/// Built from a scenario's `budget_cycles` column
-/// ([`TraceSource::from_scenario`]) or directly from a vector. Frames
-/// past the end of the trace, or with no recorded value, yield `None`
+/// Built from a scenario's `budget_cycles` column (see
+/// [`BudgetSource::new`]) or directly from a vector. Frames past the end of the trace, or with no recorded value, yield `None`
 /// (the pipeline deadline applies alone).
 #[derive(Debug, Clone)]
-pub struct TraceSource {
+pub struct TraceBudget {
     budgets: Vec<Option<Cycles>>,
 }
 
-impl TraceSource {
+impl TraceBudget {
     /// Wraps an explicit per-frame budget vector.
     #[must_use]
     pub fn new(budgets: Vec<Option<Cycles>>) -> Self {
-        TraceSource { budgets }
-    }
-
-    /// Reads the per-frame `budget_cycles` values out of a scenario.
-    #[must_use]
-    pub fn from_scenario(scenario: &LoadScenario) -> Self {
-        TraceSource {
-            budgets: scenario.iter().map(|f| f.budget_cycles).collect(),
-        }
+        TraceBudget { budgets }
     }
 
     /// The recorded budget of frame `frame`, if any.
@@ -246,7 +235,7 @@ impl TraceSource {
 /// querying out of order resets and replays the process, so any access
 /// pattern sees the same channel.
 #[derive(Debug, Clone)]
-pub struct ChannelSource {
+pub struct ChannelBudget {
     params: ChannelParams,
     rng: StdRng,
     /// Current bandwidth level (cycles of budget per frame).
@@ -259,7 +248,7 @@ pub struct ChannelSource {
     last: u64,
 }
 
-impl ChannelSource {
+impl ChannelBudget {
     /// Opens the channel at full capacity.
     ///
     /// # Panics
@@ -271,7 +260,7 @@ impl ChannelSource {
             params.is_valid(),
             "channel params need 0 < floor <= cap and rtt > 0"
         );
-        ChannelSource {
+        ChannelBudget {
             params,
             rng: StdRng::seed_from_u64(params.seed ^ 0xC4A7_7E1B),
             level: params.cap_cycles,
@@ -291,7 +280,7 @@ impl ChannelSource {
     /// `[floor_cycles, cap_cycles]`.
     pub fn budget_at(&mut self, frame: usize) -> Cycles {
         if frame < self.next_frame {
-            *self = ChannelSource::new(self.params);
+            *self = ChannelBudget::new(self.params);
         }
         while self.next_frame <= frame {
             self.advance();
@@ -344,9 +333,9 @@ mod tests {
 
     #[test]
     fn channel_is_deterministic_per_seed_and_bounded() {
-        let mut a = ChannelSource::new(params());
-        let mut b = ChannelSource::new(params());
-        let mut c = ChannelSource::new(ChannelParams {
+        let mut a = ChannelBudget::new(params());
+        let mut b = ChannelBudget::new(params());
+        let mut c = ChannelBudget::new(ChannelParams {
             seed: 8,
             ..params()
         });
@@ -366,17 +355,17 @@ mod tests {
 
     #[test]
     fn channel_replays_on_out_of_order_queries() {
-        let mut s = ChannelSource::new(params());
+        let mut s = ChannelBudget::new(params());
         let late = s.budget_at(50);
         let early = s.budget_at(3); // rewind: reset + replay
-        let mut fresh = ChannelSource::new(params());
+        let mut fresh = ChannelBudget::new(params());
         assert_eq!(fresh.budget_at(3), early);
         assert_eq!(fresh.budget_at(50), late);
     }
 
     #[test]
     fn adversarial_channel_produces_cliffs() {
-        let mut s = ChannelSource::new(params());
+        let mut s = ChannelBudget::new(params());
         let series: Vec<u64> = (0..200).map(|f| s.budget_at(f).get()).collect();
         let max = *series.iter().max().unwrap();
         let min = *series.iter().min().unwrap();
@@ -395,7 +384,7 @@ mod tests {
 
     #[test]
     fn sourced_budget_never_exceeds_the_pipeline_deadline() {
-        let mut s = BudgetSource::Channel(ChannelSource::new(params()));
+        let mut s = BudgetSource::Channel(ChannelBudget::new(params()));
         let tight = Cycles::new(10);
         for f in 0..50 {
             assert!(s.frame_budget(f, tight) <= tight);
@@ -428,7 +417,7 @@ mod tests {
             },
         ];
         let s = LoadScenario::from_frames(frames).unwrap();
-        let mut src = BudgetSource::for_scenario(BudgetSpec::Trace, &s);
+        let mut src = BudgetSource::new(BudgetSpec::Trace, s.iter().map(|f| f.budget_cycles));
         let d = Cycles::new(9_999_999);
         assert_eq!(src.frame_budget(0, d), Cycles::new(1_234));
         assert_eq!(src.frame_budget(1, d), d, "absent budget falls back");
@@ -447,6 +436,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "channel params")]
     fn invalid_channel_params_panic() {
-        let _ = ChannelSource::new(ChannelParams::steady(5, 4, 1));
+        let _ = ChannelBudget::new(ChannelParams::steady(5, 4, 1));
     }
 }

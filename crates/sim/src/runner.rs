@@ -31,7 +31,7 @@ use fgqos_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use fgqos_time::{fig5, Cycles, DeadlineMap, Quality, QualityProfile, QualitySet};
 
 use crate::app::VideoApp;
-use crate::budget::{BudgetSource, BudgetSpec, ChannelSource, TraceSource};
+use crate::budget::{BudgetSource, BudgetSpec};
 use crate::exec::{ExecCtx, ExecTimeModel, StochasticLoad};
 use crate::pipeline::InputPipeline;
 use crate::runtime::parallel::FramePlan;
@@ -307,11 +307,8 @@ pub struct Runner<A: VideoApp> {
     /// `Cav`, the envelopes are *refreshed in place*
     /// ([`BudgetTables::refresh`], O(hull size)) instead of rebuilt.
     budget_tables: Option<Arc<BudgetTables>>,
-    /// Legacy per-budget constraint tables, keyed by the frame budget
-    /// they were built for. Since the parametric tables cover the
-    /// common case, this cache is exercised only when
-    /// [`Runner::set_legacy_tables`] forces it for comparison runs, or
-    /// to hold the promoted materialization of a recurring budget.
+    /// Materialized constraint tables of recurring budgets, keyed by the
+    /// frame budget they were built for (see [`Runner::tables_for`]).
     /// Bounded, LRU-evicted, cleared when an estimator refresh makes the
     /// baked-in profile stale.
     tables_cache: HashMap<Cycles, Arc<ConstraintTables>>,
@@ -335,8 +332,6 @@ pub struct Runner<A: VideoApp> {
     /// ran (one per frame whose estimator update actually moved the
     /// profile; converged estimators stop paying anything).
     envelope_refreshes: u64,
-    /// Diagnostics/benchmark toggle: force the legacy per-budget path.
-    legacy_tables: bool,
     /// Kernel DAG for [`Runner::run_parallel_on`], built on first use
     /// (static across frames).
     parallel_plan: Option<Arc<FramePlan>>,
@@ -465,7 +460,6 @@ impl<A: VideoApp> Runner<A> {
             envelope_builds: 0,
             full_table_builds: 0,
             envelope_refreshes: 0,
-            legacy_tables: false,
             parallel_plan: None,
             last_spec: None,
             spec_hits: 0,
@@ -501,10 +495,9 @@ impl<A: VideoApp> Runner<A> {
         (self.spec_hits, self.spec_misses)
     }
 
-    /// Number of distinct frame budgets whose *legacy* constraint tables
-    /// are currently cached (diagnostics: zero on the default
-    /// budget-parametric path; on the estimator fallback a steady-state
-    /// run needs only a handful).
+    /// Number of recurring frame budgets whose materialized constraint
+    /// tables are currently cached (diagnostics: zero when no budget
+    /// repeats; a paced steady-state run needs only a handful).
     #[must_use]
     pub fn cached_tables(&self) -> usize {
         self.tables_cache.len()
@@ -520,7 +513,7 @@ impl<A: VideoApp> Runner<A> {
     }
 
     /// Diagnostics: how many full `ConstraintTables::new` builds ran
-    /// (forced legacy path and recurring-budget promotions only).
+    /// (recurring-budget promotions only).
     #[must_use]
     pub fn full_table_builds(&self) -> u64 {
         self.full_table_builds
@@ -548,75 +541,56 @@ impl<A: VideoApp> Runner<A> {
         };
     }
 
-    /// Forces the legacy per-budget table path (LRU-cached
-    /// `ConstraintTables::new` per distinct budget) instead of the
-    /// budget-parametric envelopes. Decisions are identical either way —
-    /// this exists for equivalence tests and for benchmarking the two
-    /// paths against each other.
-    pub fn set_legacy_tables(&mut self, on: bool) {
-        self.legacy_tables = on;
-    }
-
-    /// The shared constraint tables for one frame budget.
+    /// The shared constraint tables for one frame budget: the stream's
+    /// budget-parametric [`BudgetTables`] evaluated at `frame_budget`
+    /// (built once, any budget, zero per-frame allocation; refreshed in
+    /// place under an online estimator).
     ///
-    /// Default path: evaluate the stream's budget-parametric
-    /// [`BudgetTables`] (built once, any budget, zero per-frame
-    /// allocation; refreshed in place under an online estimator).
-    /// Fallback path (forced via [`Runner::set_legacy_tables`]): the
-    /// per-budget LRU cache of materialized [`ConstraintTables`].
+    /// Recurring finite budgets (paced streams, constant load) are
+    /// promoted to a materialized [`ConstraintTables`] on their second
+    /// use: per-query array reads then beat envelope evaluations, while
+    /// one-shot stochastic budgets never pay a build. Infinite budgets
+    /// stay on the (trivially cheap) parametric view. Moving budget
+    /// sources (trace/channel) never promote: a channel sitting on its
+    /// floor repeats a budget by coincidence, and materializing it would
+    /// forfeit the zero-rebuild guarantee the parametric tables exist
+    /// for. Both forms answer every query identically
+    /// (`crates/sched/tests/proptest_budget.rs`).
     fn tables_for(
         &mut self,
         frame_budget: Cycles,
         qs: &QualitySet,
     ) -> Result<SharedTables, SimError> {
         self.metrics.table_lookups.incr();
-        if !self.legacy_tables {
-            if self.budget_tables.is_none() {
-                self.budget_tables = Some(Arc::new(BudgetTables::new(
-                    self.order.clone(),
-                    &self.tiled_profile,
-                    self.config.deadline_shape,
-                    self.iter.iterations(),
-                )?));
-                self.envelope_builds += 1;
-                self.metrics.envelope_builds.incr();
-            }
-            // Recurring finite budgets (paced streams, constant load)
-            // are promoted to a materialized table on their second use:
-            // per-query array reads then match the historical cached
-            // path exactly, while one-shot stochastic budgets never pay
-            // a build. Infinite budgets stay on the (trivially cheap)
-            // parametric view. Moving budget sources (trace/channel)
-            // never promote: a channel sitting on its floor repeats a
-            // budget by coincidence, and materializing it would forfeit
-            // the zero-rebuild guarantee the parametric tables exist for.
-            if frame_budget.is_finite() && !self.config.budget.is_moving() {
-                if let Some(t) = self.tables_cache.get(&frame_budget).map(Arc::clone) {
-                    self.touch_cached(frame_budget);
-                    return Ok(SharedTables::Fixed(t));
-                }
-                if self.recent_budgets.contains(&frame_budget) {
-                    return Ok(SharedTables::Fixed(
-                        self.materialize_tables(frame_budget, qs)?,
-                    ));
-                }
-                if self.recent_budgets.len() >= TABLES_CACHE_CAP {
-                    self.recent_budgets.pop_front();
-                }
-                self.recent_budgets.push_back(frame_budget);
-            }
-            let tables = Arc::clone(self.budget_tables.as_ref().expect("just built"));
-            return Ok(SharedTables::AtBudget(tables, frame_budget));
+        if self.budget_tables.is_none() {
+            self.budget_tables = Some(Arc::new(BudgetTables::new(
+                self.order.clone(),
+                &self.tiled_profile,
+                self.config.deadline_shape,
+                self.iter.iterations(),
+            )?));
+            self.envelope_builds += 1;
+            self.metrics.envelope_builds.incr();
         }
-        if let Some(t) = self.tables_cache.get(&frame_budget).map(Arc::clone) {
-            // Refresh recency: the recurring budget must outlive a burst
-            // of unique ones.
-            self.touch_cached(frame_budget);
-            return Ok(SharedTables::Fixed(t));
+        if frame_budget.is_finite() && !self.config.budget.is_moving() {
+            if let Some(t) = self.tables_cache.get(&frame_budget).map(Arc::clone) {
+                // Refresh recency: the recurring budget must outlive a
+                // burst of unique ones.
+                self.touch_cached(frame_budget);
+                return Ok(SharedTables::Fixed(t));
+            }
+            if self.recent_budgets.contains(&frame_budget) {
+                return Ok(SharedTables::Fixed(
+                    self.materialize_tables(frame_budget, qs)?,
+                ));
+            }
+            if self.recent_budgets.len() >= TABLES_CACHE_CAP {
+                self.recent_budgets.pop_front();
+            }
+            self.recent_budgets.push_back(frame_budget);
         }
-        Ok(SharedTables::Fixed(
-            self.materialize_tables(frame_budget, qs)?,
-        ))
+        let tables = Arc::clone(self.budget_tables.as_ref().expect("just built"));
+        Ok(SharedTables::AtBudget(tables, frame_budget))
     }
 
     /// Builds the live per-frame budget source this run will draw from
@@ -624,15 +598,10 @@ impl<A: VideoApp> Runner<A> {
     /// deterministic. `Trace` snapshots the app's recorded budgets
     /// ([`VideoApp::budget_cycles`]).
     fn make_budget_source(&self) -> BudgetSource {
-        match self.config.budget {
-            BudgetSpec::Constant => BudgetSource::Constant,
-            BudgetSpec::Trace => BudgetSource::Trace(TraceSource::new(
-                (0..self.app.stream_len())
-                    .map(|f| self.app.budget_cycles(f))
-                    .collect(),
-            )),
-            BudgetSpec::Channel(p) => BudgetSource::Channel(ChannelSource::new(p)),
-        }
+        BudgetSource::new(
+            self.config.budget,
+            (0..self.app.stream_len()).map(|f| self.app.budget_cycles(f)),
+        )
     }
 
     /// Records the sourced budget into the `budget.*` metrics: the
@@ -882,12 +851,7 @@ impl<A: VideoApp> Runner<A> {
         if let Some(est) = estimator.as_deref_mut() {
             if apply_estimates(est, body_profile) {
                 body_profile.tile_into(self.iter.iterations(), &mut self.tiled_profile);
-                if self.legacy_tables {
-                    // Forced-legacy runs rebuild per budget anyway; just
-                    // make sure no stale parametric state survives a
-                    // later mode switch.
-                    self.budget_tables = None;
-                } else if let Some(tables) = self.budget_tables.as_mut() {
+                if let Some(tables) = self.budget_tables.as_mut() {
                     // Streams drop their `SharedTables` handle at frame
                     // end, so this is normally a zero-copy in-place
                     // update; a still-shared handle forces one clone.
@@ -1422,13 +1386,13 @@ mod tests {
     #[test]
     fn constant_runs_share_one_envelope_set_across_all_frames() {
         // Uncontrolled frames all see budget +inf: 60 frames, 1 envelope
-        // build, zero full table builds, empty legacy cache.
+        // build, zero full table builds, nothing promoted.
         let mut r = small_runner(60, 12, 1);
         let res = r.run_constant(Quality::new(0), 4).unwrap();
         assert_eq!(res.frames().len(), 60);
         assert_eq!(r.envelope_builds(), 1, "one model, one envelope set");
         assert_eq!(r.full_table_builds(), 0);
-        assert_eq!(r.cached_tables(), 0, "legacy cache stays cold");
+        assert_eq!(r.cached_tables(), 0, "infinite budgets never promote");
         // Re-running reuses the same envelopes (the PSNR noise stream is
         // stateful across runs, so only timing fields are compared).
         let res2 = r.run_constant(Quality::new(0), 4).unwrap();
@@ -1454,45 +1418,30 @@ mod tests {
     }
 
     #[test]
-    fn legacy_path_keeps_the_tables_cache_bounded() {
-        // With the legacy path forced, stochastic budgets stress the
-        // LRU: the cache must stay capped, not grow per frame.
-        let mut r = small_runner(60, 12, 1);
-        r.set_legacy_tables(true);
-        let res = r.run_controlled(&mut MaxQuality::new(), 4).unwrap();
-        assert_eq!(res.skips(), 0);
-        assert_eq!(r.envelope_builds(), 0);
-        assert!(r.full_table_builds() > 10, "stochastic budgets rebuild");
+    fn promoted_tables_cache_stays_bounded() {
+        // Many budgets, each recurring once: every one is promoted, but
+        // the cache must stay capped, not grow per budget.
+        let mut r = small_runner(10, 8, 1);
+        let qs = r.app().profile().qualities().clone();
+        let budgets = 3 * TABLES_CACHE_CAP as u64;
+        for i in 0..budgets {
+            let b = Cycles::new(1_000_000 + i);
+            assert!(matches!(
+                r.tables_for(b, &qs).unwrap(),
+                SharedTables::AtBudget(..)
+            ));
+            assert!(matches!(
+                r.tables_for(b, &qs).unwrap(),
+                SharedTables::Fixed(_)
+            ));
+        }
+        assert_eq!(r.envelope_builds(), 1);
+        assert_eq!(r.full_table_builds(), budgets);
         assert!(
             r.cached_tables() <= TABLES_CACHE_CAP,
             "cache grew past its cap: {}",
             r.cached_tables()
         );
-    }
-
-    #[test]
-    fn parametric_decisions_match_legacy_rebuilds_exactly() {
-        // The whole point: at any stochastic budget the envelope view
-        // decides byte-for-byte like a freshly built table set.
-        for shape in [DeadlineShape::PerIteration, DeadlineShape::FinalOnly] {
-            let make = |legacy: bool| {
-                let scenario = LoadScenario::paper_benchmark(5).truncated(40);
-                let app = TableApp::with_macroblocks(scenario, 12).unwrap();
-                let config = RunConfig::paper_defaults()
-                    .scaled_to_macroblocks(12)
-                    .with_deadline_shape(shape);
-                let mut r = Runner::new(app, config).unwrap();
-                r.set_legacy_tables(legacy);
-                r
-            };
-            let mut para = make(false);
-            let mut legacy = make(true);
-            let a = para.run_controlled(&mut MaxQuality::new(), 21).unwrap();
-            let b = legacy.run_controlled(&mut MaxQuality::new(), 21).unwrap();
-            assert_eq!(a.frames(), b.frames(), "divergence under {shape:?}");
-            assert_eq!(para.envelope_builds(), 1);
-            assert_eq!(legacy.envelope_builds(), 0);
-        }
     }
 
     #[test]
@@ -1525,26 +1474,27 @@ mod tests {
 
     #[test]
     fn table_eviction_is_lru_not_fifo() {
-        // The recurring budget is touched between bursts of unique
-        // budgets, so it must survive eviction even though it was
-        // inserted first. (Legacy path — the parametric tables have no
-        // per-budget state to evict.)
+        // The recurring budget is touched between bursts of other
+        // promoted budgets, so it must survive eviction even though it
+        // was inserted first. (Each budget is asked for twice: the second
+        // use promotes it.)
         let mut r = small_runner(10, 8, 1);
-        r.set_legacy_tables(true);
         let qs = r.app().profile().qualities().clone();
         let hot = Cycles::new(1_000_000);
+        r.tables_for(hot, &qs).unwrap();
         r.tables_for(hot, &qs).unwrap();
         let hot_arc = Arc::clone(r.tables_cache.get(&hot).unwrap());
         for burst in 0..2 {
             for i in 0..(TABLES_CACHE_CAP - 1) {
-                let unique = Cycles::new(2_000_000 + (burst * 100 + i) as u64);
-                r.tables_for(unique, &qs).unwrap();
+                let other = Cycles::new(2_000_000 + (burst * 100 + i) as u64);
+                r.tables_for(other, &qs).unwrap();
+                r.tables_for(other, &qs).unwrap();
             }
             // Touch the hot entry: must still be the same cached tables.
             let again = r.tables_for(hot, &qs).unwrap();
             let again = match again {
-                fgqos_sched::SharedTables::Fixed(t) => t,
-                other => panic!("legacy path must yield fixed tables, got {other:?}"),
+                SharedTables::Fixed(t) => t,
+                other => panic!("a promoted budget must yield fixed tables, got {other:?}"),
             };
             assert!(
                 Arc::ptr_eq(&hot_arc, &again),
@@ -1552,33 +1502,6 @@ mod tests {
             );
         }
         assert!(r.cached_tables() <= TABLES_CACHE_CAP);
-    }
-
-    #[test]
-    fn paced_controlled_runs_reuse_legacy_tables_across_frames() {
-        use crate::exec::Deterministic;
-        // A deterministic, under-loaded encoder finishes each frame before
-        // the next arrival, so every steady-state frame pops at an exact
-        // camera instant and sees the same budget: on the legacy path,
-        // tables build O(1) times for 50 frames.
-        let scenario = LoadScenario::paper_benchmark(5).truncated(50);
-        let app = TableApp::with_macroblocks(scenario, 12).unwrap();
-        // Double the period: comfortable slack at every quality.
-        let base = RunConfig::paper_defaults().scaled_to_macroblocks(12);
-        let config = base.with_period(base.period.saturating_mul(2));
-        let mut r = Runner::new(app, config).unwrap();
-        r.set_legacy_tables(true);
-        let mut exec = Deterministic::nominal();
-        let mut policy = MaxQuality::new();
-        let res = r
-            .run(Mode::Controlled, &mut policy, &mut exec, None)
-            .unwrap();
-        assert_eq!(res.skips(), 0);
-        assert!(
-            r.cached_tables() <= 3,
-            "paced run should reuse tables, built {}",
-            r.cached_tables()
-        );
     }
 
     #[test]

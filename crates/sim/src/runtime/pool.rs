@@ -27,9 +27,9 @@
 //! Keeping the workers resident removes the dominant fixed cost of the
 //! serving hot path: a multi-stream server executes one merged kernel DAG
 //! per tick, and spawning `workers − 1` OS threads for every tick costs
-//! tens of microseconds each — more than a small frame's kernels. The old
-//! spawn-per-call behaviour survives as [`WorkStealingPool::scoped`], kept
-//! as the benchmark baseline (`serve_smoke` gates resident vs. scoped).
+//! tens of microseconds each — more than a small frame's kernels. The
+//! spawn-per-call baseline lives in bench code only (`serve_smoke` gates
+//! the resident pool against a fresh pool per DAG).
 //!
 //! Idle workers *park* rather than spin, at both levels: between jobs a
 //! resident worker blocks on the pool condvar, and within a job a worker
@@ -66,8 +66,8 @@ use fgqos_telemetry::{Counter, SpanRecorder, Telemetry, DEFAULT_SPAN_CAPACITY};
 /// ```
 pub struct WorkStealingPool {
     workers: usize,
-    /// Resident worker threads; `None` for [`WorkStealingPool::scoped`]
-    /// pools and single-worker pools (which run inline).
+    /// Resident worker threads; `None` for single-worker pools (which
+    /// run inline).
     resident: Option<Resident>,
     /// Observe-only instrumentation; `None` (free) until
     /// [`WorkStealingPool::set_telemetry`] installs handles.
@@ -245,20 +245,6 @@ impl WorkStealingPool {
         }
     }
 
-    /// A pool that spawns scoped threads per [`WorkStealingPool::run_dag`]
-    /// call instead of keeping residents — the pre-refactor behaviour,
-    /// kept as the benchmark baseline (`serve_smoke` gates resident vs.
-    /// scoped on the churn workload) and for callers that run DAGs too
-    /// rarely to amortize resident threads.
-    #[must_use]
-    pub fn scoped(workers: usize) -> Self {
-        WorkStealingPool {
-            workers: workers.max(1),
-            resident: None,
-            metrics: None,
-        }
-    }
-
     /// Install observe-only instrumentation: steal/park/task counters,
     /// per-worker busy time, and a span recorder (one lane per worker
     /// plus one for the coordinating thread) that `telemetry` exports
@@ -293,13 +279,6 @@ impl WorkStealingPool {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Whether this pool keeps resident worker threads (vs. spawning
-    /// scoped threads per DAG).
-    #[must_use]
-    pub fn is_resident(&self) -> bool {
-        self.resident.is_some()
     }
 
     /// Executes every task of a dependency DAG exactly once, respecting
@@ -377,18 +356,9 @@ impl WorkStealingPool {
                 next += 1;
             }
         }
-        if workers == 1 {
-            shared.worker(0);
-        } else if let Some(res) = &self.resident {
-            self.run_resident(res, &shared, workers);
-        } else {
-            std::thread::scope(|s| {
-                for w in 1..workers {
-                    let shared = &shared;
-                    s.spawn(move || shared.worker(w));
-                }
-                shared.worker(0);
-            });
+        match &self.resident {
+            Some(res) if workers > 1 => self.run_resident(res, &shared, workers),
+            _ => shared.worker(0),
         }
         if shared.poisoned.load(Ordering::Acquire) {
             panic!("a task panicked inside WorkStealingPool::run_dag");
@@ -433,14 +403,10 @@ impl WorkStealingPool {
 }
 
 impl Clone for WorkStealingPool {
-    /// Clones the configuration, not the threads: a resident pool clones
-    /// to a fresh resident pool of the same width with its own workers.
+    /// Clones the configuration, not the threads: the clone is a fresh
+    /// pool of the same width with its own resident workers.
     fn clone(&self) -> Self {
-        if self.resident.is_some() {
-            Self::new(self.workers)
-        } else {
-            Self::scoped(self.workers)
-        }
+        Self::new(self.workers)
     }
 }
 
@@ -654,24 +620,19 @@ mod tests {
         assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
-    /// A wide fan: all tasks run exactly once, across worker counts, in
-    /// both ownership modes.
+    /// A wide fan: all tasks run exactly once, across worker counts.
     #[test]
     fn fan_runs_every_task_once() {
         let n = 300;
         let succs = vec![Vec::new(); n];
         let indeg = vec![0usize; n];
         for workers in [1, 2, 5, 16] {
-            for pool in [
-                WorkStealingPool::new(workers),
-                WorkStealingPool::scoped(workers),
-            ] {
-                let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                pool.run_dag(&indeg, &succs, |i| {
-                    counts[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-            }
+            let pool = WorkStealingPool::new(workers);
+            let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            pool.run_dag(&indeg, &succs, |i| {
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
         }
     }
 
@@ -854,7 +815,6 @@ mod tests {
     #[test]
     fn repeated_jobs_reuse_the_resident_workers() {
         let pool = WorkStealingPool::new(4);
-        assert!(pool.is_resident());
         for round in 0..200 {
             let n = 1 + round % 7;
             let succs = vec![Vec::new(); n];
@@ -894,7 +854,6 @@ mod tests {
     fn drop_and_clone_are_clean() {
         let pool = WorkStealingPool::new(3);
         let clone = pool.clone();
-        assert!(clone.is_resident());
         assert_eq!(clone.workers(), 3);
         drop(pool);
         let ran = AtomicUsize::new(0);
@@ -902,9 +861,6 @@ mod tests {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ran.load(Ordering::Relaxed), 2);
-        let scoped = WorkStealingPool::scoped(4);
-        assert!(!scoped.is_resident());
-        assert!(!scoped.clone().is_resident());
     }
 
     /// Telemetry counts every task, files spans per worker lane, and

@@ -147,7 +147,7 @@ proptest! {
 }
 
 use fgqos_sim::app::VideoApp;
-use fgqos_sim::budget::{BudgetSource, ChannelParams, ChannelSource};
+use fgqos_sim::budget::{BudgetSource, ChannelBudget, ChannelParams};
 
 // The simulated channel: for any well-formed parameter set, the budget
 // of frame f is a pure function of (params, f) — two sources agree
@@ -176,8 +176,8 @@ proptest! {
             loss_per_mille: loss,
             rtt_frames: rtt,
         };
-        let mut a = ChannelSource::new(params);
-        let mut b = ChannelSource::new(params);
+        let mut a = ChannelBudget::new(params);
+        let mut b = ChannelBudget::new(params);
         for f in 0..frames {
             let x = a.budget_at(f);
             prop_assert_eq!(x, b.budget_at(f), "frame {} diverged", f);
@@ -193,7 +193,7 @@ proptest! {
         // min-semantics at the seam: the sourced budget never loosens
         // the pipeline deadline.
         let d = Cycles::new(deadline);
-        let mut src = BudgetSource::Channel(ChannelSource::new(params));
+        let mut src = BudgetSource::Channel(ChannelBudget::new(params));
         for f in 0..frames.min(32) {
             let eff = src.frame_budget(f, d);
             prop_assert_eq!(eff, d.min(a.budget_at(f)), "frame {}", f);

@@ -102,8 +102,8 @@ pub mod prelude {
         stochastic_backends, table_apps, AdmissionController, AdmissionDecision, Broadcast,
         CeilingPolicy, ChannelSource, ChurnAction, ChurnEvent, ChurnStorm, Delivery, EncodedFrame,
         FeedbackConfig, FrameProducer, FrameRing, FrameSource, LifecycleCounts, PacedSource,
-        PoolMode, PublishStats, RingConfig, ServeReport, ServerConfig, StreamOutcome, StreamServer,
-        StreamSession, StreamSpec, StreamSpecBuilder, Subscriber, TablesMode, TraceSource,
+        PublishStats, RingConfig, ServeReport, ServerConfig, StreamOutcome, StreamServer,
+        StreamSession, StreamSpec, StreamSpecBuilder, Subscriber, TraceSource,
     };
     pub use fgqos_sim::app::{TableApp, VideoApp};
     pub use fgqos_sim::budget::{BudgetSpec, ChannelParams};

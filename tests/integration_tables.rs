@@ -1,36 +1,60 @@
 //! End-to-end checks of the budget-parametric constraint tables:
 //!
 //! * a saturated controlled run — stochastic pop times, nearly every
-//!   frame budget unique — produces a byte-identical [`StreamResult`]
-//!   whether the runner evaluates the budget-parametric envelopes or
-//!   rebuilds `ConstraintTables` per budget (the pre-rewiring behavior,
-//!   kept behind [`Runner::set_legacy_tables`]);
+//!   frame budget unique — decides every action exactly as freshly
+//!   rebuilt per-budget `ConstraintTables` would (the pre-rewiring
+//!   behavior, now the bench-side [`RebuildPolicy`] oracle), and its
+//!   [`StreamResult`] is byte-identical to a run deciding from them;
+//! * a paced run, whose recurring budget the runner promotes to a
+//!   materialized table, decides exactly as tables cached per budget;
 //! * the parametric path builds its envelopes O(1) times per run (exactly
 //!   once) and never calls the full table constructor, under both
 //!   deadline shapes, in sequential, parallel and served execution.
 
-use fine_grain_qos::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-fn runner(frames: usize, mb: usize, shape: DeadlineShape, legacy: bool) -> Runner<TableApp> {
+use fgqos_bench::table_refs::{RebuildPolicy, SharedEstimator};
+use fine_grain_qos::prelude::*;
+use fine_grain_qos::sim::exec::{Deterministic, StochasticLoad};
+
+fn runner(frames: usize, mb: usize, shape: DeadlineShape) -> Runner<TableApp> {
     let scenario = LoadScenario::paper_benchmark(5).truncated(frames);
     let app = TableApp::with_macroblocks(scenario, mb).unwrap();
     let config = RunConfig::paper_defaults()
         .scaled_to_macroblocks(mb)
         .with_deadline_shape(shape);
-    let mut r = Runner::new(app, config).unwrap();
-    r.set_legacy_tables(legacy);
-    r
+    Runner::new(app, config).unwrap()
+}
+
+/// The rebuild oracle for `r`'s stream.
+fn rebuild_policy(r: &Runner<TableApp>, shape: DeadlineShape) -> RebuildPolicy {
+    RebuildPolicy::new(r.app().profile(), r.app().iterations(), shape)
+}
+
+/// Each encoded frame's recorded budget, in frame order: what the
+/// oracle's tables must have been built for.
+fn encoded_budgets(r: &StreamResult) -> Vec<Cycles> {
+    r.frames()
+        .iter()
+        .filter(|f| !f.skipped)
+        .map(|f| f.budget)
+        .collect()
 }
 
 #[test]
 fn saturated_controlled_run_is_byte_identical_to_the_legacy_path() {
     for shape in [DeadlineShape::PerIteration, DeadlineShape::FinalOnly] {
-        let mut para = runner(60, 12, shape, false);
-        let mut legacy = runner(60, 12, shape, true);
+        let mut para = runner(60, 12, shape);
         let a = para.run_controlled(&mut MaxQuality::new(), 11).unwrap();
-        let b = legacy.run_controlled(&mut MaxQuality::new(), 11).unwrap();
-        // Every per-frame record — timings, budgets, qualities, misses,
-        // PSNR — not just the aggregates.
+        let mut legacy = runner(60, 12, shape);
+        let mut oracle = rebuild_policy(&legacy, shape);
+        let b = legacy.run_controlled(&mut oracle, 11).unwrap();
+        // Every decision agrees with tables rebuilt for its frame budget,
+        // and every per-frame record — timings, budgets, qualities,
+        // misses, PSNR — not just the aggregates is identical.
+        assert_eq!(oracle.mismatches(), 0, "divergence under {shape:?}");
+        assert_eq!(oracle.budgets(), encoded_budgets(&b), "under {shape:?}");
         assert_eq!(a.frames(), b.frames(), "divergence under {shape:?}");
         assert_eq!(a.skips(), 0, "saturated controlled run must not skip");
 
@@ -40,19 +64,64 @@ fn saturated_controlled_run_is_byte_identical_to_the_legacy_path() {
         assert_eq!(para.envelope_builds(), 1, "O(1) envelope builds per run");
         assert_eq!(para.full_table_builds(), 0, "no per-frame table builds");
         assert!(
-            legacy.full_table_builds() >= 30,
-            "the legacy path really does rebuild per unique budget (got {})",
-            legacy.full_table_builds()
+            oracle.builds() >= 30,
+            "the rebuild path really does rebuild per frame (got {})",
+            oracle.builds()
+        );
+    }
+}
+
+#[test]
+fn paced_controlled_run_decides_like_cached_tables() {
+    // Doubling the period at nominal times makes every steady-state
+    // frame repeat one budget, which the runner promotes to a
+    // materialized table; its decisions must match tables built once
+    // per budget, as served (paced) streams see them.
+    for shape in [DeadlineShape::PerIteration, DeadlineShape::FinalOnly] {
+        let paced = |shape| {
+            let config = RunConfig::paper_defaults()
+                .scaled_to_macroblocks(12)
+                .with_deadline_shape(shape);
+            let config = config.with_period(config.period.saturating_mul(2));
+            let scenario = LoadScenario::paper_benchmark(5).truncated(40);
+            let app = TableApp::with_macroblocks(scenario, 12).unwrap();
+            Runner::new(app, config).unwrap()
+        };
+        let mut para = paced(shape);
+        let a = para
+            .run(
+                Mode::Controlled,
+                &mut MaxQuality::new(),
+                &mut Deterministic::nominal(),
+                None,
+            )
+            .unwrap();
+        let mut cached = paced(shape);
+        let mut oracle = rebuild_policy(&cached, shape).cached();
+        let b = cached
+            .run(
+                Mode::Controlled,
+                &mut oracle,
+                &mut Deterministic::nominal(),
+                None,
+            )
+            .unwrap();
+        assert_eq!(oracle.mismatches(), 0, "divergence under {shape:?}");
+        assert_eq!(oracle.budgets(), encoded_budgets(&b), "under {shape:?}");
+        assert_eq!(a.frames(), b.frames(), "divergence under {shape:?}");
+        assert!(
+            para.full_table_builds() >= 1,
+            "the recurring budget was promoted under {shape:?}"
         );
     }
 }
 
 #[test]
 fn parallel_runs_share_the_same_envelope_set() {
-    let mut seq = runner(40, 10, DeadlineShape::PerIteration, false);
+    let mut seq = runner(40, 10, DeadlineShape::PerIteration);
     let expected = seq.run_controlled(&mut MaxQuality::new(), 13).unwrap();
     for workers in [1, 2, 8] {
-        let mut par = runner(40, 10, DeadlineShape::PerIteration, false);
+        let mut par = runner(40, 10, DeadlineShape::PerIteration);
         let actual = par
             .run_parallel(&mut MaxQuality::new(), 13, workers)
             .unwrap();
@@ -64,25 +133,23 @@ fn parallel_runs_share_the_same_envelope_set() {
 
 #[test]
 fn served_streams_build_one_envelope_set_each() {
-    let specs = |seeds: &[u64]| -> Vec<StreamSpec> {
-        seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| {
-                let scenario = LoadScenario::paper_benchmark(seed).truncated(15);
-                StreamSpec::builder(format!("s{i}"))
-                    .priority(1)
-                    .seed(seed)
-                    .config(RunConfig::paper_defaults().scaled_to_macroblocks(8))
-                    .source(PacedSource::new(scenario))
-                    .build()
-            })
-            .collect()
-    };
+    let specs: Vec<StreamSpec> = [3u64, 4, 5]
+        .iter()
+        .enumerate()
+        .map(|(i, &seed)| {
+            let scenario = LoadScenario::paper_benchmark(seed).truncated(15);
+            StreamSpec::builder(format!("s{i}"))
+                .priority(1)
+                .seed(seed)
+                .config(RunConfig::paper_defaults().scaled_to_macroblocks(8))
+                .source(PacedSource::new(scenario))
+                .build()
+        })
+        .collect();
 
     let server = ServerConfig::new(2).build();
     let report = server
-        .serve(specs(&[3, 4, 5]), table_apps(8), stochastic_backends())
+        .serve(specs, table_apps(8), stochastic_backends())
         .unwrap();
     assert!(report.all_safe());
     let served = report
@@ -112,27 +179,6 @@ fn served_streams_build_one_envelope_set_each() {
             // Rejected streams never touch the tables at all.
             assert_eq!((o.envelope_builds, o.table_builds), (0, 0));
         }
-    }
-
-    // Legacy server: identical admission and results, per-budget table
-    // builds instead of envelopes.
-    let legacy_server = ServerConfig::new(2).tables(TablesMode::Legacy).build();
-    let legacy = legacy_server
-        .serve(specs(&[3, 4, 5]), table_apps(8), stochastic_backends())
-        .unwrap();
-    for (a, b) in report.outcomes().iter().zip(legacy.outcomes()) {
-        assert_eq!(a.result.is_some(), b.result.is_some(), "admission diverged");
-        let (Some(ra), Some(rb)) = (&a.result, &b.result) else {
-            continue;
-        };
-        assert_eq!(
-            ra.frames(),
-            rb.frames(),
-            "served stream {} diverged between table paths",
-            a.name
-        );
-        assert_eq!(b.envelope_builds, 0);
-        assert!(b.table_builds >= 1);
     }
 }
 
@@ -177,37 +223,70 @@ fn moving_budget_runs_build_one_envelope_set_and_zero_tables() {
 fn estimator_streams_still_match_across_paths() {
     // With an online estimator the parametric runner refreshes its
     // envelopes in place every time the estimates move the profile —
-    // behavior (and every per-frame record) stays byte-identical to a
-    // forced-legacy runner, which rebuilds `ConstraintTables` per frame
-    // exactly as the pre-refresh code did. This doubles as the
-    // series-equivalence regression for the refresh path: the legacy
-    // side is the unchanged seed behavior.
-    use fine_grain_qos::sim::exec::StochasticLoad;
-    let run = |legacy: bool| {
-        let mut r = runner(25, 8, DeadlineShape::PerIteration, legacy);
-        let qs = r.app().profile().qualities().clone();
-        let mut est = EwmaEstimator::new(9, qs, 0.2);
-        let mut exec = StochasticLoad::new(23);
-        let mut policy = MaxQuality::new();
-        let res = r
-            .run(Mode::Controlled, &mut policy, &mut exec, Some(&mut est))
-            .unwrap();
-        (
-            res,
-            r.envelope_builds(),
-            r.envelope_refreshes(),
-            r.full_table_builds(),
+    // every decision (and so every per-frame record) stays identical to
+    // tables rebuilt per frame from the same estimates, exactly as the
+    // pre-refresh code did.
+    let shape = DeadlineShape::PerIteration;
+    let estimator =
+        |r: &Runner<TableApp>| EwmaEstimator::new(9, r.app().profile().qualities().clone(), 0.2);
+
+    let mut plain = runner(25, 8, shape);
+    let mut est = estimator(&plain);
+    let a = plain
+        .run(
+            Mode::Controlled,
+            &mut MaxQuality::new(),
+            &mut StochasticLoad::new(23),
+            Some(&mut est),
         )
-    };
-    let (a, builds_a, refreshes_a, tables_a) = run(false);
-    let (b, builds_b, refreshes_b, tables_b) = run(true);
+        .unwrap();
+
+    let mut checked = runner(25, 8, shape);
+    let est = Rc::new(RefCell::new(estimator(&checked)));
+    let mut oracle = rebuild_policy(&checked, shape).refreshed_by({
+        let est = Rc::clone(&est);
+        move |profile| {
+            est.borrow()
+                .apply_to(profile)
+                .expect("estimates fit the profile");
+        }
+    });
+    let b = checked
+        .run(
+            Mode::Controlled,
+            &mut oracle,
+            &mut StochasticLoad::new(23),
+            Some(&mut SharedEstimator(est)),
+        )
+        .unwrap();
+
+    assert_eq!(
+        oracle.mismatches(),
+        0,
+        "a refreshed envelope decided differently"
+    );
+    assert_eq!(oracle.budgets(), encoded_budgets(&b));
     assert_eq!(a.frames(), b.frames());
     // Adaptive runs are now O(1)-per-frame too: one envelope build, one
     // cheap refresh per profile-moving frame, zero table builds.
-    assert_eq!(builds_a, 1, "estimator runs build envelopes exactly once");
-    assert!(refreshes_a > 0, "moving estimates must refresh in place");
-    assert_eq!(tables_a, 0, "no per-frame ConstraintTables builds");
-    // The forced-legacy path still materializes per budget.
-    assert_eq!((builds_b, refreshes_b), (0, 0));
-    assert!(tables_b >= 20, "legacy rebuilds per frame (got {tables_b})");
+    assert_eq!(
+        plain.envelope_builds(),
+        1,
+        "estimator runs build envelopes exactly once"
+    );
+    assert!(
+        plain.envelope_refreshes() > 0,
+        "moving estimates must refresh in place"
+    );
+    assert_eq!(
+        plain.full_table_builds(),
+        0,
+        "no per-frame ConstraintTables builds"
+    );
+    // The oracle really did rebuild per frame.
+    assert!(
+        oracle.builds() >= 20,
+        "rebuilds per frame (got {})",
+        oracle.builds()
+    );
 }
