@@ -5,14 +5,17 @@
 //! Fig. 3 pipeline and how the controller interleaves with the
 //! application. Where time comes from and what actions cost is delegated
 //! to the [`crate::runtime`] layer — [`Runner::run_on`] accepts any
-//! [`Clock`] + [`ExecBackend`] pair, and the historical entry points
-//! ([`Runner::run`], [`Runner::run_controlled`], [`Runner::run_constant`])
-//! are the deterministic virtual-clock special case.
+//! [`Clock`] + [`ExecBackend`] pair, and [`Runner::run`],
+//! [`Runner::run_controlled`] and [`Runner::run_constant`] are its
+//! deterministic virtual-clock forms.
 //!
-//! For apps implementing the [`ParallelApp`] kernel/apply contract,
-//! [`Runner::run_parallel_on`] executes each frame's macroblock wavefront
-//! on a [`WorkStealingPool`] while reproducing the sequential timeline
-//! and quality decisions byte-for-byte (see [`crate::runtime::parallel`]).
+//! Every run, solo, parallel or served, steps its frames through one
+//! lifecycle (prepare → commit → close, see [`stepper`]). For apps
+//! implementing the [`ParallelApp`] kernel/apply contract,
+//! [`Runner::run_parallel_on`] runs each frame's macroblock wavefront on
+//! a [`WorkStealingPool`] between prepare and commit while reproducing
+//! the sequential timeline and quality decisions byte-for-byte (see
+//! [`crate::runtime::parallel`]).
 
 pub mod stepper;
 
@@ -21,7 +24,7 @@ use std::sync::Arc;
 
 use fgqos_core::estimator::AvgEstimator;
 use fgqos_core::policy::{ConstantQuality, QualityPolicy};
-use fgqos_core::{safety, ControllerMetrics, CycleController, Decision};
+use fgqos_core::{safety, ControllerMetrics};
 use fgqos_graph::iterate::{IteratedGraph, IterationMode};
 use fgqos_graph::ActionId;
 use fgqos_sched::{
@@ -31,8 +34,8 @@ use fgqos_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use fgqos_time::{fig5, Cycles, DeadlineMap, Quality, QualityProfile, QualitySet};
 
 use crate::app::VideoApp;
-use crate::budget::{BudgetSource, BudgetSpec};
-use crate::exec::{ExecCtx, ExecTimeModel, StochasticLoad};
+use crate::budget::BudgetSpec;
+use crate::exec::{ExecTimeModel, StochasticLoad};
 use crate::pipeline::InputPipeline;
 use crate::runtime::parallel::FramePlan;
 use crate::runtime::{
@@ -42,8 +45,8 @@ use crate::SimError;
 
 pub use stepper::{ParallelStream, Phase1View};
 
-// Historically defined here; the deadline decomposition now lives next to
-// the budget-parametric tables it parameterizes.
+// The deadline decomposition lives next to the budget-parametric tables
+// it parameterizes; re-exported because `RunConfig` names it.
 pub use fgqos_sched::DeadlineShape;
 
 /// Stream-level configuration.
@@ -66,7 +69,7 @@ pub struct RunConfig {
     pub iteration_mode: IterationMode,
     /// Where each frame's time budget comes from (see
     /// [`crate::budget`]). The default, [`BudgetSpec::Constant`], is the
-    /// historical behavior: budgets are the pipeline's buffer deadlines
+    /// paper's setting: budgets are the pipeline's buffer deadlines
     /// alone. `Trace`/`Channel` tighten them per frame with a recorded or
     /// simulated bandwidth signal; the effective budget is always the
     /// minimum of the two, so a source can never loosen a deadline.
@@ -593,17 +596,6 @@ impl<A: VideoApp> Runner<A> {
         Ok(SharedTables::AtBudget(tables, frame_budget))
     }
 
-    /// Builds the live per-frame budget source this run will draw from
-    /// (see [`crate::budget`]); one fresh source per run, so replays are
-    /// deterministic. `Trace` snapshots the app's recorded budgets
-    /// ([`VideoApp::budget_cycles`]).
-    fn make_budget_source(&self) -> BudgetSource {
-        BudgetSource::new(
-            self.config.budget,
-            (0..self.app.stream_len()).map(|f| self.app.budget_cycles(f)),
-        )
-    }
-
     /// Records the sourced budget into the `budget.*` metrics: the
     /// current-budget gauge and, once a previous finite budget exists,
     /// the absolute frame-to-frame move. Infinite budgets (unconstrained
@@ -725,6 +717,10 @@ impl<A: VideoApp> Runner<A> {
     /// waits for real camera arrivals and deadline misses reflect the
     /// host's actual timing.
     ///
+    /// Every action runs in place at commit: no kernel DAG, no
+    /// speculation, so this is the reference the speculative commit of
+    /// the stepped API is checked against (see [`stepper`]).
+    ///
     /// # Errors
     ///
     /// Propagates controller protocol errors.
@@ -736,59 +732,18 @@ impl<A: VideoApp> Runner<A> {
         policy: &mut dyn QualityPolicy,
         mut estimator: Option<&mut dyn AvgEstimator>,
     ) -> Result<StreamResult, SimError> {
-        let total = self.app.stream_len();
-        let mut pipe = InputPipeline::new(self.config.period, self.config.input_capacity, total)?;
-        let mut records: Vec<Option<FrameRecord>> = vec![None; total];
-        let qs = self.app.profile().qualities().clone();
-        // Declared profile: drives the controller's tables (and learns
-        // from the estimator). Generative profile: drives the execution
-        // time models. They coincide unless the app declares otherwise.
-        let mut body_profile = self.app.profile().clone();
-        let gen_profile = self.app.generative_profile().clone();
-        let mut source = self.make_budget_source();
-        let mut prev_budget: Option<Cycles> = None;
-
-        while let Some((frame, arrival, now)) = self.next_frame(clock, &mut pipe, &mut records) {
-            let deadline_budget = match pipe.budget_deadline(now) {
-                Some(d) => d - now,
-                None => Cycles::INFINITY,
-            };
-            // The stream's budget source can only tighten the deadline
-            // (min semantics); the record keeps the sourced budget in
-            // both modes, so uncontrolled baselines expose how often
-            // they would have overrun the channel.
-            let budget = source.frame_budget(frame, deadline_budget);
-            self.observe_budget(budget, &mut prev_budget);
-            // Uncontrolled runs do not see deadlines at all.
-            let frame_budget = match mode {
-                Mode::Controlled => budget,
-                Mode::Constant => Cycles::INFINITY,
-            };
-            let tables =
-                self.prepare_frame(&mut estimator, &mut body_profile, &qs, frame_budget)?;
-            let mut ctl = CycleController::from_shared(tables, qs.clone());
-
-            self.app.begin_frame(frame);
-            policy.on_cycle_start();
-            let activity = self.app.activity(frame);
-            let t = drive_cycle(
-                &mut self.app,
-                &self.iter,
-                &mut ctl,
+        let mut s = self.open(mode)?;
+        while self.prepare(&mut s, clock, policy, &mut estimator)? {
+            self.commit(
+                &mut s,
                 clock,
                 backend,
                 policy,
                 &mut estimator,
-                &gen_profile,
-                &body_profile,
-                activity,
-                now,
                 &mut |app, d, body_action, mb| app.run_action(body_action, mb, d.quality),
             )?;
-            records[frame] =
-                Some(self.finish_frame(ctl, &body_profile, frame, now, arrival, budget, t));
         }
-        Ok(self.collect_result(policy.name(), records))
+        Ok(self.close(s, None, policy.name(), false))
     }
 
     /// Advances the pipeline to the next encodable frame: admits arrivals
@@ -865,61 +820,6 @@ impl<A: VideoApp> Runner<A> {
             }
         }
         self.tables_for(frame_budget, qs)
-    }
-
-    /// Closes one encoded frame: safety accounting, quality stats, PSNR.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_frame(
-        &mut self,
-        ctl: CycleController,
-        body_profile: &QualityProfile,
-        frame: usize,
-        now: Cycles,
-        arrival: Cycles,
-        budget: Cycles,
-        t: Cycles,
-    ) -> FrameRecord {
-        let report = ctl.finish();
-        self.monitor.record(&report);
-        self.metrics.controller.observe(&report);
-        let (mean_q, switches) = self.sensitive_quality_stats(&report, body_profile);
-        let psnr = self.app.encoded_psnr(frame, mean_q, &report);
-        FrameRecord {
-            frame,
-            skipped: false,
-            is_iframe: self.app.is_iframe(frame),
-            start: now,
-            encode_cycles: t,
-            budget,
-            latency: now - arrival,
-            mean_quality: mean_q,
-            misses: report.misses,
-            fallbacks: report.fallbacks,
-            quality_switches: switches,
-            psnr_db: psnr,
-        }
-    }
-
-    /// Fills never-encoded frames as skips and labels the result.
-    fn collect_result(
-        &mut self,
-        policy_name: &str,
-        records: Vec<Option<FrameRecord>>,
-    ) -> StreamResult {
-        let frames = records
-            .into_iter()
-            .enumerate()
-            .map(|(f, r)| r.unwrap_or_else(|| self.skipped_record(f)))
-            .collect();
-        let label = format!(
-            "{} (K={}, P={})",
-            policy_name, self.config.input_capacity, self.config.period
-        );
-        StreamResult {
-            label,
-            period: self.config.period,
-            frames,
-        }
     }
 
     /// Mean level and switch count over the *quality-sensitive* actions
@@ -1040,93 +940,21 @@ impl<A: ParallelApp> Runner<A> {
         backend: &mut dyn ExecBackend,
         mode: Mode,
         policy: &mut dyn QualityPolicy,
-        estimator: Option<&mut dyn AvgEstimator>,
+        mut estimator: Option<&mut dyn AvgEstimator>,
         workers: usize,
     ) -> Result<StreamResult, SimError> {
         let pool = WorkStealingPool::new(workers);
-        self.run_parallel_with(clock, backend, mode, policy, estimator, &pool)
-    }
-
-    /// [`Runner::run_parallel_on`] against a caller-owned pool: the
-    /// resident workers are reused across frames (and across runs, when
-    /// the caller keeps the pool alive) instead of being spawned per run.
-    /// The determinism contract is identical — the pool only executes
-    /// phase-1 kernels, never anything a quality decision depends on.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runner::run_parallel_on`].
-    pub fn run_parallel_with(
-        &mut self,
-        clock: &mut dyn Clock,
-        backend: &mut dyn ExecBackend,
-        mode: Mode,
-        policy: &mut dyn QualityPolicy,
-        mut estimator: Option<&mut dyn AvgEstimator>,
-        pool: &WorkStealingPool,
-    ) -> Result<StreamResult, SimError> {
-        // The whole-stream driver is a thin loop over the frame-stepping
-        // seam (see [`stepper`]): the multi-stream server drives the same
-        // steps, so "served" and "alone" are the same computation.
         let mut st = self.start_parallel(mode)?;
         while self.next_parallel_frame(&mut st, clock, policy, &mut estimator)? {
             // Phase 1: speculative wavefront execution. Kernels run as
             // their data dependencies complete, at last frame's quality.
             let view = self.parallel_kernels(&st).expect("frame just prepared");
             pool.run_dag(view.indegree(), view.succs(), |i| view.run_kernel(i));
-            // Phase 2: sequential commit in static EDF order — identical
-            // state transitions to the sequential runner.
+            // Phase 2: sequential commit in static EDF order.
             self.commit_parallel_frame(&mut st, clock, backend, policy, &mut estimator)?;
         }
         Ok(self.finish_parallel(st, policy.name()))
     }
-}
-
-/// The per-frame controller loop shared by the sequential and parallel
-/// runners: decide → obtain work → charge the backend → complete, until
-/// the cycle is finished. `work_of` is the only difference between the
-/// two paths (direct execution vs. speculation cache).
-#[allow(clippy::too_many_arguments)]
-fn drive_cycle<A: VideoApp>(
-    app: &mut A,
-    iter: &IteratedGraph,
-    ctl: &mut CycleController,
-    clock: &mut dyn Clock,
-    backend: &mut dyn ExecBackend,
-    policy: &mut dyn QualityPolicy,
-    estimator: &mut Option<&mut dyn AvgEstimator>,
-    gen_profile: &QualityProfile,
-    body_profile: &QualityProfile,
-    activity: f64,
-    frame_start: Cycles,
-    work_of: &mut dyn FnMut(&mut A, &Decision, ActionId, usize) -> Option<u64>,
-) -> Result<Cycles, SimError> {
-    let mut t = Cycles::ZERO;
-    loop {
-        let decision = ctl.decide(t, policy).map_err(SimError::from)?;
-        let Some(d) = decision else { break };
-        let (body_action, mb) = iter.body_of(d.action);
-        let started = frame_start + t;
-        let work = work_of(app, &d, body_action, mb);
-        let ctx = ExecCtx {
-            action: body_action,
-            iteration: mb,
-            quality: d.quality,
-            avg: gen_profile.avg(body_action, d.quality),
-            // Clamp bound stays the *declared* worst case: the
-            // safety theorem needs actual <= Cwc_θ as declared.
-            worst: body_profile.worst(body_action, d.quality),
-            activity,
-            work_units: work,
-        };
-        let dur = backend.elapse(clock, started, &ctx);
-        t += dur;
-        ctl.complete(t).map_err(SimError::from)?;
-        if let Some(est) = estimator.as_deref_mut() {
-            est.observe(body_action, d.quality, dur);
-        }
-    }
-    Ok(t)
 }
 
 /// Whether the encoder is the controlled build or an uncontrolled

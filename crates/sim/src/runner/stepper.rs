@@ -1,28 +1,38 @@
-//! Frame-by-frame stepping of a parallel run — the seam the multi-stream
-//! serving layer multiplexes on.
+//! The frame lifecycle every run of a [`Runner`] steps through, and the
+//! public frame-by-frame API the multi-stream serving layer multiplexes
+//! on.
 //!
-//! [`Runner::run_parallel_on`] executes a whole stream in one call: for
-//! every frame it runs the speculative kernel wavefront on a pool
-//! (phase 1), then replays the controller loop sequentially (phase 2).
-//! A stream *server* needs to interleave many such runs over one shared
-//! pool, which requires splitting the per-frame loop into externally
-//! driven steps:
+//! # One lifecycle
 //!
-//! 1. [`Runner::start_parallel`] — open a [`ParallelStream`]: the
-//!    portable state of one in-flight run (pipeline, records, speculation
-//!    seed);
-//! 2. [`Runner::next_parallel_frame`] — advance to the next encodable
-//!    frame and prepare its controller: after this, the frame's kernels
-//!    are exposed as a [`Phase1View`];
-//! 3. [`Runner::parallel_kernels`] — an immutable, [`Sync`] view of the
-//!    pending frame's kernel DAG. The caller executes the tasks on any
-//!    executor it likes — a dedicated pool, or a [`super::WorkStealingPool`]
+//! A run keeps one private per-stream state (pipeline, records, declared
+//! and generative profiles, budget source, pending frame) and steps it
+//! through three private steps until the pipeline runs dry:
+//!
+//! * **prepare** — pop the next encodable frame, source its budget,
+//!   fetch the constraint tables for it, build the frame's
+//!   [`CycleController`], and fire the app and policy frame hooks;
+//! * **commit** — the paper's per-action loop: decide a quality, obtain
+//!   the action's work, charge the backend, complete; then close the
+//!   frame's record (safety accounting, quality stats, PSNR);
+//! * **close** — fill never-encoded frames as skips (or truncate to the
+//!   delivered frames of a detached stream) and label the result.
+//!
+//! [`Runner::run_on`] is that loop with every action run in place. The
+//! stepped API below is the same loop with a speculative phase 1
+//! between prepare and commit:
+//!
+//! 1. [`Runner::start_parallel`] opens a [`ParallelStream`]: the state
+//!    plus its speculation seed and kernel DAG;
+//! 2. [`Runner::next_parallel_frame`] prepares the next frame;
+//! 3. [`Runner::parallel_kernels`] exposes the pending frame's kernels
+//!    as an immutable, [`Sync`] [`Phase1View`]. The caller runs them on
+//!    any executor — a dedicated pool, or a [`super::WorkStealingPool`]
 //!    shared with *other streams' frames* (the server merges several
-//!    views into one task graph);
-//! 4. [`Runner::commit_parallel_frame`] — the sequential phase-2 commit:
-//!    identical state transitions to the solo runner, consuming cached
-//!    kernels only when valid;
-//! 5. [`Runner::finish_parallel`] — close the stream and collect its
+//!    views into one task graph) — or skips phase 1 altogether;
+//! 4. [`Runner::commit_parallel_frame`] commits the frame, consuming a
+//!    cached kernel only when its quality class matches the decision and
+//!    its inputs were valid, re-executing it otherwise;
+//! 5. [`Runner::finish_parallel`] closes the stream and collects its
 //!    [`StreamResult`].
 //!
 //! # Isolation
@@ -33,10 +43,9 @@
 //! phase-1 kernels. A stream stepped through this API on a
 //! [`VirtualClock`] + [`crate::runtime::ModelBackend`] therefore produces
 //! the same bytes no matter how many other streams share the pool, which
-//! is the serving layer's isolation contract.
-//! [`Runner::run_parallel_on`] itself is implemented over these steps, so
-//! "byte-identical to running alone" is equality by construction, not by
-//! test alone.
+//! is the serving layer's isolation contract. [`Runner::run_on`] never
+//! touches the speculation machinery, so it stays an independent
+//! reference for the speculative commit.
 //!
 //! [`VirtualClock`]: crate::runtime::VirtualClock
 
@@ -44,44 +53,37 @@ use std::sync::{Arc, OnceLock};
 
 use fgqos_core::estimator::AvgEstimator;
 use fgqos_core::policy::QualityPolicy;
-use fgqos_core::CycleController;
+use fgqos_core::{CycleController, Decision};
 use fgqos_graph::ActionId;
 use fgqos_time::{Cycles, Quality, QualityProfile, QualitySet};
 
-use super::{drive_cycle, FrameRecord, Mode, Runner, StreamResult};
+use super::{FrameRecord, Mode, Runner, StreamResult};
+use crate::app::VideoApp;
 use crate::budget::BudgetSource;
+use crate::exec::ExecCtx;
 use crate::pipeline::InputPipeline;
 use crate::runtime::parallel::{FramePlan, SpecSlot};
 use crate::runtime::{Clock, ExecBackend, ParallelApp};
 use crate::SimError;
 
-/// The portable state of one in-flight parallel run, stepped frame by
-/// frame by its [`Runner`]. Create with [`Runner::start_parallel`].
-///
-/// The struct is intentionally runner-agnostic (no generic parameter):
-/// a server holds one per stream next to the stream's runner, clock and
-/// backend, and the compiler cannot mix the pair up because every
-/// stepping method takes both.
-pub struct ParallelStream {
+/// One run's frame-loop state, carried from frame to frame by the
+/// lifecycle steps.
+pub(super) struct StreamState {
     mode: Mode,
     qs: QualitySet,
     pipe: InputPipeline,
     records: Vec<Option<FrameRecord>>,
-    /// Declared profile (drives tables; learns from the estimator).
+    /// Declared profile: drives the controller's tables (and learns from
+    /// the estimator).
     body_profile: QualityProfile,
-    /// Generative profile (drives execution-time models).
+    /// Generative profile: drives the execution-time models. The two
+    /// coincide unless the app declares otherwise.
     gen_profile: QualityProfile,
-    plan: Arc<FramePlan>,
-    /// Speculation seed: the quality committed at each unrolled instance
-    /// during the most recent frame.
-    spec_q: Vec<Quality>,
-    /// Live per-frame budget source (see [`crate::budget`]); owned by
-    /// the stream so served and solo runs replay the same channel.
+    /// Live per-frame budget source (see [`crate::budget`]); one fresh
+    /// source per run, so replays are deterministic.
     source: BudgetSource,
     /// Most recent finite sourced budget, for the delta histogram.
     prev_budget: Option<Cycles>,
-    hits: u64,
-    misses: u64,
     pending: Option<PendingFrame>,
 }
 
@@ -93,26 +95,40 @@ struct PendingFrame {
     budget: Cycles,
     ctl: CycleController,
     activity: f64,
+}
+
+/// The speculative half of a stepped run.
+pub(super) struct Speculation {
+    plan: Arc<FramePlan>,
+    /// Speculation seed: the quality committed at each unrolled instance
+    /// during the most recent frame.
+    q: Vec<Quality>,
+    /// Phase-1 results of the pending frame, one per instance.
     slots: Vec<OnceLock<SpecSlot>>,
+    /// Whether each committed instance left the state its phase-1
+    /// readers saw.
+    valid: Vec<bool>,
+    hits: u64,
+    misses: u64,
+}
+
+/// The portable state of one in-flight parallel run, stepped frame by
+/// frame by its [`Runner`]. Create with [`Runner::start_parallel`].
+///
+/// The struct is intentionally runner-agnostic (no generic parameter):
+/// a server holds one per stream next to the stream's runner, clock and
+/// backend, and the compiler cannot mix the pair up because every
+/// stepping method takes both.
+pub struct ParallelStream {
+    state: StreamState,
+    spec: Speculation,
 }
 
 impl ParallelStream {
-    /// Whether a prepared frame is awaiting [`Runner::commit_parallel_frame`].
-    #[must_use]
-    pub fn has_pending_frame(&self) -> bool {
-        self.pending.is_some()
-    }
-
     /// Camera frame index of the pending frame, if any.
     #[must_use]
     pub fn pending_frame(&self) -> Option<usize> {
-        self.pending.as_ref().map(|p| p.frame)
-    }
-
-    /// Frames committed so far (diagnostics; skipped frames excluded).
-    #[must_use]
-    pub fn committed_frames(&self) -> usize {
-        self.records.iter().flatten().filter(|r| !r.skipped).count()
+        self.state.pending.as_ref().map(|p| p.frame)
     }
 
     /// The committed record of camera frame `frame`, if it has been
@@ -121,7 +137,7 @@ impl ParallelStream {
     /// timing/quality here to stamp the frame's encoded output.
     #[must_use]
     pub fn record(&self, frame: usize) -> Option<&FrameRecord> {
-        self.records.get(frame).and_then(Option::as_ref)
+        self.state.records.get(frame).and_then(Option::as_ref)
     }
 
     /// Earliest stream time at which this stream can make progress — the
@@ -137,23 +153,14 @@ impl ParallelStream {
     #[must_use]
     pub fn next_ready_time(&self, clock: &mut dyn Clock) -> Option<Cycles> {
         let now = clock.now();
-        if self.pending.is_some() || self.pipe.waiting() > 0 {
+        let pipe = &self.state.pipe;
+        if self.state.pending.is_some() || pipe.waiting() > 0 {
             return Some(now);
         }
-        if self.pipe.is_exhausted() {
+        if pipe.is_exhausted() {
             return None;
         }
-        self.pipe.next_arrival_time().map(|t| t.max(now))
-    }
-
-    /// Camera frames delivered (encoded or skipped) so far — the length a
-    /// detached stream's result is truncated to.
-    #[must_use]
-    pub fn delivered_frames(&self) -> usize {
-        self.records
-            .iter()
-            .rposition(Option::is_some)
-            .map_or(0, |i| i + 1)
+        pipe.next_arrival_time().map(|t| t.max(now))
     }
 }
 
@@ -220,6 +227,196 @@ impl<A: ParallelApp> Phase1View<'_, A> {
     }
 }
 
+impl<A: VideoApp> Runner<A> {
+    /// Opens one run's state: a fresh pipeline, records, profiles and
+    /// budget source (`Trace` snapshots the app's recorded budgets,
+    /// [`VideoApp::budget_cycles`]).
+    pub(super) fn open(&self, mode: Mode) -> Result<StreamState, SimError> {
+        let total = self.app.stream_len();
+        Ok(StreamState {
+            mode,
+            qs: self.app.profile().qualities().clone(),
+            pipe: InputPipeline::new(self.config.period, self.config.input_capacity, total)?,
+            records: vec![None; total],
+            body_profile: self.app.profile().clone(),
+            gen_profile: self.app.generative_profile().clone(),
+            source: BudgetSource::new(
+                self.config.budget,
+                (0..total).map(|f| self.app.budget_cycles(f)),
+            ),
+            prev_budget: None,
+            pending: None,
+        })
+    }
+
+    /// Advances `s` to its next encodable frame and prepares it: sourced
+    /// budget → constraint tables → controller → app and policy frame
+    /// hooks. Returns `false` (nothing prepared) when the stream is
+    /// exhausted.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] if the previous frame has not been
+    /// committed yet; propagated table errors otherwise.
+    pub(super) fn prepare(
+        &mut self,
+        s: &mut StreamState,
+        clock: &mut dyn Clock,
+        policy: &mut dyn QualityPolicy,
+        estimator: &mut Option<&mut dyn AvgEstimator>,
+    ) -> Result<bool, SimError> {
+        if s.pending.is_some() {
+            return Err(SimError::InvalidConfig(
+                "previous frame not committed before preparing the next",
+            ));
+        }
+        let Some((frame, arrival, now)) = self.next_frame(clock, &mut s.pipe, &mut s.records)
+        else {
+            return Ok(false);
+        };
+        let deadline_budget = match s.pipe.budget_deadline(now) {
+            Some(d) => d - now,
+            None => Cycles::INFINITY,
+        };
+        // The stream's budget source can only tighten the deadline (min
+        // semantics); the record keeps the sourced budget in both modes,
+        // so uncontrolled baselines expose how often they would have
+        // overrun the channel.
+        let budget = s.source.frame_budget(frame, deadline_budget);
+        self.observe_budget(budget, &mut s.prev_budget);
+        // Uncontrolled runs do not see deadlines at all.
+        let frame_budget = match s.mode {
+            Mode::Controlled => budget,
+            Mode::Constant => Cycles::INFINITY,
+        };
+        let tables = self.prepare_frame(estimator, &mut s.body_profile, &s.qs, frame_budget)?;
+        let ctl = CycleController::from_shared(tables, s.qs.clone());
+        self.app.begin_frame(frame);
+        policy.on_cycle_start();
+        s.pending = Some(PendingFrame {
+            frame,
+            arrival,
+            now,
+            budget,
+            ctl,
+            activity: self.app.activity(frame),
+        });
+        Ok(true)
+    }
+
+    /// Commits the pending frame: decide → obtain work → charge the
+    /// backend → complete, until the cycle is finished, then records the
+    /// frame (safety accounting, quality stats, PSNR). `work_of` runs the
+    /// decided action (or consumes its speculated result) and returns its
+    /// work units.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] if no frame is pending; propagated
+    /// controller protocol errors otherwise.
+    pub(super) fn commit(
+        &mut self,
+        s: &mut StreamState,
+        clock: &mut dyn Clock,
+        backend: &mut dyn ExecBackend,
+        policy: &mut dyn QualityPolicy,
+        estimator: &mut Option<&mut dyn AvgEstimator>,
+        work_of: &mut dyn FnMut(&mut A, &Decision, ActionId, usize) -> Option<u64>,
+    ) -> Result<(), SimError> {
+        let PendingFrame {
+            frame,
+            arrival,
+            now,
+            budget,
+            mut ctl,
+            activity,
+        } = s
+            .pending
+            .take()
+            .ok_or(SimError::InvalidConfig("no pending frame to commit"))?;
+        let mut t = Cycles::ZERO;
+        while let Some(d) = ctl.decide(t, policy)? {
+            let (body_action, mb) = self.iter.body_of(d.action);
+            let ctx = ExecCtx {
+                action: body_action,
+                iteration: mb,
+                quality: d.quality,
+                avg: s.gen_profile.avg(body_action, d.quality),
+                // Clamp bound stays the *declared* worst case: the
+                // safety theorem needs actual <= Cwc_θ as declared.
+                worst: s.body_profile.worst(body_action, d.quality),
+                activity,
+                work_units: work_of(&mut self.app, &d, body_action, mb),
+            };
+            let dur = backend.elapse(clock, now + t, &ctx);
+            t += dur;
+            ctl.complete(t)?;
+            if let Some(est) = estimator.as_deref_mut() {
+                est.observe(body_action, d.quality, dur);
+            }
+        }
+        let report = ctl.finish();
+        self.monitor.record(&report);
+        self.metrics.controller.observe(&report);
+        let (mean_q, switches) = self.sensitive_quality_stats(&report, &s.body_profile);
+        let psnr_db = self.app.encoded_psnr(frame, mean_q, &report);
+        s.records[frame] = Some(FrameRecord {
+            frame,
+            skipped: false,
+            is_iframe: self.app.is_iframe(frame),
+            start: now,
+            encode_cycles: t,
+            budget,
+            latency: now - arrival,
+            mean_quality: mean_q,
+            misses: report.misses,
+            fallbacks: report.fallbacks,
+            quality_switches: switches,
+            psnr_db,
+        });
+        Ok(())
+    }
+
+    /// Closes a run: fills never-encoded frames as skips — or, with
+    /// `truncate` (a stream detached mid-run), keeps only the frames
+    /// delivered so far and discards a pending frame — stores a
+    /// speculative run's seed and diagnostics back on the runner, and
+    /// labels the result.
+    pub(super) fn close(
+        &mut self,
+        mut s: StreamState,
+        spec: Option<Speculation>,
+        policy_name: &str,
+        truncate: bool,
+    ) -> StreamResult {
+        if truncate {
+            let delivered = s.records.iter().rposition(Option::is_some);
+            s.records.truncate(delivered.map_or(0, |i| i + 1));
+        }
+        if let Some(spec) = spec {
+            self.last_spec = Some(spec.q);
+            self.spec_hits += spec.hits;
+            self.spec_misses += spec.misses;
+            self.metrics.spec_hits.add(spec.hits);
+            self.metrics.spec_misses.add(spec.misses);
+        }
+        let frames = s
+            .records
+            .into_iter()
+            .enumerate()
+            .map(|(f, r)| r.unwrap_or_else(|| self.skipped_record(f)))
+            .collect();
+        StreamResult {
+            label: format!(
+                "{} (K={}, P={})",
+                policy_name, self.config.input_capacity, self.config.period
+            ),
+            period: self.config.period,
+            frames,
+        }
+    }
+}
+
 impl<A: ParallelApp> Runner<A> {
     /// Opens a steppable parallel run over this runner's stream.
     ///
@@ -242,32 +439,26 @@ impl<A: ParallelApp> Runner<A> {
             )?));
         }
         let plan = Arc::clone(self.parallel_plan.as_ref().expect("plan just built"));
+        let state = self.open(mode)?;
         let n_inst = self.iter.graph().len();
-        let qs = self.app.profile().qualities().clone();
         // Speculation seed: the level committed at the same instance one
         // frame earlier; before any parallel frame, the maximal level
         // (mis-speculation only costs a re-execution, never correctness).
-        let spec_q = self
+        let q = self
             .last_spec
             .take()
             .filter(|v| v.len() == n_inst)
-            .unwrap_or_else(|| vec![qs.max(); n_inst]);
-        let total = self.app.stream_len();
-        let pipe = InputPipeline::new(self.config.period, self.config.input_capacity, total)?;
+            .unwrap_or_else(|| vec![state.qs.max(); n_inst]);
         Ok(ParallelStream {
-            mode,
-            qs,
-            pipe,
-            records: vec![None; total],
-            body_profile: self.app.profile().clone(),
-            gen_profile: self.app.generative_profile().clone(),
-            plan,
-            spec_q,
-            source: self.make_budget_source(),
-            prev_budget: None,
-            hits: 0,
-            misses: 0,
-            pending: None,
+            state,
+            spec: Speculation {
+                plan,
+                q,
+                slots: (0..n_inst).map(|_| OnceLock::new()).collect(),
+                valid: vec![false; n_inst],
+                hits: 0,
+                misses: 0,
+            },
         })
     }
 
@@ -287,65 +478,33 @@ impl<A: ParallelApp> Runner<A> {
         policy: &mut dyn QualityPolicy,
         estimator: &mut Option<&mut dyn AvgEstimator>,
     ) -> Result<bool, SimError> {
-        if st.pending.is_some() {
-            return Err(SimError::InvalidConfig(
-                "previous frame not committed before preparing the next",
-            ));
+        let prepared = self.prepare(&mut st.state, clock, policy, estimator)?;
+        if prepared {
+            for slot in &mut st.spec.slots {
+                slot.take();
+            }
+            st.spec.valid.fill(false);
         }
-        let Some((frame, arrival, now)) = self.next_frame(clock, &mut st.pipe, &mut st.records)
-        else {
-            return Ok(false);
-        };
-        let deadline_budget = match st.pipe.budget_deadline(now) {
-            Some(d) => d - now,
-            None => Cycles::INFINITY,
-        };
-        // The stream's budget source can only tighten the deadline (min
-        // semantics) — same seam as the sequential runner, so served and
-        // solo runs stay byte-identical.
-        let budget = st.source.frame_budget(frame, deadline_budget);
-        self.observe_budget(budget, &mut st.prev_budget);
-        // Uncontrolled runs do not see deadlines at all.
-        let frame_budget = match st.mode {
-            Mode::Controlled => budget,
-            Mode::Constant => Cycles::INFINITY,
-        };
-        let qs = st.qs.clone();
-        let tables = self.prepare_frame(estimator, &mut st.body_profile, &qs, frame_budget)?;
-        let ctl = CycleController::from_shared(tables, qs);
-        self.app.begin_frame(frame);
-        policy.on_cycle_start();
-        let activity = self.app.activity(frame);
-        let n_inst = self.iter.graph().len();
-        st.pending = Some(PendingFrame {
-            frame,
-            arrival,
-            now,
-            budget,
-            ctl,
-            activity,
-            slots: (0..n_inst).map(|_| OnceLock::new()).collect(),
-        });
-        Ok(true)
+        Ok(prepared)
     }
 
     /// The pending frame's kernel DAG, ready for an external executor.
     /// `None` when no frame is pending.
     #[must_use]
     pub fn parallel_kernels<'s>(&'s self, st: &'s ParallelStream) -> Option<Phase1View<'s, A>> {
-        st.pending.as_ref().map(|p| Phase1View {
+        st.state.pending.as_ref().map(|_| Phase1View {
             app: &self.app,
             iter: &self.iter,
-            plan: &st.plan,
-            spec: &st.spec_q,
-            slots: &p.slots,
+            plan: &st.spec.plan,
+            spec: &st.spec.q,
+            slots: &st.spec.slots,
         })
     }
 
     /// Commits the pending frame: replays the controller loop in static
     /// EDF order (phase 2), consuming speculated kernels when their
     /// quality class matches and their inputs were valid, re-executing
-    /// otherwise — the same state transitions as the sequential runner.
+    /// otherwise — the same state transitions as [`Runner::run_on`].
     ///
     /// Kernels that phase 1 has not executed are simply re-executed here,
     /// so a caller may legally skip phase 1 altogether (it then pays the
@@ -363,81 +522,54 @@ impl<A: ParallelApp> Runner<A> {
         policy: &mut dyn QualityPolicy,
         estimator: &mut Option<&mut dyn AvgEstimator>,
     ) -> Result<(), SimError> {
-        let mut p = st
-            .pending
-            .take()
-            .ok_or(SimError::InvalidConfig("no pending frame to commit"))?;
-        let n_inst = self.iter.graph().len();
-        let mut valid = vec![false; n_inst];
-        let spec_q = &mut st.spec_q;
-        let plan = &st.plan;
-        let slots = &p.slots;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let t = drive_cycle(
-            &mut self.app,
-            &self.iter,
-            &mut p.ctl,
+        let Speculation {
+            plan,
+            q,
+            slots,
+            valid,
+            hits,
+            misses,
+        } = &mut st.spec;
+        self.commit(
+            &mut st.state,
             clock,
             backend,
             policy,
             estimator,
-            &st.gen_profile,
-            &st.body_profile,
-            p.activity,
-            p.now,
             &mut |app, d, body_action, mb| {
                 let i = d.action.index();
-                spec_q[i] = d.quality;
-                let cached = slots[i].get();
-                let cache_ok = cached.is_some_and(|slot| {
+                q[i] = d.quality;
+                let cached = slots[i].get().filter(|slot| {
                     plan.taint_preds[i].iter().all(|&pr| valid[pr])
                         && app.kernel_class(body_action, mb, d.quality) == slot.class
                 });
-                if cache_ok {
+                if let Some(slot) = cached {
                     valid[i] = true;
-                    hits += 1;
+                    *hits += 1;
                     app.apply(body_action, mb);
-                    slots[i].get().expect("checked above").work
+                    slot.work
                 } else {
                     // Re-execute, then re-validate: if the rerun
-                    // reproduced exactly the state the speculative
-                    // phase left (a smaller search radius finding
-                    // the same motion vector, say), every phase-1
-                    // reader of this instance saw correct inputs
-                    // and the mis-speculation cascade stops here.
-                    misses += 1;
+                    // reproduced exactly the state the speculative phase
+                    // left (a smaller search radius finding the same
+                    // motion vector, say), every phase-1 reader of this
+                    // instance saw correct inputs and the mis-speculation
+                    // cascade stops here.
+                    *misses += 1;
                     let before = app.snapshot(mb);
                     let work = app.run_action(body_action, mb, d.quality);
                     valid[i] = app.snapshot(mb) == before;
                     work
                 }
             },
-        )?;
-        st.hits += hits;
-        st.misses += misses;
-        st.records[p.frame] = Some(self.finish_frame(
-            p.ctl,
-            &st.body_profile,
-            p.frame,
-            p.now,
-            p.arrival,
-            p.budget,
-            t,
-        ));
-        Ok(())
+        )
     }
 
     /// Closes a stepped run: fills never-encoded frames as skips, stores
     /// the speculation seed and diagnostics back on the runner, and
     /// returns the stream's result.
     pub fn finish_parallel(&mut self, st: ParallelStream, policy_name: &str) -> StreamResult {
-        self.last_spec = Some(st.spec_q);
-        self.spec_hits += st.hits;
-        self.spec_misses += st.misses;
-        self.metrics.spec_hits.add(st.hits);
-        self.metrics.spec_misses.add(st.misses);
-        self.collect_result(policy_name, st.records)
+        self.close(st.state, Some(st.spec), policy_name, false)
     }
 
     /// Closes a stepped run that is being *detached* mid-stream: the
@@ -447,17 +579,9 @@ impl<A: ParallelApp> Runner<A> {
     /// would. A pending (prepared but uncommitted) frame is discarded.
     pub fn finish_parallel_truncated(
         &mut self,
-        mut st: ParallelStream,
+        st: ParallelStream,
         policy_name: &str,
     ) -> StreamResult {
-        let delivered = st.delivered_frames();
-        st.records.truncate(delivered);
-        st.pending = None;
-        self.last_spec = Some(st.spec_q);
-        self.spec_hits += st.hits;
-        self.spec_misses += st.misses;
-        self.metrics.spec_hits.add(st.hits);
-        self.metrics.spec_misses.add(st.misses);
-        self.collect_result(policy_name, st.records)
+        self.close(st.state, Some(st.spec), policy_name, true)
     }
 }

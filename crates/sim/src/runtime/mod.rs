@@ -21,9 +21,10 @@
 //!   once, not per frame.
 //!
 //! [`crate::runner::Runner::run_on`] accepts any (clock, backend) pair;
-//! the legacy [`crate::runner::Runner::run`] is the virtual-clock,
-//! model-backend special case and reproduces the pre-refactor series
-//! byte-for-byte.
+//! [`crate::runner::Runner::run`] is its virtual-clock, model-backend
+//! form. Solo and parallel runs step every frame through the same
+//! prepare → commit → close lifecycle ([`crate::runner::stepper`]), so
+//! the runtime only decides where time and costs come from.
 //!
 //! # Example: the same app on both runtimes
 //!

@@ -2,7 +2,8 @@
 //! count, `run_parallel_on` on the virtual runtime reproduces the
 //! sequential per-frame series byte-for-byte — for the timing-only table
 //! app behind the fig6/fig8 runs and for the pixel-level encoder — and
-//! the safety monitor reaches identical verdicts.
+//! the safety monitor reaches identical verdicts. A stepped run that
+//! skips phase 1 altogether reproduces it too.
 
 use fine_grain_qos::encoder::app::EncoderApp;
 use fine_grain_qos::prelude::*;
@@ -49,6 +50,29 @@ fn assert_same_monitor<A: VideoApp, B: VideoApp>(seq: &Runner<A>, par: &Runner<B
     assert_eq!(m1.worst_margin(), m2.worst_margin());
 }
 
+/// Steps `runner` through the public frame API without ever running
+/// phase 1. Every kernel is then executed at commit, which
+/// `commit_parallel_frame` declares legal; the result must still equal
+/// the sequential run's.
+fn stepped_without_phase1<A: ParallelApp>(
+    runner: &mut Runner<A>,
+    backend: &mut dyn ExecBackend,
+) -> StreamResult {
+    let mut clock = VirtualClock::new();
+    let mut policy = MaxQuality::new();
+    let mut est = None;
+    let mut st = runner.start_parallel(Mode::Controlled).expect("start");
+    while runner
+        .next_parallel_frame(&mut st, &mut clock, &mut policy, &mut est)
+        .expect("prepare")
+    {
+        runner
+            .commit_parallel_frame(&mut st, &mut clock, backend, &mut policy, &mut est)
+            .expect("commit");
+    }
+    runner.finish_parallel(st, policy.name())
+}
+
 /// Fig6/fig8-style table run: the stochastic model's sample stream is
 /// consumed in commit order, so the series must match at every worker
 /// count, in both unrolling modes.
@@ -60,6 +84,17 @@ fn table_runs_are_byte_identical_at_any_worker_count() {
             .run_controlled(&mut MaxQuality::new(), 21)
             .expect("sequential run");
         assert_eq!(expected.skips(), 0);
+        assert_eq!(seq.speculation(), (0, 0), "run_on never speculates");
+        let mut stepped = table_runner(50, 12, mode);
+        let mut exec = StochasticLoad::new(21);
+        let actual = stepped_without_phase1(&mut stepped, &mut ModelBackend::new(&mut exec));
+        assert_same_series(
+            &expected,
+            &actual,
+            &format!("table {mode:?} phase 1 skipped"),
+        );
+        assert_same_monitor(&seq, &stepped);
+        assert_eq!(stepped.speculation().0, 0, "no phase 1, no cache hits");
         for workers in WORKERS {
             let mut par = table_runner(50, 12, mode);
             let mut clock = VirtualClock::new();
@@ -100,7 +135,16 @@ fn pixel_runs_are_byte_identical_at_any_worker_count() {
         )
         .expect("sequential run");
     assert_eq!(expected.skips(), 0, "{}", expected.summary());
+    assert_eq!(seq.speculation(), (0, 0), "run_on never speculates");
     let seq_bits = seq.app().total_bits();
+
+    let mut stepped = pixel_runner(16, IterationMode::Pipelined);
+    let actual = stepped_without_phase1(&mut stepped, &mut EncoderApp::work_backend(7));
+    assert_same_series(&expected, &actual, "pixel phase 1 skipped");
+    assert_same_monitor(&seq, &stepped);
+    assert_eq!(stepped.speculation().0, 0, "no phase 1, no cache hits");
+    assert_eq!(stepped.app().total_bits(), seq_bits);
+    assert_eq!(stepped.app().displayed(), seq.app().displayed());
 
     for workers in WORKERS {
         let mut par = pixel_runner(16, IterationMode::Pipelined);
