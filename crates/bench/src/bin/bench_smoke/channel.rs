@@ -17,7 +17,7 @@ use fgqos_sim::scenario::LoadScenario;
 use fgqos_telemetry::json::{JsonObj, JsonValue};
 use fgqos_time::Quality;
 
-use crate::harness::{ms, ratio, Section};
+use crate::harness::{ms, ratio, twins, Section};
 
 /// A table workload riding a hostile simulated channel whose band keeps
 /// the minimal quality feasible (q0's worst case at this scale is well
@@ -53,32 +53,16 @@ fn channel_runner(budget: BudgetSpec) -> Runner<TableApp> {
 /// of reps; many alternating reps give both twins the same host.
 const CH_REPS: usize = 100;
 
-/// One timed controlled run under `budget`; returns the wall time, the
-/// (deterministic) result and the envelope/table build counters.
-fn channel_controlled(budget: BudgetSpec) -> (Duration, StreamResult, (u64, u64)) {
+/// One timed controlled run under `budget`; returns the wall time with
+/// the (deterministic) result and the envelope/table build counters.
+fn channel_controlled(budget: BudgetSpec) -> (Duration, (StreamResult, (u64, u64))) {
     let mut r = channel_runner(budget);
     let start = Instant::now();
     let res = r
         .run_controlled(&mut MaxQuality::new(), CH_RUN_SEED)
         .expect("controlled run");
     let wall = start.elapsed();
-    (wall, res, (r.envelope_builds(), r.full_table_builds()))
-}
-
-/// Best-of wall times of the channel-sourced and constant-budget twins,
-/// run alternately rep by rep, plus the channel twin's result and
-/// build counters.
-fn channel_twins(params: ChannelParams) -> (Duration, Duration, StreamResult, (u64, u64)) {
-    let (mut t_ch, mut t_const) = (Duration::MAX, Duration::MAX);
-    let mut last = None;
-    for _ in 0..CH_REPS {
-        let (t, res, builds) = channel_controlled(BudgetSpec::Channel(params));
-        t_ch = t_ch.min(t);
-        last = Some((res, builds));
-        t_const = t_const.min(channel_controlled(BudgetSpec::Constant).0);
-    }
-    let (res, builds) = last.expect("ran at least once");
-    (t_ch, t_const, res, builds)
+    (wall, (res, (r.envelope_builds(), r.full_table_builds())))
 }
 
 /// A channel overrun is a frame whose encode time exceeds its grant.
@@ -99,7 +83,11 @@ pub fn run() -> Section {
     let grant_max = *series.iter().max().expect("nonempty series");
     let cliff = grant_max as f64 / grant_min.max(1) as f64;
 
-    let (t_ch, t_const, res, (env_builds, tbl_builds)) = channel_twins(params);
+    let ((t_ch, (res, (env_builds, tbl_builds))), (t_const, _)) = twins(
+        CH_REPS,
+        || channel_controlled(BudgetSpec::Channel(params)),
+        || channel_controlled(BudgetSpec::Constant),
+    );
     let overhead = ratio(t_ch, t_const);
 
     let violations = overruns(&res);
@@ -185,6 +173,6 @@ pub fn run() -> Section {
         file: "BENCH_channel.json",
         json,
         failures,
-        notes: Vec::new(),
+        ..Section::default()
     }
 }

@@ -205,6 +205,6 @@ pub fn run(cores: usize) -> Section {
         file: "BENCH_distribute.json",
         json,
         failures,
-        notes: Vec::new(),
+        ..Section::default()
     }
 }

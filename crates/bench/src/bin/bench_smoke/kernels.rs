@@ -214,6 +214,6 @@ pub fn run() -> Section {
         file: "BENCH_kernels.json",
         json,
         failures,
-        notes: Vec::new(),
+        ..Section::default()
     }
 }

@@ -1,23 +1,30 @@
-//! CI perf smoke: measures the parallel runner against the sequential
-//! baseline, the controller hot path, the budget-parametric table path
-//! (including estimator-driven refresh runs), the vectorized encoder
-//! kernels, the output plane and the network-coupled budget seam, writes
-//! machine-readable `BENCH_parallel.json` / `BENCH_controller.json` /
-//! `BENCH_tables.json` / `BENCH_kernels.json` / `BENCH_distribute.json`
-//! / `BENCH_channel.json` (uploaded as CI artifacts to seed the perf
-//! trajectory), and fails when the parallel runner is *slower* than
-//! sequential at ≥ 4 workers on a host that actually has ≥ 4 cores,
-//! when the parametric table path loses to per-budget rebuilds or to
-//! cached tables, when an adaptive (estimator-driven) run costs more
-//! than 1.5× its static twin, when the LUT DCT fails to beat the
-//! `cos()`-per-multiply reference by 2×, when any encoder kernel (DCT,
-//! motion search on interior and border macroblocks, `Compress`) differs
-//! from its original form by one bit, when the output plane stalls or
-//! loses a frame, or when the channel-sourced controller loses a safety
-//! or overhead gate across a bandwidth cliff.
+//! CI perf smoke: the one bin that gates identity and ratio contracts.
+//! Speed numbers come from `perfbench`; this bin writes machine-readable
+//! `BENCH_*.json` files (uploaded as CI artifacts) and fails when
 //!
-//! One module per section (`parallel`, `tables`, `kernels`,
-//! `distribute`, `channel`), each returning [`harness::Section`]s.
+//! * `parallel` — the parallel runner is *slower* than sequential at 4
+//!   workers on a host that actually has ≥ 4 cores, or its series
+//!   diverges from the sequential run;
+//! * `tables` — the parametric table path loses to per-budget rebuilds
+//!   or to cached tables, decides differently from them, builds more
+//!   than one envelope set per served stream, or an adaptive
+//!   (estimator-driven) run costs more than 1.5× its static twin;
+//! * `kernels` — the LUT DCT fails to beat the `cos()`-per-multiply
+//!   reference by 2×, or any encoder kernel (DCT, motion search on
+//!   interior and border macroblocks, `Compress`) differs from its
+//!   original form by one bit;
+//! * `distribute` — the output plane's publish cost is not flat in the
+//!   subscriber count, the publisher stalls, or a frame is lost;
+//! * `channel` — the channel-sourced controller loses a safety or
+//!   overhead gate across a bandwidth cliff;
+//! * `serve` — shared-pool serving is slower than sequential or the
+//!   resident pool slower than a fresh pool per tick (both on ≥ 4-core
+//!   hosts), or a served stream differs from its solo run, or the
+//!   resident pool, the spawn-per-call pool and `StreamServer` disagree;
+//! * `telemetry` — full telemetry costs more than 1.05× serving without
+//!   it (on ≥ 4-core hosts), or changes the serve report at all.
+//!
+//! One module per section, each returning [`harness::Section`]s.
 //!
 //! Usage: `bench_smoke [out_dir]` (default `.`). Exit code 1 on gate
 //! failure or determinism violation.
@@ -27,21 +34,33 @@ mod distribute;
 mod harness;
 mod kernels;
 mod parallel;
+mod serve;
 mod tables;
+mod telemetry;
 
 fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".into());
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    let mut sections = parallel::run(cores);
-    sections.push(tables::run());
-    sections.push(kernels::run());
-    sections.push(distribute::run(cores));
-    sections.push(channel::run());
+    let sections = [
+        parallel::run(cores),
+        tables::run(),
+        kernels::run(),
+        distribute::run(cores),
+        channel::run(),
+        serve::run(cores),
+        telemetry::run(cores),
+    ];
 
+    let write = |file: &str, body: &str| {
+        std::fs::write(format!("{out_dir}/{file}"), body)
+            .unwrap_or_else(|e| panic!("write {file}: {e}"));
+    };
     for s in &sections {
-        std::fs::write(format!("{out_dir}/{}", s.file), &s.json)
-            .unwrap_or_else(|e| panic!("write {}: {e}", s.file));
+        write(s.file, &s.json);
+        for (file, body) in &s.artifacts {
+            write(file, body);
+        }
     }
     let jsons: Vec<&str> = sections.iter().map(|s| s.json.as_str()).collect();
     print!("{}", jsons.join("\n"));

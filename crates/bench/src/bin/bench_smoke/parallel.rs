@@ -1,14 +1,12 @@
 //! The parallel runner against the sequential baseline on the
-//! deterministic pixel workload (`BENCH_parallel.json`), and the
-//! controller hot path on the paper-scale table workload
-//! (`BENCH_controller.json`).
+//! deterministic pixel workload (`BENCH_parallel.json`).
 
 use std::time::{Duration, Instant};
 
 use fgqos_core::policy::MaxQuality;
 use fgqos_encoder::app::EncoderApp;
 use fgqos_graph::iterate::IterationMode;
-use fgqos_sim::app::{TableApp, VideoApp};
+use fgqos_sim::app::VideoApp;
 use fgqos_sim::runner::{Mode, RunConfig, Runner, StreamResult};
 use fgqos_sim::runtime::{MeasuredBackend, VirtualClock, WallClock};
 use fgqos_sim::scenario::LoadScenario;
@@ -88,12 +86,7 @@ fn live_measured(workers: usize) -> (Duration, StreamResult) {
     (start.elapsed(), res)
 }
 
-/// The parallel-runner section followed by the controller section.
-pub fn run(cores: usize) -> Vec<Section> {
-    vec![parallel_runner(cores), controller()]
-}
-
-fn parallel_runner(cores: usize) -> Section {
+pub fn run(cores: usize) -> Section {
     let (t_seq, seq_res) = time_pixel(None);
     let mut entries: Vec<JsonValue> = Vec::new();
     let mut speedup_at_4 = f64::NAN;
@@ -175,38 +168,6 @@ fn parallel_runner(cores: usize) -> Section {
         json,
         failures,
         notes,
-    }
-}
-
-/// Timing-only table workload at the paper's scale: reported, not gated.
-fn controller() -> Section {
-    let scenario = LoadScenario::paper_benchmark(5).truncated(60);
-    let app = TableApp::with_macroblocks(scenario, 396).expect("app");
-    let config = RunConfig::paper_defaults().scaled_to_macroblocks(396);
-    let mut r = Runner::new(app, config).expect("runner");
-    let start = Instant::now();
-    let res = r
-        .run_controlled(&mut MaxQuality::new(), 5)
-        .expect("controlled run");
-    let t_ctl = start.elapsed();
-    let json = JsonObj::new()
-        .str(
-            "workload",
-            "table 396 macroblocks, 60 frames, controlled-max",
-        )
-        .fixed("wall_ms", ms(t_ctl), 3)
-        .fixed("frames_per_sec", fps(60, t_ctl), 2)
-        .fixed("mean_encode_mcycles", res.mean_encode_mcycles(), 3)
-        .int("skips", res.skips() as u64)
-        .int("misses", res.misses() as u64)
-        .int("cached_table_sets", r.cached_tables() as u64)
-        .int("envelope_builds", r.envelope_builds())
-        .build()
-        .pretty();
-    Section {
-        file: "BENCH_controller.json",
-        json,
-        failures: Vec::new(),
-        notes: Vec::new(),
+        ..Section::default()
     }
 }

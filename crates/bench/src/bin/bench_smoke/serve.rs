@@ -1,0 +1,418 @@
+//! Shared-pool serving (`BENCH_serve.json`): 4 pixel streams on one
+//! shared pool against the same 4 streams run sequentially, and the
+//! resident pool against a fresh pool per tick. Gates:
+//!
+//! * **shared vs sequential** — aggregate throughput of the served
+//!   streams must not be worse than the sequential solo runs (enforced
+//!   on ≥ 4-core hosts);
+//! * **isolation** — every served stream's series must be byte-identical
+//!   to its solo run;
+//! * **resident vs spawn-per-call** — an 8-stream pixel workload served
+//!   tick by tick as the server does (one merged kernel DAG per tick)
+//!   must not be slower on one persistent resident pool than on a fresh
+//!   pool per tick (threads spawned and joined per call; enforced on
+//!   ≥ 4-core hosts), and both must produce results identical to
+//!   `StreamServer` serving the same streams.
+
+use std::time::{Duration, Instant};
+
+use fgqos_core::policy::{MaxQuality, QualityPolicy};
+use fgqos_encoder::app::EncoderApp;
+use fgqos_graph::iterate::IterationMode;
+use fgqos_serve::{PacedSource, ServerConfig, StreamSpec};
+use fgqos_sim::exec::WorkDriven;
+use fgqos_sim::runner::{Mode, ParallelStream, RunConfig, Runner, StreamResult};
+use fgqos_sim::runtime::{ModelBackend, VirtualClock, WorkStealingPool};
+use fgqos_sim::scenario::LoadScenario;
+use fgqos_telemetry::json::{JsonObj, JsonValue};
+use fgqos_time::Cycles;
+
+use crate::harness::{best_of, fps, ms, ratio, ratios_enforced, Section, REPS};
+
+/// Pixel workload shape per stream: 6×4 macroblocks gives the wavefront
+/// enough width for 4 workers while 4 concurrent streams stay in CI
+/// budget.
+const SRV_W: usize = 96;
+const SRV_H: usize = 64;
+const SRV_FRAMES: usize = 10;
+const SRV_STREAMS: usize = 4;
+const SRV_WORKERS: usize = 4;
+
+fn scenario(i: usize) -> LoadScenario {
+    LoadScenario::paper_benchmark(30 + i as u64).truncated(SRV_FRAMES)
+}
+
+fn stream_config(mb: usize) -> RunConfig {
+    RunConfig::paper_defaults()
+        .scaled_to_macroblocks(mb)
+        .with_iteration_mode(IterationMode::Pipelined)
+}
+
+fn seed(i: usize) -> u64 {
+    1000 + i as u64
+}
+
+fn macroblocks() -> usize {
+    (SRV_W / 16) * (SRV_H / 16)
+}
+
+/// One solo sequential run of stream `i` (no pool anywhere).
+fn solo_run(i: usize) -> StreamResult {
+    let app = EncoderApp::new(scenario(i), SRV_W, SRV_H, seed(i)).expect("app");
+    let mut runner = Runner::new(app, stream_config(macroblocks())).expect("runner");
+    let mut clock = VirtualClock::new();
+    let mut backend = EncoderApp::work_backend(seed(i));
+    runner
+        .run_on(
+            &mut clock,
+            &mut backend,
+            Mode::Controlled,
+            &mut MaxQuality::new(),
+            None,
+        )
+        .expect("solo run")
+}
+
+/// Best-of-`REPS` wall time of serving all streams on one shared pool;
+/// returns the last rep's results for the isolation check.
+fn time_shared() -> (Duration, Vec<StreamResult>) {
+    let mut best = Duration::MAX;
+    let mut last = Vec::new();
+    for _ in 0..REPS {
+        // Generous admission capacity: this bench gates throughput, not
+        // admission (the paper-shaped pixel demand would otherwise be
+        // priced against the virtual 8 GHz platform, which is not what a
+        // wall-clock smoke measures).
+        let server = ServerConfig::new(SRV_WORKERS).capacity(1e6).build();
+        let specs: Vec<StreamSpec> = (0..SRV_STREAMS)
+            .map(|i| {
+                StreamSpec::builder(format!("s{i}"))
+                    .priority(1)
+                    .seed(seed(i))
+                    .config(stream_config(macroblocks()))
+                    .source(PacedSource::new(scenario(i)))
+                    .build()
+            })
+            .collect();
+        let start = Instant::now();
+        let report = server
+            .serve(
+                specs,
+                |scn, spec| EncoderApp::new(scn, SRV_W, SRV_H, spec.seed),
+                |spec| Box::new(EncoderApp::work_backend(spec.seed)),
+            )
+            .expect("serve");
+        best = best.min(start.elapsed());
+        assert!(report.all_safe(), "served streams must stay safe");
+        last = report
+            .outcomes()
+            .iter()
+            .map(|o| o.result.clone().expect("all admitted"))
+            .collect();
+    }
+    (best, last)
+}
+
+/// Pool-pricing workload: many small-frame pixel streams, so per-frame
+/// kernel work is light and the pool's fixed costs (thread spawns for
+/// the spawn-per-call baseline, wakeups for the resident pool) dominate.
+const POOL_STREAMS: usize = 8;
+const POOL_W: usize = 48;
+const POOL_H: usize = 32;
+const POOL_FRAMES: usize = 25;
+
+fn pool_scenario(i: usize) -> LoadScenario {
+    LoadScenario::paper_benchmark(80 + i as u64).truncated(POOL_FRAMES)
+}
+
+fn pool_config() -> RunConfig {
+    stream_config((POOL_W / 16) * (POOL_H / 16))
+}
+
+/// One pool-pricing stream, as a session slot holds it.
+struct PoolSlot {
+    runner: Runner<EncoderApp>,
+    st: Option<ParallelStream>,
+    clock: VirtualClock,
+    backend: ModelBackend<WorkDriven>,
+    policy: MaxQuality,
+    result: Option<StreamResult>,
+}
+
+impl PoolSlot {
+    fn new(i: usize) -> Self {
+        let app = EncoderApp::new(pool_scenario(i), POOL_W, POOL_H, seed(i)).expect("app");
+        let mut runner = Runner::new(app, pool_config()).expect("runner");
+        let st = runner.start_parallel(Mode::Controlled).expect("start");
+        PoolSlot {
+            runner,
+            st: Some(st),
+            clock: VirtualClock::new(),
+            backend: EncoderApp::work_backend(seed(i)),
+            policy: MaxQuality::new(),
+            result: None,
+        }
+    }
+
+    fn finish(&mut self) {
+        if let Some(st) = self.st.take() {
+            self.result = Some(self.runner.finish_parallel(st, self.policy.name()));
+        }
+    }
+}
+
+/// Serves the pool-pricing streams tick by tick as `StreamSession::step`
+/// does — departures first, every stream at the earliest ready time is
+/// due, the due frames' kernel DAGs merged into one task graph, commits
+/// in stream order — and runs each tick's merged DAG on `resident` or,
+/// when `None`, on a fresh pool of `SRV_WORKERS` threads spawned (and
+/// joined) for that tick.
+fn serve_pool_streams(resident: Option<&WorkStealingPool>) -> Vec<StreamResult> {
+    let mut slots: Vec<PoolSlot> = (0..POOL_STREAMS).map(PoolSlot::new).collect();
+    loop {
+        let mut ready: Vec<(usize, Cycles)> = Vec::new();
+        for (i, s) in slots.iter_mut().enumerate() {
+            match s.st.as_ref().map(|st| st.next_ready_time(&mut s.clock)) {
+                Some(Some(t)) => ready.push((i, t)),
+                Some(None) => s.finish(),
+                None => {}
+            }
+        }
+        let Some(t_min) = ready.iter().map(|&(_, t)| t).min() else {
+            break;
+        };
+        let mut due = Vec::new();
+        for &(i, _) in ready.iter().filter(|&&(_, t)| t == t_min) {
+            let s = &mut slots[i];
+            let st = s.st.as_mut().expect("ready slots are running");
+            let more = s
+                .runner
+                .next_parallel_frame(st, &mut s.clock, &mut s.policy, &mut None)
+                .expect("prepare");
+            if more {
+                due.push(i);
+            } else {
+                s.finish();
+            }
+        }
+        if due.is_empty() {
+            continue;
+        }
+        {
+            let views: Vec<_> = due
+                .iter()
+                .map(|&i| {
+                    let s = &slots[i];
+                    let st = s.st.as_ref().expect("due slots are running");
+                    s.runner.parallel_kernels(st).expect("frame just prepared")
+                })
+                .collect();
+            let mut offsets = Vec::with_capacity(views.len());
+            let mut indegree = Vec::new();
+            let mut succs: Vec<Vec<usize>> = Vec::new();
+            for v in &views {
+                let off = indegree.len();
+                offsets.push(off);
+                indegree.extend_from_slice(v.indegree());
+                succs.extend(
+                    v.succs()
+                        .iter()
+                        .map(|s| s.iter().map(|&x| x + off).collect()),
+                );
+            }
+            let run = |g: usize| {
+                let vi = offsets.partition_point(|&o| o <= g) - 1;
+                views[vi].run_kernel(g - offsets[vi]);
+            };
+            match resident {
+                Some(pool) => pool.run_dag(&indegree, &succs, run),
+                None => WorkStealingPool::new(SRV_WORKERS).run_dag(&indegree, &succs, run),
+            }
+        }
+        for &i in &due {
+            let s = &mut slots[i];
+            let st = s.st.as_mut().expect("due slots are running");
+            s.runner
+                .commit_parallel_frame(st, &mut s.clock, &mut s.backend, &mut s.policy, &mut None)
+                .expect("commit");
+        }
+    }
+    slots
+        .into_iter()
+        .map(|s| s.result.expect("every stream finished"))
+        .collect()
+}
+
+/// Best-of-`REPS` wall time of the 8-stream pixel workload on one
+/// resident pool, or on a fresh pool per tick; returns the last rep's
+/// results (identical either way — only the pool's ownership differs).
+fn time_pool(spawn_per_call: bool) -> (Duration, Vec<StreamResult>) {
+    let mut last = Vec::new();
+    let best = best_of(REPS, || {
+        let resident = (!spawn_per_call).then(|| WorkStealingPool::new(SRV_WORKERS));
+        last = serve_pool_streams(resident.as_ref());
+        assert!(
+            last.iter().all(|r| r.skips() == 0 && r.misses() == 0),
+            "pool-pricing streams must stay safe"
+        );
+    });
+    (best, last)
+}
+
+/// The pool-pricing streams served by `StreamServer` itself: the
+/// reference the tick replica above must reproduce.
+fn served_pool_streams() -> Vec<StreamResult> {
+    let specs: Vec<StreamSpec> = (0..POOL_STREAMS)
+        .map(|i| {
+            StreamSpec::builder(format!("p{i}"))
+                .priority(1)
+                .seed(seed(i))
+                .config(pool_config())
+                .source(PacedSource::new(pool_scenario(i)))
+                .build()
+        })
+        .collect();
+    let report = ServerConfig::new(SRV_WORKERS)
+        .capacity(1e6)
+        .build()
+        .serve(
+            specs,
+            |scn, spec| EncoderApp::new(scn, POOL_W, POOL_H, spec.seed),
+            |spec| Box::new(EncoderApp::work_backend(spec.seed)),
+        )
+        .expect("pool-pricing serve");
+    report
+        .outcomes()
+        .iter()
+        .map(|o| o.result.clone().expect("all admitted"))
+        .collect()
+}
+
+/// Byte-level equality of two runs' per-frame series.
+fn same(a: &[StreamResult], b: &[StreamResult]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.frames() == y.frames())
+}
+
+pub fn run(cores: usize) -> Section {
+    let total_frames = SRV_STREAMS * SRV_FRAMES;
+    let mut seq_results = Vec::new();
+    let t_seq = best_of(REPS, || {
+        seq_results = (0..SRV_STREAMS).map(solo_run).collect();
+    });
+    let (t_shared, shared_results) = time_shared();
+    let isolated = same(&seq_results, &shared_results);
+    let speedup = ratio(t_seq, t_shared);
+    let gate_enforced = ratios_enforced(cores);
+    let gate_pass = !gate_enforced || speedup >= 1.0;
+
+    let (t_resident, resident_results) = time_pool(false);
+    let (t_spawn, spawn_results) = time_pool(true);
+    let served_results = served_pool_streams();
+    let pool_identical =
+        same(&resident_results, &spawn_results) && same(&resident_results, &served_results);
+    let pool_speedup = ratio(t_spawn, t_resident);
+    let pool_gate_pass = !gate_enforced || pool_speedup >= 1.0;
+
+    let streams: Vec<JsonValue> = shared_results
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            JsonObj::new()
+                .int("stream", i as u64)
+                .int("frames", r.frames().len() as u64)
+                .int("skips", r.skips() as u64)
+                .int("misses", r.misses() as u64)
+                .fixed("mean_quality", r.mean_quality(), 3)
+                .fixed("mean_psnr_db", r.mean_psnr(), 2)
+                .build()
+        })
+        .collect();
+    let json = JsonObj::new()
+        .str(
+            "workload",
+            &format!(
+                "{SRV_STREAMS} pixel streams {SRV_W}x{SRV_H}, {SRV_FRAMES} frames each, \
+                 pipelined wavefront"
+            ),
+        )
+        .int("host_cores", cores as u64)
+        .int("shared_pool_workers", SRV_WORKERS as u64)
+        .fixed("sequential_total_wall_ms", ms(t_seq), 3)
+        .fixed(
+            "sequential_aggregate_frames_per_sec",
+            fps(total_frames, t_seq),
+            2,
+        )
+        .fixed("shared_wall_ms", ms(t_shared), 3)
+        .fixed(
+            "shared_aggregate_frames_per_sec",
+            fps(total_frames, t_shared),
+            2,
+        )
+        .fixed("speedup_shared_vs_sequential", speedup, 3)
+        .bool("isolation_byte_identical", isolated)
+        .arr("streams", streams)
+        .obj(
+            "pool",
+            JsonObj::new()
+                .str(
+                    "workload",
+                    &format!(
+                        "{POOL_STREAMS} pixel streams {POOL_W}x{POOL_H}, {POOL_FRAMES} frames each"
+                    ),
+                )
+                .fixed("resident_wall_ms", ms(t_resident), 3)
+                .fixed("spawn_per_call_wall_ms", ms(t_spawn), 3)
+                .fixed("speedup_resident_vs_spawn_per_call", pool_speedup, 3)
+                .bool("identical", pool_identical)
+                .obj(
+                    "gate",
+                    JsonObj::new()
+                        .bool("enforced", gate_enforced)
+                        .bool("pass", pool_gate_pass),
+                ),
+        )
+        .obj(
+            "gate",
+            JsonObj::new()
+                .bool("enforced", gate_enforced)
+                .bool("pass", gate_pass),
+        )
+        .build()
+        .pretty();
+
+    let mut failures = Vec::new();
+    if !isolated {
+        failures.push("served stream series diverged from solo runs".to_string());
+    }
+    if !gate_pass {
+        failures.push(format!(
+            "shared-pool serving slower than sequential at {SRV_STREAMS} streams \
+             (speedup {speedup:.3}) on a {cores}-core host"
+        ));
+    }
+    if !pool_identical {
+        failures.push(
+            "resident pool, spawn-per-call pool and StreamServer produced different results"
+                .to_string(),
+        );
+    }
+    if !pool_gate_pass {
+        failures.push(format!(
+            "resident pool slower than the spawn-per-call baseline \
+             (speedup {pool_speedup:.3}) on a {cores}-core host"
+        ));
+    }
+    let notes = if gate_enforced {
+        Vec::new()
+    } else {
+        vec!["<4 cores available; serve throughput gates reported but not enforced".to_string()]
+    };
+    Section {
+        file: "BENCH_serve.json",
+        json,
+        failures,
+        notes,
+        ..Section::default()
+    }
+}

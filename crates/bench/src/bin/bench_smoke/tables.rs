@@ -17,7 +17,7 @@ use fgqos_sim::runner::{Mode, RunConfig, Runner};
 use fgqos_sim::scenario::LoadScenario;
 use fgqos_telemetry::json::{JsonObj, JsonValue};
 
-use crate::harness::{ms, ratio, Section, REPS};
+use crate::harness::{ms, ratio, twins, Section, REPS};
 
 const TBL_MB: usize = 396;
 const TBL_FRAMES: usize = 60;
@@ -46,8 +46,8 @@ enum Path {
     Cached,
 }
 
-struct Timed {
-    wall: Duration,
+/// What one run built and how often its baseline disagreed.
+struct Counters {
     envelope_builds: u64,
     table_builds: u64,
     /// Rebuilt-table builds and disagreements (0 on the parametric path,
@@ -61,8 +61,9 @@ struct Timed {
 /// frame repeats one budget; otherwise pop times are stochastic and
 /// nearly every frame budget is unique. `checked` compares every
 /// rebuilt decision with the runner's tables; timed runs leave it off,
-/// so the baseline pays for its own tables and decisions only.
-fn run_once(path: Path, paced: bool, checked: bool) -> Timed {
+/// so the baseline pays for its own tables and decisions only. Returns
+/// the run's wall time with its counters.
+fn run_once(path: Path, paced: bool, checked: bool) -> (Duration, Counters) {
     let scenario = LoadScenario::paper_benchmark(5).truncated(TBL_FRAMES);
     let app = TableApp::with_macroblocks(scenario, TBL_MB).expect("app");
     let mut config = RunConfig::paper_defaults().scaled_to_macroblocks(TBL_MB);
@@ -110,21 +111,13 @@ fn run_once(path: Path, paced: bool, checked: bool) -> Timed {
         let recorded: Vec<_> = res.frames().iter().map(|f| f.budget).collect();
         mismatches = p.mismatches() + u64::from(p.budgets() != recorded.as_slice());
     }
-    Timed {
-        wall,
+    let counters = Counters {
         envelope_builds: r.envelope_builds(),
         table_builds: r.full_table_builds(),
         rebuilds: rebuild.as_ref().map_or(0, RebuildPolicy::builds),
         mismatches,
-    }
-}
-
-/// Best-of-`reps` unchecked [`run_once`].
-fn time_run(path: Path, paced: bool, reps: usize) -> Timed {
-    (0..reps)
-        .map(|_| run_once(path, paced, false))
-        .min_by_key(|t| t.wall)
-        .expect("at least one rep")
+    };
+    (wall, counters)
 }
 
 /// The serving layer multiplies the per-frame table cost by the stream
@@ -168,61 +161,61 @@ fn tables_served() -> (Duration, u64) {
 /// Estimator-driven controlled run vs the same run without an
 /// estimator (same stochastic execution seed). Returns the two best
 /// wall times plus the refresh/build counters of the adaptive run.
-fn tables_estimator() -> (Duration, Duration, u64, u64, u64) {
+fn tables_estimator() -> (Duration, Duration, (u64, u64, u64)) {
     let mk = || {
         let scenario = LoadScenario::paper_benchmark(5).truncated(TBL_FRAMES);
         let app = TableApp::with_macroblocks(scenario, TBL_MB).expect("app");
         let config = RunConfig::paper_defaults().scaled_to_macroblocks(TBL_MB);
         Runner::new(app, config).expect("runner")
     };
-    let mut best_adaptive = Duration::MAX;
-    let mut best_static = Duration::MAX;
-    let mut counters = (0, 0, 0);
     // The static twin runs first in each rep so neither side
     // systematically inherits the other's warm caches; best-of over
     // extra reps sheds the cold first pass.
-    for _ in 0..REPS + 2 {
-        let mut r = mk();
-        let mut exec = StochasticLoad::new(5);
-        let mut policy = MaxQuality::new();
-        let start = Instant::now();
-        r.run(Mode::Controlled, &mut policy, &mut exec, None)
-            .expect("static run");
-        best_static = best_static.min(start.elapsed());
-
-        let mut r = mk();
-        let qs = r.app().profile().qualities().clone();
-        let mut est = EwmaEstimator::new(r.app().body().len(), qs, 0.2);
-        let mut exec = StochasticLoad::new(5);
-        let mut policy = MaxQuality::new();
-        let start = Instant::now();
-        r.run(Mode::Controlled, &mut policy, &mut exec, Some(&mut est))
-            .expect("adaptive run");
-        best_adaptive = best_adaptive.min(start.elapsed());
-        counters = (
-            r.envelope_builds(),
-            r.envelope_refreshes(),
-            r.full_table_builds(),
-        );
-    }
-    (
-        best_adaptive,
-        best_static,
-        counters.0,
-        counters.1,
-        counters.2,
-    )
+    let ((t_static, ()), (t_adaptive, counters)) = twins(
+        REPS + 2,
+        || {
+            let (mut r, mut exec, mut policy) = (mk(), StochasticLoad::new(5), MaxQuality::new());
+            let start = Instant::now();
+            r.run(Mode::Controlled, &mut policy, &mut exec, None)
+                .expect("static run");
+            (start.elapsed(), ())
+        },
+        || {
+            let mut r = mk();
+            let qs = r.app().profile().qualities().clone();
+            let mut est = EwmaEstimator::new(r.app().body().len(), qs, 0.2);
+            let (mut exec, mut policy) = (StochasticLoad::new(5), MaxQuality::new());
+            let start = Instant::now();
+            r.run(Mode::Controlled, &mut policy, &mut exec, Some(&mut est))
+                .expect("adaptive run");
+            let counters = (
+                r.envelope_builds(),
+                r.envelope_refreshes(),
+                r.full_table_builds(),
+            );
+            (start.elapsed(), counters)
+        },
+    );
+    (t_adaptive, t_static, counters)
 }
 
 pub fn run() -> Section {
-    let sat = time_run(Path::Parametric, false, REPS);
-    let sat_rebuild = time_run(Path::Rebuild, false, REPS);
-    let sat_speedup = ratio(sat_rebuild.wall, sat.wall);
+    // Timed twins run unchecked and alternate rep by rep, the
+    // parametric side first.
+    let ((t_sat, sat), (t_sat_rebuild, sat_rebuild)) = twins(
+        REPS,
+        || run_once(Path::Parametric, false, false),
+        || run_once(Path::Rebuild, false, false),
+    );
+    let sat_speedup = ratio(t_sat_rebuild, t_sat);
     let (t_srv, srv_envelope_builds) = tables_served();
-    let paced = time_run(Path::Parametric, true, REPS + 2);
-    let paced_cached = time_run(Path::Cached, true, REPS + 2);
-    let const_ratio = ratio(paced.wall, paced_cached.wall);
-    let (t_est_adaptive, t_est_static, est_builds, est_refreshes, est_tbl_builds) =
+    let ((t_paced, paced), (t_paced_cached, paced_cached)) = twins(
+        REPS + 2,
+        || run_once(Path::Parametric, true, false),
+        || run_once(Path::Cached, true, false),
+    );
+    let const_ratio = ratio(t_paced, t_paced_cached);
+    let (t_est_adaptive, t_est_static, (est_builds, est_refreshes, est_tbl_builds)) =
         tables_estimator();
     let est_ratio = ratio(t_est_adaptive, t_est_static);
     // Gates: the parametric path must (a) decide exactly like per-budget
@@ -234,8 +227,8 @@ pub fn run() -> Section {
     // place every profile-moving frame — within 1.5× of a static run.
     // Untimed checked twins of the two baselines: every decision of the
     // runner's tables against the rebuilt / cached ones.
-    let mismatches = run_once(Path::Rebuild, false, true).mismatches
-        + run_once(Path::Cached, true, true).mismatches;
+    let mismatches = run_once(Path::Rebuild, false, true).1.mismatches
+        + run_once(Path::Cached, true, true).1.mismatches;
     let pass = mismatches == 0
         && sat_speedup >= 1.0
         && srv_envelope_builds == 1
@@ -251,8 +244,8 @@ pub fn run() -> Section {
             "saturated_solo",
             JsonObj::new()
                 .int("frames", TBL_FRAMES as u64)
-                .fixed("parametric_wall_ms", ms(sat.wall), 3)
-                .fixed("rebuild_wall_ms", ms(sat_rebuild.wall), 3)
+                .fixed("parametric_wall_ms", ms(t_sat), 3)
+                .fixed("rebuild_wall_ms", ms(t_sat_rebuild), 3)
                 .fixed("speedup", sat_speedup, 3)
                 .int("envelope_builds", sat.envelope_builds)
                 .int("parametric_table_builds", sat.table_builds)
@@ -270,8 +263,8 @@ pub fn run() -> Section {
             "constant_budget",
             JsonObj::new()
                 .int("frames", TBL_FRAMES as u64)
-                .fixed("parametric_wall_ms", ms(paced.wall), 3)
-                .fixed("cached_wall_ms", ms(paced_cached.wall), 3)
+                .fixed("parametric_wall_ms", ms(t_paced), 3)
+                .fixed("cached_wall_ms", ms(t_paced_cached), 3)
                 .fixed("ratio", const_ratio, 3)
                 .set("tolerance", JsonValue::Float(TBL_TOLERANCE))
                 .int("promoted_table_builds", paced.table_builds)
@@ -312,6 +305,6 @@ pub fn run() -> Section {
         file: "BENCH_tables.json",
         json,
         failures,
-        notes: Vec::new(),
+        ..Section::default()
     }
 }

@@ -59,7 +59,7 @@ fn main() {
     let full_spec = ToolSpec::paper_encoder(cfg.macroblocks, fig5::PERIOD_CYCLES);
     match compile_spec(&full_spec) {
         Ok(full) => println!(
-            "\n(unrolled simulator tables at N={}: {:.2} MiB resident — a simulation\n convenience, not part of the embedded artifact; see EXPERIMENTS.md)",
+            "\n(unrolled simulator tables at N={}: {:.2} MiB resident — a simulation\n convenience, not part of the embedded artifact priced above)",
             cfg.macroblocks,
             full.tables().memory_bytes() as f64 / (1024.0 * 1024.0)
         ),

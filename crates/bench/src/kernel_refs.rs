@@ -1,6 +1,8 @@
 //! The encoder kernels in their original, unoptimized form: the timing
-//! baselines and bit-identity oracles shared by `benches/kernels.rs` and
-//! `bench_smoke` (`BENCH_kernels.json`).
+//! baselines of `bench_smoke` (`BENCH_kernels.json`) and the one
+//! bit-identity oracle per kernel. This module's tests hold every
+//! production kernel to its oracle under `cargo test`; `bench_smoke`
+//! re-checks identity on the inputs it times.
 //!
 //! * [`dct_forward_reference`] / [`dct_inverse_reference`] — the 8×8
 //!   DCT with a `cos()` per multiply, the oracle of
@@ -233,17 +235,43 @@ pub fn compress_reference(levels: &[[i16; 64]; 4], mv: Option<(i32, i32)>) -> (V
 mod tests {
     use super::*;
     use fgqos_encoder::dct;
+    use fgqos_encoder::frame::PaddedFrame;
+    use fgqos_encoder::motion::{predict, search};
+    use fgqos_encoder::synth::SyntheticCamera;
+    use fgqos_sim::scenario::LoadScenario;
+
+    fn lcg(seed: &mut u64) -> u64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *seed >> 33
+    }
 
     /// Deterministic pseudo-random residual in the full ±255 range.
     fn lcg_block(seed: &mut u64) -> [i16; 64] {
-        let mut out = [0i16; 64];
-        for v in out.iter_mut() {
-            *seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *v = ((*seed >> 33) % 511) as i16 - 255;
+        std::array::from_fn(|_| (lcg(seed) % 511) as i16 - 255)
+    }
+
+    fn noise_frame(w: usize, h: usize, seed: &mut u64) -> Frame {
+        let mut f = Frame::new(w, h);
+        for p in f.data_mut() {
+            *p = lcg(seed) as u8;
         }
-        out
+        f
+    }
+
+    /// A frame with a bright 16x16 square at (x, y) on a mid-gray field.
+    fn frame_with_square(x: usize, y: usize) -> Frame {
+        let mut f = Frame::new(64, 64);
+        for p in f.data_mut() {
+            *p = 100;
+        }
+        for dy in 0..16 {
+            for dx in 0..16 {
+                f.set(x + dx, y + dy, 220);
+            }
+        }
+        f
     }
 
     #[test]
@@ -257,6 +285,120 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "forward coeff {i}");
             }
             assert_eq!(dct::inverse(&f_new), dct_inverse_reference(&f_ref));
+        }
+    }
+
+    #[test]
+    fn ring_sizes_are_correct() {
+        assert_eq!(ring(0).len(), 1);
+        assert_eq!(ring(1).len(), 8);
+        assert_eq!(ring(3).len(), 24);
+        // Full search over radius r must cover (2r+1)^2 candidates.
+        let total: usize = (0..=4).map(|r| ring(r).len()).sum();
+        assert_eq!(total, 81);
+        // No duplicates.
+        let mut all: Vec<(i32, i32)> = (0..=4).flat_map(ring).collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 81);
+    }
+
+    /// Asserts padded `search` ≡ [`search_reference`] at every radius
+    /// 0–16 on every macroblock of `current`, border ones included.
+    fn assert_matches_reference(current: &Frame, reference: &Frame, what: &str) {
+        let padded = PaddedFrame::from_frame(reference);
+        for mb in 0..current.macroblocks() {
+            let (ox, oy) = current.mb_origin(mb);
+            for radius in 0..=16 {
+                assert_eq!(
+                    search(current, &padded, ox, oy, radius),
+                    search_reference(current, reference, ox, oy, radius),
+                    "{what}: radius {radius} at macroblock {mb}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn padded_search_matches_the_exhaustive_clamped_reference_on_noise() {
+        // Noise defeats the early-exit threshold, so the bounded SAD's
+        // bail logic (not just EARLY_EXIT_SAD) decides the work done; the
+        // result — vector, SAD, and evaluation count — must still be
+        // identical, including where candidates hang over the border.
+        let mut seed = 0xbee5_u64;
+        let current = noise_frame(64, 48, &mut seed);
+        let reference = noise_frame(64, 48, &mut seed);
+        assert_matches_reference(&current, &reference, "noise");
+        // And on correlated content where early exit does fire.
+        let reference = frame_with_square(16, 16);
+        let current = frame_with_square(21, 19);
+        assert_matches_reference(&current, &reference, "square");
+    }
+
+    #[test]
+    fn padded_search_matches_the_exhaustive_clamped_reference_on_camera_frames() {
+        for seed in 1..=3 {
+            let scenario = LoadScenario::paper_benchmark(seed).truncated(6);
+            let cam = SyntheticCamera::new(&scenario, 64, 48, seed);
+            for f in [1, 4] {
+                let (reference, current) = (cam.frame(f), cam.frame(f + 1));
+                assert_matches_reference(&current, &reference, &format!("seed {seed} frame {f}"));
+            }
+        }
+    }
+
+    #[test]
+    fn vectors_past_the_padding_still_sample_the_clamped_edge() {
+        let mut seed = 0x0dd_u64;
+        let current = noise_frame(48, 32, &mut seed);
+        let reference = noise_frame(48, 32, &mut seed);
+        let padded = PaddedFrame::from_frame(&reference);
+        for mb in 0..current.macroblocks() {
+            let (ox, oy) = current.mb_origin(mb);
+            assert_eq!(
+                search(&current, &padded, ox, oy, 24),
+                search_reference(&current, &reference, ox, oy, 24),
+                "macroblock {mb}"
+            );
+            for mv in [(-40, 3), (70, -70), (-1000, 999)] {
+                let (x, y) = (
+                    (ox as i32).saturating_add(mv.0),
+                    (oy as i32).saturating_add(mv.1),
+                );
+                assert_eq!(predict(&padded, ox, oy, mv), reference.block_clamped(x, y));
+            }
+        }
+    }
+
+    #[test]
+    fn compress_matches_the_bit_at_a_time_reference() {
+        // Sparse levels as quantization leaves them (long zero runs, the
+        // run-length path), dense full-range ones, and an all-zero
+        // macroblock; each coded intra and at several vectors.
+        let mut seed = 0xc0de_u64;
+        let mut macroblocks: Vec<[[i16; 64]; 4]> = (0..24)
+            .map(|i| {
+                std::array::from_fn(|_| {
+                    std::array::from_fn(|_| {
+                        let v = lcg(&mut seed);
+                        if i % 2 == 0 && !v.is_multiple_of(5) {
+                            0
+                        } else {
+                            (v >> 3) as i16 % 2048
+                        }
+                    })
+                })
+            })
+            .collect();
+        macroblocks.push([[0; 64]; 4]);
+        for levels in &macroblocks {
+            for mv in [None, Some((0, 0)), Some((3, -2)), Some((-16, 16))] {
+                assert_eq!(
+                    compress(levels, mv),
+                    compress_reference(levels, mv),
+                    "mv {mv:?}"
+                );
+            }
         }
     }
 }

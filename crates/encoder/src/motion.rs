@@ -22,7 +22,8 @@
 //! conservative — a candidate is abandoned only once it *strictly*
 //! exceeds the best SAD — so the winning vector, its SAD, the
 //! first-found tie-break, and the `evaluations` count are byte-identical
-//! to an exhaustive scorer over the per-pixel clamped reference.
+//! to an exhaustive scorer over the per-pixel clamped reference
+//! (`fgqos_bench::kernel_refs::search_reference`, whose tests pin it).
 
 use crate::frame::{Frame, PaddedFrame, MB_SIZE, PAD};
 
@@ -94,7 +95,8 @@ pub fn search(
             best.sad <= EARLY_EXIT_SAD
         }};
     }
-    // Ring 0 (zero vector) outward, in the exact order `ring` yields.
+    // Ring 0 (zero vector) outward, in the order of the original
+    // `Vec`-collected rings (`fgqos_bench::kernel_refs`).
     'rings: for r in 0..=radius {
         if r == 0 {
             if cand!(0, 0) {
@@ -116,25 +118,6 @@ pub fn search(
     best
 }
 
-/// Candidate offsets on the square ring of Chebyshev radius `r` — the
-/// test oracle for the inline enumeration in [`search`].
-#[cfg(test)]
-fn ring(r: i32) -> Vec<(i32, i32)> {
-    if r == 0 {
-        return vec![(0, 0)];
-    }
-    let mut out = Vec::with_capacity((8 * r) as usize);
-    for d in -r..=r {
-        out.push((d, -r));
-        out.push((d, r));
-    }
-    for d in (-r + 1)..r {
-        out.push((-r, d));
-        out.push((r, d));
-    }
-    out
-}
-
 /// Motion-compensated 16×16 prediction for a vector: a plain block copy
 /// from the padded reference.
 #[must_use]
@@ -153,8 +136,6 @@ pub fn predict(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::SyntheticCamera;
-    use fgqos_sim::scenario::LoadScenario;
 
     /// A frame with a bright 16x16 square at (x, y) on a mid-gray field.
     fn frame_with_square(x: usize, y: usize) -> Frame {
@@ -166,17 +147,6 @@ mod tests {
             for dx in 0..16 {
                 f.set(x + dx, y + dy, 220);
             }
-        }
-        f
-    }
-
-    fn noise_frame(w: usize, h: usize, seed: &mut u64) -> Frame {
-        let mut f = Frame::new(w, h);
-        for p in f.data_mut() {
-            *seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *p = (*seed >> 33) as u8;
         }
         f
     }
@@ -235,121 +205,6 @@ mod tests {
         let large = search_frame(&current, &reference, 16, 16, 16);
         assert!(large.sad <= small.sad);
         assert!(large.evaluations >= small.evaluations);
-    }
-
-    #[test]
-    fn ring_sizes_are_correct() {
-        assert_eq!(ring(0).len(), 1);
-        assert_eq!(ring(1).len(), 8);
-        assert_eq!(ring(3).len(), 24);
-        // Full search over radius r must cover (2r+1)^2 candidates.
-        let total: usize = (0..=4).map(|r| ring(r).len()).sum();
-        assert_eq!(total, 81);
-        // No duplicates.
-        let mut all: Vec<(i32, i32)> = (0..=4).flat_map(ring).collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 81);
-    }
-
-    /// The original search, verbatim: `Vec`-collected rings and an
-    /// exhaustive (unbounded) SAD of each per-pixel clamped candidate.
-    fn search_reference(
-        current: &Frame,
-        reference: &Frame,
-        ox: usize,
-        oy: usize,
-        radius: i32,
-    ) -> MotionResult {
-        use crate::frame::sad;
-        let target = current.block(ox, oy);
-        let mut best = MotionResult {
-            mv: (0, 0),
-            sad: u32::MAX,
-            evaluations: 0,
-        };
-        'rings: for r in 0..=radius {
-            for (dx, dy) in ring(r) {
-                let cand = reference.block_clamped(ox as i32 + dx, oy as i32 + dy);
-                let s = sad(&target, &cand);
-                best.evaluations += 1;
-                if s < best.sad || (s == best.sad && (dx, dy) < best.mv) {
-                    best.sad = s;
-                    best.mv = (dx, dy);
-                }
-                if best.sad <= EARLY_EXIT_SAD {
-                    break 'rings;
-                }
-            }
-        }
-        best
-    }
-
-    /// Asserts padded `search` ≡ `search_reference` at every radius 0–16
-    /// on every macroblock of `current`, border ones included.
-    fn assert_matches_reference(current: &Frame, reference: &Frame, what: &str) {
-        let padded = PaddedFrame::from_frame(reference);
-        for mb in 0..current.macroblocks() {
-            let (ox, oy) = current.mb_origin(mb);
-            for radius in 0..=16 {
-                assert_eq!(
-                    search(current, &padded, ox, oy, radius),
-                    search_reference(current, reference, ox, oy, radius),
-                    "{what}: radius {radius} at macroblock {mb}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn padded_search_matches_the_exhaustive_clamped_reference_on_noise() {
-        // Noise defeats the early-exit threshold, so the bounded SAD's
-        // bail logic (not just EARLY_EXIT_SAD) decides the work done; the
-        // result — vector, SAD, and evaluation count — must still be
-        // identical, including where candidates hang over the border.
-        let mut seed = 0xbee5_u64;
-        let current = noise_frame(64, 48, &mut seed);
-        let reference = noise_frame(64, 48, &mut seed);
-        assert_matches_reference(&current, &reference, "noise");
-        // And on correlated content where early exit does fire.
-        let reference = frame_with_square(16, 16);
-        let current = frame_with_square(21, 19);
-        assert_matches_reference(&current, &reference, "square");
-    }
-
-    #[test]
-    fn padded_search_matches_the_exhaustive_clamped_reference_on_camera_frames() {
-        for seed in 1..=3 {
-            let scenario = LoadScenario::paper_benchmark(seed).truncated(6);
-            let cam = SyntheticCamera::new(&scenario, 64, 48, seed);
-            for f in [1, 4] {
-                let (reference, current) = (cam.frame(f), cam.frame(f + 1));
-                assert_matches_reference(&current, &reference, &format!("seed {seed} frame {f}"));
-            }
-        }
-    }
-
-    #[test]
-    fn vectors_past_the_padding_still_sample_the_clamped_edge() {
-        let mut seed = 0x0dd_u64;
-        let current = noise_frame(48, 32, &mut seed);
-        let reference = noise_frame(48, 32, &mut seed);
-        let padded = PaddedFrame::from_frame(&reference);
-        for mb in 0..current.macroblocks() {
-            let (ox, oy) = current.mb_origin(mb);
-            assert_eq!(
-                search(&current, &padded, ox, oy, 24),
-                search_reference(&current, &reference, ox, oy, 24),
-                "macroblock {mb}"
-            );
-            for mv in [(-40, 3), (70, -70), (-1000, 999)] {
-                let (x, y) = (
-                    (ox as i32).saturating_add(mv.0),
-                    (oy as i32).saturating_add(mv.1),
-                );
-                assert_eq!(predict(&padded, ox, oy, mv), reference.block_clamped(x, y));
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! at `Cwc`, preserving the safety precondition).
 //!
 //! Calibration constants assume the representative workloads documented
-//! on each function; `EXPERIMENTS.md` records the measured averages.
+//! on each function; this module's tests check that each action's cost at
+//! that work lands on its Fig. 5 average.
 
 use std::time::Duration;
 

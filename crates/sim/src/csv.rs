@@ -2,8 +2,8 @@
 //! numeric-row parser behind trace replay
 //! ([`crate::scenario::LoadScenario::from_trace_csv`]).
 //!
-//! Hand-rolled on purpose: the workspace keeps its dependency set to the
-//! approved list (rand / proptest / criterion), and the needs here are a
+//! Hand-rolled on purpose: the workspace's only external dependencies are
+//! `rand` and `proptest` (vendored stand-ins), and the needs here are a
 //! header plus numeric rows.
 
 use std::fmt::Write as FmtWrite;

@@ -28,8 +28,8 @@
 //! serving hot path: a multi-stream server executes one merged kernel DAG
 //! per tick, and spawning `workers − 1` OS threads for every tick costs
 //! tens of microseconds each — more than a small frame's kernels. The
-//! spawn-per-call baseline lives in bench code only (`serve_smoke` gates
-//! the resident pool against a fresh pool per DAG).
+//! spawn-per-call baseline lives in bench code only (`bench_smoke`'s
+//! `serve` section gates the resident pool against a fresh pool per DAG).
 //!
 //! Idle workers *park* rather than spin, at both levels: between jobs a
 //! resident worker blocks on the pool condvar, and within a job a worker

@@ -95,8 +95,8 @@ fn run_compile(args: &[String]) -> ExitCode {
         println!(
             "note: these are the *unrolled* simulation tables; the deployable\n\
              embedded artifact is the per-iteration body table (compile the same\n\
-             spec with `iterations 1` and the per-iteration budget) — see\n\
-             EXPERIMENTS.md, section overheads."
+             spec with `iterations 1` and the per-iteration budget); the\n\
+             `overheads` bin of fgqos-bench reports that artifact's ratios."
         );
     }
     if let Some(dir) = out_dir {

@@ -23,9 +23,11 @@ use crate::compile::ControlledApp;
 /// only needs the right order of magnitude for the ratio.
 pub const GENERIC_CONTROLLER_CODE_BYTES: usize = 4 * 1024;
 
-/// Cost of one controller decision in cycles (a handful of table lookups
-/// and comparisons per quality level — measured by the criterion bench
-/// `controller_step` in `fgqos-bench`; keep in sync with EXPERIMENTS.md).
+/// Cost of one controller decision in cycles: the estimate the Section 3
+/// runtime ratio is computed with (a handful of table lookups and
+/// comparisons per quality level). The measured cost is the per-decision
+/// note that `python3 perfbench/run.py --workload table_solo --trace 1`
+/// prints, in nanoseconds on the host that ran it.
 pub const DECISION_COST_CYCLES: u64 = 120;
 
 /// The three Section 3 overhead ratios.
