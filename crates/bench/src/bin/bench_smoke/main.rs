@@ -20,7 +20,9 @@
 //! * `serve` — shared-pool serving is slower than sequential or the
 //!   resident pool slower than a fresh pool per tick (both on ≥ 4-core
 //!   hosts), or a served stream differs from its solo run, or the
-//!   resident pool, the spawn-per-call pool and `StreamServer` disagree;
+//!   resident pool, the spawn-per-call pool and `StreamServer` disagree,
+//!   or the pool's fork rule is broken (table-app ticks fork, or
+//!   99-macroblock pixel ticks stay on the caller);
 //! * `telemetry` — full telemetry costs more than 1.05× serving without
 //!   it (on ≥ 4-core hosts), or changes the serve report at all.
 //!

@@ -8,11 +8,22 @@
 //! * **isolation** — every served stream's series must be byte-identical
 //!   to its solo run;
 //! * **resident vs spawn-per-call** — an 8-stream pixel workload served
-//!   tick by tick as the server does (one merged kernel DAG per tick)
+//!   tick by tick as the server does (one kernel DAG per tick)
 //!   must not be slower on one persistent resident pool than on a fresh
 //!   pool per tick (threads spawned and joined per call; enforced on
 //!   ≥ 4-core hosts), and both must produce results identical to
-//!   `StreamServer` serving the same streams.
+//!   `StreamServer` serving the same streams;
+//! * **fork rule** — a tick hands phase 1 to the resident workers only
+//!   once it has run longer than a handoff costs: a table-app stream
+//!   (no-op kernels) must fork on fewer than 0.1 of its ticks, and a
+//!   99-macroblock pixel stream on more than 0.9. Both run with
+//!   telemetry off and read [`WorkStealingPool::forks`], so no span is
+//!   taken. Forks depend on timing, so this is not a counted gate. Its
+//!   host-speed margin: a table-app frame's DAG (`table_dag_us`) took
+//!   7–9 µs on a 2-core x86-64 host, and a DAG of even pace forks only
+//!   if it runs for at least twice `FORK_AFTER` (40 µs), so the table
+//!   bound holds on a host about 4× slower; a slower host only makes
+//!   the pixel frames (0.8–1.7 ms) fork more surely.
 
 use std::time::{Duration, Instant};
 
@@ -20,9 +31,10 @@ use fgqos_core::policy::{MaxQuality, QualityPolicy};
 use fgqos_encoder::app::EncoderApp;
 use fgqos_graph::iterate::IterationMode;
 use fgqos_serve::{PacedSource, ServerConfig, StreamSpec};
-use fgqos_sim::exec::WorkDriven;
+use fgqos_sim::app::TableApp;
+use fgqos_sim::exec::{StochasticLoad, WorkDriven};
 use fgqos_sim::runner::{Mode, ParallelStream, RunConfig, Runner, StreamResult};
-use fgqos_sim::runtime::{ModelBackend, VirtualClock, WorkStealingPool};
+use fgqos_sim::runtime::{ExecBackend, ModelBackend, ParallelApp, VirtualClock, WorkStealingPool};
 use fgqos_sim::scenario::LoadScenario;
 use fgqos_telemetry::json::{JsonObj, JsonValue};
 use fgqos_time::Cycles;
@@ -161,12 +173,25 @@ impl PoolSlot {
     }
 }
 
+/// Runs one tick's kernel DAG on `resident` or, when `None`, on a fresh
+/// pool of `SRV_WORKERS` threads spawned (and joined) for the call.
+fn run_tick(
+    resident: Option<&WorkStealingPool>,
+    indegree: &[usize],
+    succs: &[Vec<usize>],
+    run: impl Fn(usize) + Sync,
+) {
+    match resident {
+        Some(pool) => pool.run_dag(indegree, succs, run),
+        None => WorkStealingPool::new(SRV_WORKERS).run_dag(indegree, succs, run),
+    }
+}
+
 /// Serves the pool-pricing streams tick by tick as `StreamSession::step`
 /// does — departures first, every stream at the earliest ready time is
-/// due, the due frames' kernel DAGs merged into one task graph, commits
-/// in stream order — and runs each tick's merged DAG on `resident` or,
-/// when `None`, on a fresh pool of `SRV_WORKERS` threads spawned (and
-/// joined) for that tick.
+/// due, a lone due frame's own kernel DAG or several due frames' DAGs
+/// merged into one task graph, commits in stream order — and runs each
+/// tick's DAG through [`run_tick`].
 fn serve_pool_streams(resident: Option<&WorkStealingPool>) -> Vec<StreamResult> {
     let mut slots: Vec<PoolSlot> = (0..POOL_STREAMS).map(PoolSlot::new).collect();
     loop {
@@ -207,26 +232,28 @@ fn serve_pool_streams(resident: Option<&WorkStealingPool>) -> Vec<StreamResult> 
                     s.runner.parallel_kernels(st).expect("frame just prepared")
                 })
                 .collect();
-            let mut offsets = Vec::with_capacity(views.len());
-            let mut indegree = Vec::new();
-            let mut succs: Vec<Vec<usize>> = Vec::new();
-            for v in &views {
-                let off = indegree.len();
-                offsets.push(off);
-                indegree.extend_from_slice(v.indegree());
-                succs.extend(
-                    v.succs()
-                        .iter()
-                        .map(|s| s.iter().map(|&x| x + off).collect()),
-                );
-            }
-            let run = |g: usize| {
-                let vi = offsets.partition_point(|&o| o <= g) - 1;
-                views[vi].run_kernel(g - offsets[vi]);
-            };
-            match resident {
-                Some(pool) => pool.run_dag(&indegree, &succs, run),
-                None => WorkStealingPool::new(SRV_WORKERS).run_dag(&indegree, &succs, run),
+            if let [view] = views.as_slice() {
+                run_tick(resident, view.indegree(), view.succs(), |i| {
+                    view.run_kernel(i);
+                });
+            } else {
+                let mut offsets = Vec::with_capacity(views.len());
+                let mut indegree = Vec::new();
+                let mut succs: Vec<Vec<usize>> = Vec::new();
+                for v in &views {
+                    let off = indegree.len();
+                    offsets.push(off);
+                    indegree.extend_from_slice(v.indegree());
+                    succs.extend(
+                        v.succs()
+                            .iter()
+                            .map(|s| s.iter().map(|&x| x + off).collect()),
+                    );
+                }
+                run_tick(resident, &indegree, &succs, |g| {
+                    let vi = offsets.partition_point(|&o| o <= g) - 1;
+                    views[vi].run_kernel(g - offsets[vi]);
+                });
             }
         }
         for &i in &due {
@@ -288,6 +315,83 @@ fn served_pool_streams() -> Vec<StreamResult> {
         .collect()
 }
 
+/// Fork-rule workloads: one stream alone on a resident pool of
+/// `SRV_WORKERS`, telemetry off, each frame's kernel DAG run on its own
+/// plan as a one-stream `StreamSession::step` tick runs it. The
+/// table-app stream has the churn benchmark's shape (8 macroblocks: 72
+/// no-op kernels a frame); the pixel stream is 176×144 (99 macroblocks).
+const FORK_TABLE_MB: usize = 8;
+const FORK_TABLE_FRAMES: usize = 120;
+const FORK_PIXEL_W: usize = 176;
+const FORK_PIXEL_H: usize = 144;
+const FORK_PIXEL_FRAMES: usize = 6;
+
+/// What one fork-rule run observed.
+struct ForkRate {
+    /// Jobs handed to the resident workers per frame (= per tick).
+    per_tick: f64,
+    /// Mean wall time of one frame's `run_dag`, in µs.
+    dag_us: f64,
+}
+
+/// Runs `app` to completion with every frame's phase 1 on one resident
+/// pool and counts the pool's forks ([`WorkStealingPool::forks`], which
+/// needs no telemetry).
+fn fork_rate<A: ParallelApp>(app: A, mut backend: impl ExecBackend, mb: usize) -> ForkRate {
+    let pool = WorkStealingPool::new(SRV_WORKERS);
+    let mut runner = Runner::new(app, stream_config(mb)).expect("runner");
+    let mut st = runner.start_parallel(Mode::Controlled).expect("start");
+    let (mut clock, mut policy) = (VirtualClock::new(), MaxQuality::new());
+    let (mut frames, mut dag) = (0u32, Duration::ZERO);
+    while runner
+        .next_parallel_frame(&mut st, &mut clock, &mut policy, &mut None)
+        .expect("prepare")
+    {
+        let view = runner.parallel_kernels(&st).expect("frame just prepared");
+        let t0 = Instant::now();
+        pool.run_dag(view.indegree(), view.succs(), |i| {
+            view.run_kernel(i);
+        });
+        dag += t0.elapsed();
+        frames += 1;
+        runner
+            .commit_parallel_frame(&mut st, &mut clock, &mut backend, &mut policy, &mut None)
+            .expect("commit");
+    }
+    let frames = f64::from(frames.max(1));
+    ForkRate {
+        per_tick: pool.forks() as f64 / frames,
+        dag_us: dag.as_secs_f64() * 1e6 / frames,
+    }
+}
+
+/// `(table-app, pixel)` fork rates.
+fn fork_rates() -> (ForkRate, ForkRate) {
+    let scenario = |frames| LoadScenario::paper_benchmark(60).truncated(frames);
+    let tables = fork_rate(
+        TableApp::with_macroblocks(scenario(FORK_TABLE_FRAMES), FORK_TABLE_MB).expect("table app"),
+        ModelBackend::new(StochasticLoad::new(seed(0))),
+        FORK_TABLE_MB,
+    );
+    let pixels = fork_rate(
+        EncoderApp::new(
+            scenario(FORK_PIXEL_FRAMES),
+            FORK_PIXEL_W,
+            FORK_PIXEL_H,
+            seed(0),
+        )
+        .expect("pixel app"),
+        EncoderApp::work_backend(seed(0)),
+        (FORK_PIXEL_W / 16) * (FORK_PIXEL_H / 16),
+    );
+    (tables, pixels)
+}
+
+/// Forks per tick the table-app run must stay below.
+const TABLE_FORKS_MAX: f64 = 0.1;
+/// Forks per tick the pixel run must exceed.
+const PIXEL_FORKS_MIN: f64 = 0.9;
+
 /// Byte-level equality of two runs' per-frame series.
 fn same(a: &[StreamResult], b: &[StreamResult]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.frames() == y.frames())
@@ -312,6 +416,9 @@ pub fn run(cores: usize) -> Section {
         same(&resident_results, &spawn_results) && same(&resident_results, &served_results);
     let pool_speedup = ratio(t_spawn, t_resident);
     let pool_gate_pass = !gate_enforced || pool_speedup >= 1.0;
+    let (table_forks, pixel_forks) = fork_rates();
+    let fork_rule_pass =
+        table_forks.per_tick < TABLE_FORKS_MAX && pixel_forks.per_tick > PIXEL_FORKS_MIN;
 
     let streams: Vec<JsonValue> = shared_results
         .iter()
@@ -373,6 +480,31 @@ pub fn run(cores: usize) -> Section {
                 ),
         )
         .obj(
+            "forks_per_tick",
+            JsonObj::new()
+                .str(
+                    "workload",
+                    &format!(
+                        "1 table-app stream of {FORK_TABLE_MB} macroblocks, \
+                         {FORK_TABLE_FRAMES} frames; 1 pixel stream \
+                         {FORK_PIXEL_W}x{FORK_PIXEL_H}, {FORK_PIXEL_FRAMES} frames; \
+                         each alone on a {SRV_WORKERS}-worker pool, telemetry off"
+                    ),
+                )
+                .fixed("table_apps", table_forks.per_tick, 3)
+                .fixed("pixel_99_mb", pixel_forks.per_tick, 3)
+                .fixed("table_dag_us", table_forks.dag_us, 2)
+                .fixed("pixel_dag_us", pixel_forks.dag_us, 1)
+                .obj(
+                    "gate",
+                    JsonObj::new()
+                        .fixed("table_apps_below", TABLE_FORKS_MAX, 2)
+                        .fixed("pixel_above", PIXEL_FORKS_MIN, 2)
+                        .bool("enforced", true)
+                        .bool("pass", fork_rule_pass),
+                ),
+        )
+        .obj(
             "gate",
             JsonObj::new()
                 .bool("enforced", gate_enforced)
@@ -401,6 +533,13 @@ pub fn run(cores: usize) -> Section {
         failures.push(format!(
             "resident pool slower than the spawn-per-call baseline \
              (speedup {pool_speedup:.3}) on a {cores}-core host"
+        ));
+    }
+    if !fork_rule_pass {
+        failures.push(format!(
+            "fork rule broken: {:.3} forks per table-app tick (must be < {TABLE_FORKS_MAX}), \
+             {:.3} per pixel tick (must be > {PIXEL_FORKS_MIN})",
+            table_forks.per_tick, pixel_forks.per_tick
         ));
     }
     let notes = if gate_enforced {

@@ -17,8 +17,8 @@
 //!                │
 //!                ▼  every tick (earliest pending frame deadline)
 //!   1. next_parallel_frame()      (due streams only, sequential)
-//!   2. merge the due frames' kernel DAGs into ONE task graph
-//!      and run it on the shared WorkStealingPool  ◄── resident workers,
+//!   2. run the due frames' kernel DAGs (merged into ONE task graph
+//!      when several are due) on the shared pool   ◄── resident workers,
 //!   3. commit_parallel_frame()    (sequential)        the only shared
 //!                                                     resource
 //! ```
@@ -820,10 +820,11 @@ type BackendFactory<'a> = Box<dyn FnMut(&StreamSpec) -> Box<dyn ExecBackend> + '
 /// Factory supplying a stream's private clock at attach time.
 type ClockFactory<'a> = Box<dyn FnMut(&StreamSpec) -> Box<dyn Clock> + 'a>;
 
-/// The merged phase-1 task graph of one tick — a pure function of
-/// *which* streams are due (each stream's kernel DAG is static across
-/// its frames), so it is cached and rebuilt only when the due set
-/// changes.
+/// The merged phase-1 task graph of a tick with several due streams — a
+/// pure function of *which* streams are due (each stream's kernel DAG is
+/// static across its frames), so it is cached and rebuilt only when the
+/// due set changes. A tick with one due stream (most ticks) runs that
+/// stream's own static plan and never touches it.
 struct MergedDag {
     due: Vec<usize>,
     offsets: Vec<usize>,
@@ -857,8 +858,9 @@ struct MergedDag {
 /// at the *earliest pending frame deadline* (each stream has a private
 /// frame clock; see [`ParallelStream::next_ready_time`]). Streams with
 /// later deadlines are untouched, so frame rates stay decoupled. Due
-/// frames' kernel DAGs are merged into one task graph for the shared
-/// resident pool; commits replay sequentially per stream.
+/// frames' kernel DAGs run on the shared resident pool — a lone due
+/// stream's own plan as is, several merged into one task graph; commits
+/// replay sequentially per stream.
 ///
 /// # Determinism
 ///
@@ -1323,7 +1325,7 @@ impl<A: ParallelApp> StreamSession<'_, A> {
     /// Executes one server tick: finalizes exhausted streams (running
     /// their releases and re-admissions), then advances every stream due
     /// at the earliest pending frame deadline by one frame — phase-1
-    /// kernels of all due streams merged onto the shared pool, commits
+    /// kernels of all due streams on the shared pool, commits
     /// sequential. Returns `false` when no stream is running (idle
     /// session; attach more or [`StreamSession::finish`]).
     ///
@@ -1397,9 +1399,10 @@ impl<A: ParallelApp> StreamSession<'_, A> {
             }
         }
 
-        // 2. Merge the due frames' kernel DAGs into one task graph and
-        //    run it on the shared pool: this is where the streams
-        //    actually share the machine.
+        // 2. Run the due frames' kernel DAGs on the shared pool: this is
+        //    where the streams actually share the machine. One due stream
+        //    runs its own static plan; several are merged into one task
+        //    graph.
         let views: Vec<_> = due
             .iter()
             .map(|&i| {
@@ -1412,7 +1415,10 @@ impl<A: ParallelApp> StreamSession<'_, A> {
                     .expect("frame just prepared")
             })
             .collect();
-        if !views.is_empty() {
+        if let [view] = views.as_slice() {
+            self.pool
+                .run_dag(view.indegree(), view.succs(), |i| view.run_kernel(i));
+        } else if !views.is_empty() {
             if self.merged.as_ref().is_none_or(|m| m.due != due) {
                 let mut offsets = Vec::with_capacity(views.len());
                 let mut total = 0usize;

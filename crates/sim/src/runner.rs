@@ -351,6 +351,10 @@ pub struct Runner<A: VideoApp> {
     /// are *views* of the same events the `u64` fields count, never a
     /// replacement for them.
     metrics: RunnerMetrics,
+    /// The registry behind `metrics` (inert until attached); handed to
+    /// the pool [`Runner::run_parallel_on`] builds, so its runtime-class
+    /// `pool.*` metrics land beside the runner's.
+    telemetry: Telemetry,
 }
 
 /// Pre-registered scheduler/runner metric handles.
@@ -468,6 +472,7 @@ impl<A: VideoApp> Runner<A> {
             spec_hits: 0,
             spec_misses: 0,
             metrics: RunnerMetrics::default(),
+            telemetry: Telemetry::disabled(),
         })
     }
 
@@ -533,10 +538,13 @@ impl<A: VideoApp> Runner<A> {
 
     /// Attaches a telemetry registry: scheduler counters (`sched.*`)
     /// and the controller metric set
-    /// ([`fgqos_core::ControllerMetrics`]) record into it from now on.
-    /// Observe-only — results are byte-identical with or without it. An
-    /// inert [`Telemetry::disabled`] registry detaches instrumentation.
+    /// ([`fgqos_core::ControllerMetrics`]) record into it from now on,
+    /// and so do the pool metrics (`pool.*`) of
+    /// [`Runner::run_parallel_on`]. Observe-only — results are
+    /// byte-identical with or without it. An inert
+    /// [`Telemetry::disabled`] registry detaches instrumentation.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
+        self.telemetry = telemetry.clone();
         self.metrics = if telemetry.is_enabled() {
             RunnerMetrics::new(telemetry)
         } else {
@@ -943,7 +951,8 @@ impl<A: ParallelApp> Runner<A> {
         mut estimator: Option<&mut dyn AvgEstimator>,
         workers: usize,
     ) -> Result<StreamResult, SimError> {
-        let pool = WorkStealingPool::new(workers);
+        let mut pool = WorkStealingPool::new(workers);
+        pool.set_telemetry(&self.telemetry);
         let mut st = self.start_parallel(mode)?;
         while self.next_parallel_frame(&mut st, clock, policy, &mut estimator)? {
             // Phase 1: speculative wavefront execution. Kernels run as

@@ -9,25 +9,38 @@
 //! graph; completing a task decrements its successors' pending counts and
 //! enqueues the ones that reach zero on the completing worker's own deque.
 //!
-//! # Ownership model: resident workers
+//! # Ownership model: resident workers, caller first
 //!
 //! A pool built with [`WorkStealingPool::new`] *owns* its worker threads:
 //! they are spawned once at construction, park on a pool-level condvar
 //! between jobs, and are joined when the pool drops. Each
-//! [`WorkStealingPool::run_dag`] call is a *job*: the submitting thread
-//! publishes the job under the pool lock (bumping a job epoch so sleeping
-//! workers cannot miss it), participates as worker 0, and blocks until
-//! every resident worker that entered the job has left it again. That
-//! rendezvous is what lets the job closure borrow the caller's stack —
-//! the borrow provably outlives every access — at the price of one small
-//! `unsafe` type-erasure where the job crosses the thread boundary (see
-//! `Job`). Concurrent `run_dag` calls on one pool are serialized by a
-//! submit lock; the per-job work-stealing protocol is untouched.
+//! [`WorkStealingPool::run_dag`] call is a *job*, and the calling thread
+//! runs it alone first: no job is published, no lock besides its own
+//! deque's is taken, nobody is notified. Phase-1 results are a pure
+//! function of their inputs, so who runs a task is invisible to every
+//! output; a DAG of cheap tasks therefore costs what its tasks cost.
+//!
+//! The caller reads the clock after its first task and then every
+//! `FORK_CHECK_EVERY` (4) tasks. Once the job has run for `FORK_AFTER`,
+//! the tasks left would (at the mean pace so far) run for at least
+//! `FORK_AFTER` more, and a ready task is waiting, it *forks*:
+//! it deals the ready tasks round-robin onto the participants' deques,
+//! publishes the job under the pool lock (bumping a job epoch so
+//! sleeping workers cannot miss it), carries on as worker 0, and blocks
+//! until every resident worker that entered the job has left it again.
+//! That rendezvous is what lets the job closure borrow the caller's
+//! stack — the borrow provably outlives every access — at the price of
+//! one small `unsafe` type-erasure where the job crosses the thread
+//! boundary (see `Job`). The residents run one job at a time: a caller
+//! that wants to fork while another caller's job holds them (`try_lock`
+//! on the submit lock fails) keeps running alone and retries at its next
+//! check. Published jobs are counted ([`WorkStealingPool::forks`], and
+//! the `pool.forks` runtime counter when telemetry is installed).
 //!
 //! Keeping the workers resident removes the dominant fixed cost of the
-//! serving hot path: a multi-stream server executes one merged kernel DAG
-//! per tick, and spawning `workers − 1` OS threads for every tick costs
-//! tens of microseconds each — more than a small frame's kernels. The
+//! serving hot path: a multi-stream server executes one kernel DAG per
+//! tick, and spawning `workers − 1` OS threads for every tick costs tens
+//! of microseconds each — more than a small frame's kernels. The
 //! spawn-per-call baseline lives in bench code only (`bench_smoke`'s
 //! `serve` section gates the resident pool against a fresh pool per DAG).
 //!
@@ -37,12 +50,24 @@
 //! bounded spin. Both wakeup protocols are epoch-based — every event a
 //! sleeper may wait for bumps an epoch counter under the respective mutex
 //! before notifying — which makes lost wakeups impossible without timed
-//! waits.
+//! waits. Waking a parked resident and meeting it again at the
+//! rendezvous is the handoff a fork pays; `FORK_AFTER` is set from its
+//! measured cost, so a job forks only once it has already run longer
+//! than a handoff takes.
+//!
+//! # Telemetry
+//!
+//! Instrumentation is paid per job, not per task: each worker counts its
+//! tasks, steals and parks locally and adds them once when it leaves the
+//! job, and its busy time is the time it spent inside the job minus the
+//! time it was parked (two clock reads per job, plus two per park). A
+//! kernel span is taken only while the worker's span lane has room.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::time::{Duration, Instant};
 
 use fgqos_telemetry::{Counter, SpanRecorder, Telemetry, DEFAULT_SPAN_CAPACITY};
 
@@ -74,7 +99,7 @@ pub struct WorkStealingPool {
     metrics: Option<PoolMetrics>,
 }
 
-/// Runtime-class pool instrumentation: steal/park/task counters,
+/// Runtime-class pool instrumentation: steal/park/task/fork counters,
 /// per-worker busy time, and the span recorder feeding the Chrome
 /// trace export. All of it is schedule-dependent by nature, so every
 /// metric registers as [`fgqos_telemetry::Stability::Runtime`].
@@ -82,9 +107,54 @@ struct PoolMetrics {
     steals: Counter,
     parks: Counter,
     tasks: Counter,
+    /// Jobs published to the resident workers.
+    forks: Counter,
     /// Per-worker busy time in microseconds, indexed by worker id.
     busy_us: Vec<Counter>,
+    /// Per-worker busy time in nanoseconds: `busy_us` advances by the
+    /// whole microseconds this total crosses, so no job's sub-µs
+    /// remainder is lost.
+    busy_ns: Vec<AtomicU64>,
     spans: SpanRecorder,
+}
+
+impl PoolMetrics {
+    fn add_busy(&self, worker: usize, ns: u64) {
+        let before = self.busy_ns[worker].fetch_add(ns, Ordering::Relaxed);
+        self.busy_us[worker].add((before + ns) / 1000 - before / 1000);
+    }
+}
+
+/// One worker's instrumentation for one job, kept in locals and added to
+/// the shared counters once, when the worker leaves the job.
+#[derive(Default)]
+struct Tally {
+    tasks: u64,
+    steals: u64,
+    parks: u64,
+    /// When the worker entered the job; `None` without telemetry.
+    entered: Option<Instant>,
+    parked: Duration,
+}
+
+impl Tally {
+    fn enter(metrics: Option<&PoolMetrics>) -> Self {
+        Tally {
+            entered: metrics.map(|_| Instant::now()),
+            ..Tally::default()
+        }
+    }
+
+    fn flush(self, metrics: Option<&PoolMetrics>, worker: usize) {
+        let (Some(m), Some(entered)) = (metrics, self.entered) else {
+            return;
+        };
+        m.tasks.add(self.tasks);
+        m.steals.add(self.steals);
+        m.parks.add(self.parks);
+        let busy = entered.elapsed().saturating_sub(self.parked);
+        m.add_busy(worker, busy.as_nanos().min(u128::from(u64::MAX)) as u64);
+    }
 }
 
 /// The owned side of a resident pool: shared handoff state plus the
@@ -96,14 +166,17 @@ struct Resident {
 
 /// State shared between a resident pool's owner and its worker threads.
 struct PoolShared {
-    /// Serializes concurrent [`WorkStealingPool::run_dag`] calls: the
-    /// resident workers execute one job at a time.
+    /// Held by the caller whose job the residents serve, from its fork to
+    /// its rendezvous: the resident workers execute one job at a time.
+    /// Callers only `try_lock` it, so none ever waits here.
     submit: Mutex<()>,
     state: Mutex<PoolState>,
     /// Workers wait here for a new job epoch or shutdown.
     job_cv: Condvar,
     /// The submitter waits here for every entered worker to leave the job.
     idle_cv: Condvar,
+    /// Jobs published so far, counted with or without telemetry.
+    forks: AtomicU64,
 }
 
 struct PoolState {
@@ -128,7 +201,7 @@ struct Job {
 }
 
 // SAFETY: `data` points at the submitting thread's `DagRun`, which that
-// thread keeps alive for the whole job: `run_dag` publishes the job, runs
+// thread keeps alive for the whole job: `fork` publishes the job, runs
 // as worker 0, then clears the job slot and blocks until `active == 0` —
 // i.e. until every worker that dereferenced `data` has returned from
 // `enter`. No access can outlive the pointee, so moving the pointer to
@@ -143,13 +216,15 @@ unsafe impl Send for Job {}
 ///
 /// `data` must point to a live `DagRun<'_, F>` of exactly this `F`, and
 /// must remain valid until this call returns (guaranteed by the
-/// `run_dag` rendezvous described on [`Job`]).
+/// `fork` rendezvous described on [`Job`]).
 #[allow(unsafe_code)]
 unsafe fn enter_job<F: Fn(usize) + Sync>(data: *const (), w: usize) {
     // SAFETY: the caller guarantees `data` is a live `DagRun<'_, F>` for
     // the duration of this call; see the function's safety contract.
     let dag: &DagRun<'_, F> = unsafe { &*data.cast() };
-    dag.worker(w);
+    let mut tally = Tally::enter(dag.metrics);
+    dag.worker(w, &mut tally);
+    tally.flush(dag.metrics, w);
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -226,6 +301,7 @@ impl WorkStealingPool {
                 }),
                 job_cv: Condvar::new(),
                 idle_cv: Condvar::new(),
+                forks: AtomicU64::new(0),
             });
             let handles = (1..workers)
                 .map(|w| {
@@ -245,10 +321,10 @@ impl WorkStealingPool {
         }
     }
 
-    /// Install observe-only instrumentation: steal/park/task counters,
-    /// per-worker busy time, and a span recorder (one lane per worker
-    /// plus one for the coordinating thread) that `telemetry` exports
-    /// as a Chrome trace. A disabled `telemetry` clears any previous
+    /// Install observe-only instrumentation: steal/park/task/fork
+    /// counters, per-worker busy time, and a span recorder (one lane per
+    /// worker plus one for the coordinating thread) that `telemetry`
+    /// exports as a Chrome trace. A disabled `telemetry` clears any previous
     /// instrumentation — the hot path then pays a single `None` check.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         if !telemetry.is_enabled() {
@@ -261,9 +337,11 @@ impl WorkStealingPool {
             steals: telemetry.runtime_counter("pool.steals"),
             parks: telemetry.runtime_counter("pool.parks"),
             tasks: telemetry.runtime_counter("pool.tasks"),
+            forks: telemetry.runtime_counter("pool.forks"),
             busy_us: (0..self.workers)
                 .map(|w| telemetry.runtime_counter(&format!("pool.worker.{w}.busy_us")))
                 .collect(),
+            busy_ns: (0..self.workers).map(|_| AtomicU64::new(0)).collect(),
             spans,
         });
     }
@@ -281,6 +359,16 @@ impl WorkStealingPool {
         self.workers
     }
 
+    /// Jobs this pool has handed to its resident workers so far — the
+    /// `pool.forks` count, kept with or without telemetry. Always 0 on a
+    /// single-worker pool.
+    #[must_use]
+    pub fn forks(&self) -> u64 {
+        self.resident
+            .as_ref()
+            .map_or(0, |res| res.shared.forks.load(Ordering::Relaxed))
+    }
+
     /// Executes every task of a dependency DAG exactly once, respecting
     /// the edges: task `i` runs only after all its predecessors.
     ///
@@ -288,9 +376,11 @@ impl WorkStealingPool {
     /// `succs[i]` lists its direct successors. `run` is invoked once per
     /// task index, possibly concurrently from several workers; all writes
     /// made by a predecessor's `run` happen-before its successors' `run`.
-    /// With a single worker the DAG is executed inline on the calling
-    /// thread (no spawn or handoff cost). Concurrent calls on one pool
-    /// are serialized (the resident workers run one job at a time).
+    /// The calling thread runs the DAG alone, and hands it to the
+    /// resident workers only once the fork rule in the module docs says
+    /// the handoff pays. A single-worker pool never forks. Concurrent
+    /// calls on one pool may run at once; the resident workers serve one
+    /// of them at a time.
     ///
     /// # Panics
     ///
@@ -335,7 +425,7 @@ impl WorkStealingPool {
             );
         }
         let workers = self.workers.min(n);
-        let shared = DagRun {
+        let dag = DagRun {
             pending: indegree.iter().map(|&d| AtomicUsize::new(d)).collect(),
             succs,
             done: AtomicUsize::new(0),
@@ -348,35 +438,68 @@ impl WorkStealingPool {
             run: &run,
             metrics: self.metrics.as_ref(),
         };
-        // Seed the initial frontier round-robin across workers.
-        let mut next = 0usize;
-        for (i, &d) in indegree.iter().enumerate() {
-            if d == 0 {
-                shared.deque(next % workers).push_back(i);
-                next += 1;
-            }
-        }
-        match &self.resident {
-            Some(res) if workers > 1 => self.run_resident(res, &shared, workers),
-            _ => shared.worker(0),
-        }
-        if shared.poisoned.load(Ordering::Acquire) {
+        dag.deque(0).extend((0..n).filter(|&i| indegree[i] == 0));
+        let mut tally = Tally::enter(dag.metrics);
+        self.run_caller_first(&dag, &mut tally);
+        tally.flush(dag.metrics, 0);
+        if dag.poisoned.load(Ordering::Acquire) {
             panic!("a task panicked inside WorkStealingPool::run_dag");
         }
-        debug_assert_eq!(shared.done.load(Ordering::Acquire), n);
+        debug_assert_eq!(dag.done.load(Ordering::Acquire), n);
     }
 
-    /// Hands one job to the resident workers and participates as worker
-    /// 0. Returns only after the job slot is cleared and every entered
-    /// worker has left — the rendezvous that makes the borrowed `DagRun`
-    /// outlive all accesses (see [`Job`]).
-    fn run_resident<F: Fn(usize) + Sync>(
-        &self,
-        res: &Resident,
-        dag: &DagRun<'_, F>,
-        participants: usize,
-    ) {
-        let _submit = lock(&res.shared.submit);
+    /// Runs `dag` on the calling thread alone. On a resident pool it
+    /// reads the clock after the first task and then every
+    /// `FORK_CHECK_EVERY` tasks; when [`worth_forking`] agrees,
+    /// a ready task is waiting and the residents are free, it forks and
+    /// finishes the job as worker 0.
+    fn run_caller_first<F: Fn(usize) + Sync>(&self, dag: &DagRun<'_, F>, tally: &mut Tally) {
+        let fork_to = (self.resident.as_ref())
+            .filter(|_| dag.deques.len() > 1)
+            .map(|res| (res, Instant::now()));
+        let mut ran = 0usize;
+        loop {
+            // Nobody else runs tasks yet, so an empty deque means the DAG
+            // is done (the cycle check guarantees progress).
+            let Some(task) = dag.deque(0).pop_back() else {
+                return;
+            };
+            if !dag.execute(0, task, tally) {
+                return;
+            }
+            ran += 1;
+            let Some((res, started)) = fork_to else {
+                continue;
+            };
+            if !(ran - 1).is_multiple_of(FORK_CHECK_EVERY) {
+                continue;
+            }
+            if worth_forking(started.elapsed(), ran, dag.total - ran) && !dag.deque(0).is_empty() {
+                let submit = match res.shared.submit.try_lock() {
+                    Ok(guard) => Some(guard),
+                    Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+                    Err(TryLockError::WouldBlock) => None,
+                };
+                if let Some(_submit) = submit {
+                    self.fork(res, dag, tally);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Hands the rest of `dag` to the resident workers and finishes it
+    /// as worker 0. The caller holds the submit lock. Returns only after
+    /// the job slot is cleared and every entered worker has left — the
+    /// rendezvous that makes the borrowed `DagRun` outlive all accesses
+    /// (see [`Job`]).
+    fn fork<F: Fn(usize) + Sync>(&self, res: &Resident, dag: &DagRun<'_, F>, tally: &mut Tally) {
+        let participants = dag.deques.len();
+        // Deal the waiting tasks as a fresh job's roots would be dealt.
+        let ready = std::mem::take(&mut *dag.deque(0));
+        for (j, task) in ready.into_iter().enumerate() {
+            dag.deque(j % participants).push_back(task);
+        }
         {
             let mut s = lock(&res.shared.state);
             s.epoch += 1;
@@ -387,7 +510,11 @@ impl WorkStealingPool {
             });
             res.shared.job_cv.notify_all();
         }
-        dag.worker(0);
+        res.shared.forks.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = dag.metrics {
+            m.forks.incr();
+        }
+        dag.worker(0, tally);
         // The DAG is finished (or poisoned): entered workers are on their
         // way out, workers that never woke must no longer enter.
         let mut s = lock(&res.shared.state);
@@ -456,6 +583,33 @@ struct DagRun<'a, F> {
     metrics: Option<&'a PoolMetrics>,
 }
 
+/// How long a job runs on the caller alone before it may fork. A fork
+/// pays one handoff: notify the parked residents, wait for one to be
+/// scheduled, and meet every entered resident again at the rendezvous.
+/// On a 2-core x86-64 host that handoff cost 9 µs at the median (10 µs
+/// at p90) over 10,000 jobs of 2 no-op tasks published to the residents
+/// at once, each following 50 µs of caller work so the resident had
+/// parked again.
+/// Twice that keeps a job from forking before the handoff could pay
+/// for itself, and a longer job loses at most this much to the late
+/// fork. The same bound applies to the work a job has left: a job about
+/// to finish is not worth a handoff however long it already ran.
+const FORK_AFTER: Duration = Duration::from_micros(20);
+
+/// Whether a caller-first job that ran `ran` tasks in `elapsed`, with
+/// `left` still to run, should fork: it has run for `FORK_AFTER`, and at
+/// its mean pace so far the tasks left need at least `FORK_AFTER` more.
+fn worth_forking(elapsed: Duration, ran: usize, left: usize) -> bool {
+    elapsed >= FORK_AFTER
+        && elapsed.as_nanos() * left as u128 >= FORK_AFTER.as_nanos() * ran as u128
+}
+
+/// Tasks a caller-first run executes between two clock reads, so cheap
+/// tasks do not pay a clock read each. The first read follows the first
+/// task, so one slow root forks at once; a job of slow tasks forks at
+/// most this many tasks late.
+const FORK_CHECK_EVERY: usize = 4;
+
 /// Failed `find_task` probes before a worker gives up its core and parks.
 /// Releases typically land within a task's span of its siblings, so a
 /// short spin catches them without a syscall; anything longer means the
@@ -472,16 +626,14 @@ impl<F: Fn(usize) + Sync> DagRun<'_, F> {
 
     /// Owner pops LIFO from its own back; thieves steal FIFO from the
     /// victim's front.
-    fn find_task(&self, me: usize) -> Option<usize> {
+    fn find_task(&self, me: usize, tally: &mut Tally) -> Option<usize> {
         if let Some(t) = self.deque(me).pop_back() {
             return Some(t);
         }
         let k = self.deques.len();
         for off in 1..k {
             if let Some(t) = self.deque((me + off) % k).pop_front() {
-                if let Some(m) = self.metrics {
-                    m.steals.incr();
-                }
+                tally.steals += 1;
                 return Some(t);
             }
         }
@@ -523,10 +675,9 @@ impl<F: Fn(usize) + Sync> DagRun<'_, F> {
     }
 
     /// Blocks until a new task may be available or the run finished.
-    fn park(&self) {
-        if let Some(m) = self.metrics {
-            m.parks.incr();
-        }
+    fn park(&self, tally: &mut Tally) {
+        tally.parks += 1;
+        let parked_at = tally.entered.map(|_| Instant::now());
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut epoch = self
             .park_epoch
@@ -544,9 +695,41 @@ impl<F: Fn(usize) + Sync> DagRun<'_, F> {
         }
         drop(epoch);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        if let Some(t) = parked_at {
+            tally.parked += t.elapsed();
+        }
     }
 
-    fn worker(&self, me: usize) {
+    /// Runs `task` on worker `me` and releases its ready successors onto
+    /// `me`'s deque. Returns `false` if the task panicked, which poisons
+    /// the run.
+    fn execute(&self, me: usize, task: usize, tally: &mut Tally) -> bool {
+        let started = self.metrics.and_then(|m| m.spans.start_in(me));
+        if catch_unwind(AssertUnwindSafe(|| (self.run)(task))).is_err() {
+            self.poisoned.store(true, Ordering::SeqCst);
+            self.wake();
+            return false;
+        }
+        if let Some(m) = self.metrics {
+            m.spans.record(me, "kernel", "pool", started);
+        }
+        tally.tasks += 1;
+        for &s in &self.succs[task] {
+            // The AcqRel decrement publishes this task's writes to
+            // whichever worker later runs the released successor.
+            if self.pending[s].fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.deque(me).push_back(s);
+                self.wake();
+            }
+        }
+        if self.done.fetch_add(1, Ordering::SeqCst) + 1 == self.total {
+            self.wake();
+        }
+        true
+    }
+
+    /// The work-stealing loop of worker `me` inside a published job.
+    fn worker(&self, me: usize, tally: &mut Tally) {
         let mut idle_spins = 0u32;
         loop {
             if self.finished() {
@@ -555,7 +738,7 @@ impl<F: Fn(usize) + Sync> DagRun<'_, F> {
                 self.wake();
                 return;
             }
-            let Some(task) = self.find_task(me) else {
+            let Some(task) = self.find_task(me, tally) else {
                 // Nothing to do yet: another worker is still releasing
                 // successors. Spin briefly, then park — a blocked worker
                 // costs nothing, which is what lets several streams
@@ -565,34 +748,13 @@ impl<F: Fn(usize) + Sync> DagRun<'_, F> {
                     std::hint::spin_loop();
                 } else {
                     idle_spins = 0;
-                    self.park();
+                    self.park(tally);
                 }
                 continue;
             };
             idle_spins = 0;
-            let span = self.metrics.map(|m| (m, m.spans.start()));
-            if catch_unwind(AssertUnwindSafe(|| (self.run)(task))).is_err() {
-                self.poisoned.store(true, Ordering::SeqCst);
-                self.wake();
+            if !self.execute(me, task, tally) {
                 return;
-            }
-            if let Some((m, started)) = span {
-                if let Some(t0) = started {
-                    m.busy_us[me].add(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-                }
-                m.spans.record(me, "kernel", "pool", started);
-                m.tasks.incr();
-            }
-            for &s in &self.succs[task] {
-                // The AcqRel decrement publishes this task's writes to
-                // whichever worker later runs the released successor.
-                if self.pending[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    self.deque(me).push_back(s);
-                    self.wake();
-                }
-            }
-            if self.done.fetch_add(1, Ordering::SeqCst) + 1 == self.total {
-                self.wake();
             }
         }
     }
@@ -601,7 +763,72 @@ impl<F: Fn(usize) + Sync> DagRun<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+
+    /// Spins until `FORK_AFTER` has certainly passed.
+    fn spin_past_fork_after() {
+        let t0 = Instant::now();
+        while t0.elapsed() < 3 * FORK_AFTER {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Wraps a task body so that the first task to run spins past
+    /// `FORK_AFTER` first: the caller-first run then forks at its first
+    /// clock check, and the rest of the DAG runs under the residents'
+    /// stealing and parking protocol.
+    fn forcing_fork(run: impl Fn(usize) + Sync) -> impl Fn(usize) + Sync {
+        let first = AtomicBool::new(true);
+        move |i| {
+            if first.swap(false, Ordering::Relaxed) {
+                spin_past_fork_after();
+            }
+            run(i);
+        }
+    }
+
+    /// Like [`forcing_fork`], and every later task first waits (bounded)
+    /// until tasks of the job have run on two threads: a job that
+    /// finishes proves the residents took part.
+    fn forcing_fork_onto_residents<'a>(
+        seen: &'a Mutex<HashSet<ThreadId>>,
+        run: impl Fn(usize) + Sync + 'a,
+    ) -> impl Fn(usize) + Sync + 'a {
+        let first = AtomicBool::new(true);
+        move |i| {
+            if first.swap(false, Ordering::Relaxed) {
+                spin_past_fork_after();
+            } else {
+                meet_a_second_thread(seen);
+            }
+            run(i);
+        }
+    }
+
+    /// A pool with telemetry installed, so a test can read `pool.forks`.
+    fn observed_pool(workers: usize) -> (WorkStealingPool, Telemetry) {
+        let t = Telemetry::new();
+        let mut pool = WorkStealingPool::new(workers);
+        pool.set_telemetry(&t);
+        (pool, t)
+    }
+
+    fn counter(t: &Telemetry, name: &str) -> u64 {
+        t.snapshot().counter(name).unwrap_or(0)
+    }
+
+    /// Records the running thread, then waits (bounded) until tasks of
+    /// this job have run on at least two threads: a task that returns
+    /// proves the residents took part.
+    fn meet_a_second_thread(seen: &Mutex<HashSet<ThreadId>>) {
+        seen.lock().unwrap().insert(std::thread::current().id());
+        let t0 = Instant::now();
+        while seen.lock().unwrap().len() < 2 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "no resident joined");
+            std::thread::yield_now();
+        }
+    }
 
     /// A linear chain: strict order must be observed.
     #[test]
@@ -613,9 +840,15 @@ mod tests {
         let mut indeg = vec![1usize; n];
         indeg[0] = 0;
         let order = Mutex::new(Vec::new());
-        WorkStealingPool::new(4).run_dag(&indeg, &succs, |i| {
-            order.lock().unwrap().push(i);
-        });
+        let (pool, t) = observed_pool(4);
+        pool.run_dag(
+            &indeg,
+            &succs,
+            forcing_fork(|i| {
+                order.lock().unwrap().push(i);
+            }),
+        );
+        assert_eq!(counter(&t, "pool.forks"), 1);
         let order = order.into_inner().unwrap();
         assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
@@ -627,12 +860,18 @@ mod tests {
         let succs = vec![Vec::new(); n];
         let indeg = vec![0usize; n];
         for workers in [1, 2, 5, 16] {
-            let pool = WorkStealingPool::new(workers);
+            let (pool, t) = observed_pool(workers);
             let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_dag(&indeg, &succs, |i| {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            });
+            pool.run_dag(
+                &indeg,
+                &succs,
+                forcing_fork(|i| {
+                    counts[i].fetch_add(1, Ordering::Relaxed);
+                }),
+            );
             assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            let forks = u64::from(workers > 1);
+            assert_eq!(counter(&t, "pool.forks"), forks, "x{workers}");
         }
     }
 
@@ -659,15 +898,21 @@ mod tests {
         }
         let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let violations = AtomicUsize::new(0);
-        WorkStealingPool::new(8).run_dag(&indeg, &succs, |i| {
-            let (r, c) = (i / cols, i % cols);
-            let ok = (r == 0 || done[idx(r - 1, c)].load(Ordering::Acquire))
-                && (c == 0 || done[idx(r, c - 1)].load(Ordering::Acquire));
-            if !ok {
-                violations.fetch_add(1, Ordering::Relaxed);
-            }
-            done[i].store(true, Ordering::Release);
-        });
+        let (pool, t) = observed_pool(8);
+        pool.run_dag(
+            &indeg,
+            &succs,
+            forcing_fork(|i| {
+                let (r, c) = (i / cols, i % cols);
+                let ok = (r == 0 || done[idx(r - 1, c)].load(Ordering::Acquire))
+                    && (c == 0 || done[idx(r, c - 1)].load(Ordering::Acquire));
+                if !ok {
+                    violations.fetch_add(1, Ordering::Relaxed);
+                }
+                done[i].store(true, Ordering::Release);
+            }),
+        );
+        assert_eq!(counter(&t, "pool.forks"), 1);
         assert_eq!(violations.load(Ordering::Relaxed), 0);
     }
 
@@ -682,13 +927,19 @@ mod tests {
         indeg[0] = 0;
         let cell = AtomicU64::new(0);
         let misses = AtomicUsize::new(0);
-        WorkStealingPool::new(6).run_dag(&indeg, &succs, |i| {
-            if i == 0 {
-                cell.store(0xDEAD_BEEF, Ordering::Relaxed);
-            } else if cell.load(Ordering::Relaxed) != 0xDEAD_BEEF {
-                misses.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        let (pool, t) = observed_pool(6);
+        pool.run_dag(
+            &indeg,
+            &succs,
+            forcing_fork(|i| {
+                if i == 0 {
+                    cell.store(0xDEAD_BEEF, Ordering::Relaxed);
+                } else if cell.load(Ordering::Relaxed) != 0xDEAD_BEEF {
+                    misses.fetch_add(1, Ordering::Relaxed);
+                }
+            }),
+        );
+        assert_eq!(counter(&t, "pool.forks"), 1);
         assert_eq!(misses.load(Ordering::Relaxed), 0);
     }
 
@@ -723,24 +974,37 @@ mod tests {
         assert!(!ran.load(Ordering::Relaxed));
     }
 
-    /// A task panic propagates to the caller — and the resident workers
-    /// survive it: the same pool executes a clean DAG afterwards.
+    /// A task panic inside a forked job propagates to the caller — and
+    /// the resident workers survive it: the same pool executes a clean
+    /// forked DAG afterwards.
     #[test]
     fn task_panic_propagates_and_pool_survives() {
-        let pool = WorkStealingPool::new(2);
+        let (pool, t) = observed_pool(2);
+        let started = AtomicUsize::new(0);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_dag(&[0, 0], &[vec![], vec![]], |i| {
-                if i == 1 {
-                    panic!("boom");
-                }
-            });
+            pool.run_dag(
+                &[0, 0],
+                &[vec![], vec![]],
+                forcing_fork(|_| {
+                    // The second task to run runs after the fork.
+                    if started.fetch_add(1, Ordering::Relaxed) == 1 {
+                        panic!("boom");
+                    }
+                }),
+            );
         }));
         assert!(err.is_err());
+        assert_eq!(counter(&t, "pool.forks"), 1);
         let ran = AtomicUsize::new(0);
-        pool.run_dag(&[0, 0, 0], &[vec![], vec![], vec![]], |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
+        pool.run_dag(
+            &[0, 0, 0],
+            &[vec![], vec![], vec![]],
+            forcing_fork(|_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }),
+        );
         assert_eq!(ran.load(Ordering::Relaxed), 3);
+        assert_eq!(counter(&t, "pool.forks"), 2);
     }
 
     #[test]
@@ -775,19 +1039,25 @@ mod tests {
             }
         }
         let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        WorkStealingPool::new(8).run_dag(&indeg, &succs, |i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        });
+        let (pool, t) = observed_pool(8);
+        pool.run_dag(
+            &indeg,
+            &succs,
+            forcing_fork(|i| {
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            }),
+        );
+        assert_eq!(counter(&t, "pool.forks"), 1);
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
-    /// Concurrent `run_dag` calls on one pool value: the submit lock
-    /// serializes the jobs onto the resident workers, and every call
-    /// still executes its whole DAG — the regime of several threads
-    /// sharing one server pool.
+    /// Concurrent forking `run_dag` calls on one pool value: the residents
+    /// serve one job at a time, a caller that finds them busy keeps
+    /// running alone, and every call still executes its whole DAG — the
+    /// regime of several threads sharing one server pool.
     #[test]
     fn independent_runs_do_not_interfere() {
-        let pool = WorkStealingPool::new(4);
+        let (pool, t) = observed_pool(4);
         let total = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..3 {
@@ -800,53 +1070,73 @@ mod tests {
                         .collect();
                     let mut indeg = vec![1usize; n];
                     indeg[0] = 0;
-                    pool.run_dag(&indeg, &succs, |_| {
-                        total.fetch_add(1, Ordering::Relaxed);
-                    });
+                    pool.run_dag(
+                        &indeg,
+                        &succs,
+                        forcing_fork(|_| {
+                            total.fetch_add(1, Ordering::Relaxed);
+                        }),
+                    );
                 });
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 3 * 64);
+        assert!((1..=3).contains(&counter(&t, "pool.forks")));
     }
 
-    /// Many jobs back to back on one resident pool: the epoch handoff
-    /// must not miss or double-run a job even when workers race the
-    /// submitter's job-slot clear.
+    /// Many forked jobs back to back on one resident pool: the epoch
+    /// handoff must not miss or double-run a job even when workers race
+    /// the submitter's job-slot clear. (A job forks only with a second
+    /// task waiting, so every job has at least two.)
     #[test]
     fn repeated_jobs_reuse_the_resident_workers() {
-        let pool = WorkStealingPool::new(4);
+        let (pool, t) = observed_pool(4);
         for round in 0..200 {
-            let n = 1 + round % 7;
+            let n = 2 + round % 7;
             let succs = vec![Vec::new(); n];
             let indeg = vec![0usize; n];
             let ran = AtomicUsize::new(0);
-            pool.run_dag(&indeg, &succs, |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
+            pool.run_dag(
+                &indeg,
+                &succs,
+                forcing_fork(|_| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }),
+            );
             assert_eq!(ran.load(Ordering::Relaxed), n);
         }
+        assert_eq!(counter(&t, "pool.forks"), 200);
     }
 
     /// Narrow jobs leave the spare residents parked; a following wide job
     /// must still reach them through the epoch bump.
     #[test]
     fn narrow_then_wide_jobs_wake_all_residents() {
-        let pool = WorkStealingPool::new(8);
+        let (pool, t) = observed_pool(8);
         for _ in 0..50 {
             let ran = AtomicUsize::new(0);
-            pool.run_dag(&[0, 0], &[vec![], vec![]], |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
+            pool.run_dag(
+                &[0, 0],
+                &[vec![], vec![]],
+                forcing_fork(|_| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }),
+            );
             assert_eq!(ran.load(Ordering::Relaxed), 2);
             let n = 64;
             let succs = vec![Vec::new(); n];
             let indeg = vec![0usize; n];
             let ran = AtomicUsize::new(0);
-            pool.run_dag(&indeg, &succs, |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
+            pool.run_dag(
+                &indeg,
+                &succs,
+                forcing_fork(|_| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }),
+            );
             assert_eq!(ran.load(Ordering::Relaxed), n);
         }
+        assert_eq!(counter(&t, "pool.forks"), 100);
     }
 
     /// Dropping a pool joins its workers; cloning builds fresh ones.
@@ -876,6 +1166,7 @@ mod tests {
         pool.run_dag(&indegree, &succs, |_| {});
         let snap = t.snapshot();
         assert_eq!(snap.counter("pool.tasks"), Some(4));
+        assert_eq!(snap.counter("pool.forks"), Some(0));
         assert!(snap.counter("pool.steals").is_some());
         assert!(snap.counter("pool.parks").is_some());
         assert!(
@@ -890,5 +1181,189 @@ mod tests {
         pool.run_dag(&indegree, &succs, |_| {});
         assert_eq!(snap.counter("pool.tasks"), Some(4), "snapshot is a copy");
         assert_eq!(t.snapshot().counter("pool.tasks"), Some(4));
+    }
+
+    /// A DAG of cheap tasks never outlasts `FORK_AFTER`: it runs wholly
+    /// on the calling thread and publishes no job.
+    #[test]
+    fn cheap_dag_runs_on_the_caller_without_forking() {
+        let (pool, t) = observed_pool(2);
+        let caller = std::thread::current().id();
+        let elsewhere = AtomicUsize::new(0);
+        pool.run_dag(&[0; 8], &vec![Vec::new(); 8], |_| {
+            if std::thread::current().id() != caller {
+                elsewhere.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(elsewhere.load(Ordering::Relaxed), 0);
+        assert_eq!(counter(&t, "pool.forks"), 0);
+        assert_eq!(pool.forks(), 0);
+        assert_eq!(counter(&t, "pool.tasks"), 8);
+    }
+
+    /// Slow tasks outlast `FORK_AFTER`: the job forks exactly once and
+    /// its tasks run on at least two threads.
+    #[test]
+    fn slow_tasks_fork_once_and_use_the_residents() {
+        let (pool, t) = observed_pool(2);
+        let seen = Mutex::new(HashSet::new());
+        let n = 32;
+        pool.run_dag(
+            &vec![0; n],
+            &vec![Vec::new(); n],
+            forcing_fork_onto_residents(&seen, |_| {}),
+        );
+        assert_eq!(counter(&t, "pool.forks"), 1);
+        assert_eq!(pool.forks(), 1);
+        assert!(seen.into_inner().unwrap().len() >= 2);
+        assert_eq!(counter(&t, "pool.tasks"), n as u64);
+    }
+
+    /// Writes the caller made while it ran alone are visible to the
+    /// tasks the residents run after the fork.
+    #[test]
+    fn writes_before_the_fork_reach_the_residents() {
+        let n = 16;
+        let mut succs = vec![Vec::new(); n];
+        succs[0] = (1..n).collect();
+        let mut indeg = vec![1usize; n];
+        indeg[0] = 0;
+        let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let misses = AtomicUsize::new(0);
+        let seen = Mutex::new(HashSet::new());
+        let caller = std::thread::current().id();
+        let on_residents = AtomicUsize::new(0);
+        let (pool, t) = observed_pool(2);
+        pool.run_dag(&indeg, &succs, |i| {
+            if i == 0 {
+                // Runs before the fork: plain (relaxed) writes, published
+                // to the residents only by the fork itself.
+                for (k, c) in cells.iter().enumerate() {
+                    c.store(k as u64 + 1, Ordering::Relaxed);
+                }
+                spin_past_fork_after();
+                return;
+            }
+            meet_a_second_thread(&seen);
+            if std::thread::current().id() != caller {
+                on_residents.fetch_add(1, Ordering::Relaxed);
+            }
+            if cells[i].load(Ordering::Relaxed) != i as u64 + 1 {
+                misses.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(counter(&t, "pool.forks"), 1);
+        assert!(on_residents.load(Ordering::Relaxed) > 0);
+        assert_eq!(misses.load(Ordering::Relaxed), 0);
+    }
+
+    /// A panic while the caller still runs alone propagates without a
+    /// fork, and the pool then runs (and forks) a clean DAG.
+    #[test]
+    fn panic_before_the_fork_propagates_and_pool_survives() {
+        let (pool, t) = observed_pool(2);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_dag(&[0, 0, 0], &[vec![], vec![], vec![]], |_| {
+                panic!("boom");
+            });
+        }));
+        assert!(err.is_err());
+        assert_eq!(counter(&t, "pool.forks"), 0);
+        let seen = Mutex::new(HashSet::new());
+        let ran = AtomicUsize::new(0);
+        pool.run_dag(
+            &[0; 4],
+            &vec![Vec::new(); 4],
+            forcing_fork_onto_residents(&seen, |_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }),
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
+        assert_eq!(counter(&t, "pool.forks"), 1);
+    }
+
+    /// A caller that wants to fork while another caller's job holds the
+    /// residents keeps running alone and still finishes its DAG.
+    #[test]
+    fn caller_finishes_alone_while_another_job_holds_the_residents() {
+        let (pool, t) = observed_pool(2);
+        let seen = Mutex::new(HashSet::new());
+        let holding = AtomicBool::new(false);
+        let released = AtomicBool::new(false);
+        let wait_for = |flag: &AtomicBool| {
+            let t0 = Instant::now();
+            while !flag.load(Ordering::Acquire) {
+                assert!(t0.elapsed() < Duration::from_secs(10), "flag never set");
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|s| {
+            let holder = std::thread::current().id();
+            let (pool, seen, holding, released) = (&pool, &seen, &holding, &released);
+            // Job A forks, then keeps the resident busy until B is done.
+            s.spawn(move || {
+                let a_caller = std::thread::current().id();
+                assert_ne!(a_caller, holder);
+                pool.run_dag(
+                    &[0; 8],
+                    &vec![Vec::new(); 8],
+                    forcing_fork_onto_residents(seen, |_| {
+                        if std::thread::current().id() != a_caller
+                            && !holding.swap(true, Ordering::AcqRel)
+                        {
+                            wait_for(released);
+                        }
+                    }),
+                );
+            });
+            wait_for(holding);
+            // Job B: slow enough to want a fork, but the residents are
+            // A's, so it runs wholly on this thread.
+            let others = AtomicUsize::new(0);
+            let n = 8;
+            pool.run_dag(
+                &vec![0; n],
+                &vec![Vec::new(); n],
+                forcing_fork(|_| {
+                    if std::thread::current().id() != holder {
+                        others.fetch_add(1, Ordering::Relaxed);
+                    }
+                    spin_past_fork_after();
+                }),
+            );
+            assert_eq!(others.load(Ordering::Relaxed), 0);
+            released.store(true, Ordering::Release);
+        });
+        assert_eq!(counter(&t, "pool.forks"), 1);
+        assert_eq!(counter(&t, "pool.tasks"), 16);
+    }
+
+    /// The fork rule wants both a job that ran for `FORK_AFTER` and
+    /// enough work left to outlast another one.
+    #[test]
+    fn fork_rule_weighs_time_run_and_work_left() {
+        let us = Duration::from_micros;
+        assert!(worth_forking(us(60), 1, 1), "one slow task, one to go");
+        assert!(worth_forking(us(20), 12, 880), "a pixel frame");
+        assert!(!worth_forking(us(19), 12, 880), "not yet");
+        assert!(!worth_forking(us(21), 69, 3), "nearly done");
+    }
+
+    /// Busy time is accounted per job in nanoseconds, so sub-µs tasks
+    /// add up instead of truncating to zero each.
+    #[test]
+    fn sub_microsecond_tasks_add_up_to_busy_time() {
+        let (pool, t) = observed_pool(2);
+        let n = 1000;
+        pool.run_dag(&vec![0; n], &vec![Vec::new(); n], |_| {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_nanos(300) {
+                std::hint::spin_loop();
+            }
+        });
+        let busy = counter(&t, "pool.worker.0.busy_us") + counter(&t, "pool.worker.1.busy_us");
+        // 1,000 tasks of at least 300 ns each; each worker's total is
+        // floored to whole µs once.
+        assert!(busy >= 298, "busy {busy} µs");
     }
 }

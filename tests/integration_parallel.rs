@@ -8,6 +8,7 @@
 use fine_grain_qos::encoder::app::EncoderApp;
 use fine_grain_qos::prelude::*;
 use fine_grain_qos::sim::exec::StochasticLoad;
+use fine_grain_qos::telemetry::Telemetry;
 
 const WORKERS: [usize; 3] = [1, 2, 8];
 
@@ -75,7 +76,11 @@ fn stepped_without_phase1<A: ParallelApp>(
 
 /// Fig6/fig8-style table run: the stochastic model's sample stream is
 /// consumed in commit order, so the series must match at every worker
-/// count, in both unrolling modes.
+/// count, in both unrolling modes. The table app's kernels are no-ops,
+/// so a frame's phase 1 finishes before the pool's fork threshold and
+/// runs on the calling thread at every worker count: this pins the
+/// commit replay across pool widths, and the pixel test below pins
+/// phase 1 on the resident workers.
 #[test]
 fn table_runs_are_byte_identical_at_any_worker_count() {
     for mode in [IterationMode::Sequential, IterationMode::Pipelined] {
@@ -119,7 +124,9 @@ fn table_runs_are_byte_identical_at_any_worker_count() {
 /// The pixel encoder: content-dependent work units feed the timing model
 /// and intra prediction reads neighbour reconstructions, so this
 /// exercises the speculation cache, the data-dependency wavefront and the
-/// kernel/apply split all at once.
+/// kernel/apply split all at once. Its frames outlast the pool's fork
+/// threshold, so at 2 and 8 workers phase 1 really runs on the resident
+/// workers (`pool.forks` > 0).
 #[test]
 fn pixel_runs_are_byte_identical_at_any_worker_count() {
     let mut seq = pixel_runner(16, IterationMode::Sequential);
@@ -148,6 +155,8 @@ fn pixel_runs_are_byte_identical_at_any_worker_count() {
 
     for workers in WORKERS {
         let mut par = pixel_runner(16, IterationMode::Pipelined);
+        let telemetry = Telemetry::new();
+        par.set_telemetry(&telemetry);
         let mut clock = VirtualClock::new();
         let mut backend = EncoderApp::work_backend(7);
         let actual = par
@@ -174,6 +183,14 @@ fn pixel_runs_are_byte_identical_at_any_worker_count() {
             hits > 9 * misses,
             "speculation ineffective: {hits} hits vs {misses} misses"
         );
+        // Byte-identity across widths means something only if the
+        // residents ran kernels.
+        let forks = telemetry.snapshot().counter("pool.forks").unwrap_or(0);
+        if workers > 1 {
+            assert!(forks > 0, "x{workers}: phase 1 never left the caller");
+        } else {
+            assert_eq!(forks, 0, "a single-worker pool never forks");
+        }
     }
 }
 

@@ -54,6 +54,13 @@ fn solo(scenario: &LoadScenario, seed: u64, workers: usize) -> (StreamResult, Ru
     (result, runner)
 }
 
+/// Every admitted stream serves byte-identically to its solo run, at 1, 2
+/// and 8 workers.
+///
+/// Table-app kernels are no-ops, so phase 1 finishes before the pool's
+/// fork threshold and runs on the calling thread at every worker count;
+/// the pixel identity test in `integration_parallel.rs` checks phase 1
+/// on the resident workers.
 #[test]
 fn isolation_contract_holds_at_every_worker_count() {
     let scenarios = scenarios();
@@ -92,6 +99,12 @@ fn isolation_contract_holds_at_every_worker_count() {
     }
 }
 
+/// Admission decisions do not depend on the pool width.
+///
+/// Table-app kernels are no-ops, so phase 1 finishes before the pool's
+/// fork threshold and runs on the calling thread at every worker count;
+/// the pixel identity test in `integration_parallel.rs` checks phase 1
+/// on the resident workers.
 #[test]
 fn admission_sequence_is_identical_across_worker_counts() {
     // Five streams against 2.2 cores: a genuine overload with mixed
@@ -223,6 +236,12 @@ fn run_storm(workers: usize, capacity: f64, seed: u64) -> ServeReport {
     session.finish()
 }
 
+/// A churn storm serves byte-identically at any pool width.
+///
+/// Table-app kernels are no-ops, so phase 1 finishes before the pool's
+/// fork threshold and runs on the calling thread at every worker count;
+/// the pixel identity test in `integration_parallel.rs` checks phase 1
+/// on the resident workers.
 #[test]
 fn churn_storm_is_byte_identical_across_worker_counts() {
     // An overloaded storm: 18 arrivals against 3 cores, so admissions,

@@ -96,6 +96,12 @@ fn telemetry_leaves_serving_byte_identical() {
     }
 }
 
+/// The stable view of the registry does not depend on the pool width.
+///
+/// Table-app kernels are no-ops, so phase 1 finishes before the pool's
+/// fork threshold and runs on the calling thread at every worker count;
+/// the pixel identity test in `integration_parallel.rs` checks phase 1
+/// on the resident workers.
 #[test]
 fn stable_snapshot_is_identical_across_worker_counts() {
     let reference = serve(1, 64.0, true).snapshot().stable_view().to_json();
