@@ -68,7 +68,7 @@ use crate::{ConstraintTables, SchedError, TableQuery};
 /// (Previously defined in `fgqos-sim`; it lives here so the scheduling
 /// layer can precompute budget-parametric tables for each shape. The
 /// simulator re-exports it under its historical path.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeadlineShape {
     /// Every action of macroblock `k` (0-based) gets deadline
     /// `⌊(k+1)·B/N⌋`: uniform pacing, the shape used for the paper's
@@ -167,6 +167,11 @@ type EnvelopeVersions = Vec<LineEnvelope>;
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Equality is exact over everything a query reads (and the structure
+/// [`BudgetTables::refresh`] re-hulls from); only the scratch hull
+/// builder is ignored. Two equal sets answer every query identically, so
+/// one may stand in for the other.
 #[derive(Debug, Clone)]
 pub struct BudgetTables {
     order: Vec<ActionId>,
@@ -532,6 +537,46 @@ impl BudgetTables {
         }
     }
 }
+
+impl PartialEq for BudgetTables {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so that a new field cannot be left out silently;
+        // cheap scalars first, so unequal shapes fail fast.
+        let BudgetTables {
+            order,
+            n,
+            nq,
+            iterations,
+            shape,
+            d_slope,
+            profile_actions,
+            classes,
+            scratch: _,
+            version_of,
+            av_envs,
+            av_prefix,
+            wc_envs,
+            wc_prefix,
+            cwc_next,
+        } = self;
+        *n == other.n
+            && *nq == other.nq
+            && *iterations == other.iterations
+            && *shape == other.shape
+            && *profile_actions == other.profile_actions
+            && *wc_prefix == other.wc_prefix
+            && *av_prefix == other.av_prefix
+            && *cwc_next == other.cwc_next
+            && *order == other.order
+            && *d_slope == other.d_slope
+            && *classes == other.classes
+            && *version_of == other.version_of
+            && *wc_envs == other.wc_envs
+            && *av_envs == other.av_envs
+    }
+}
+
+impl Eq for BudgetTables {}
 
 /// Inclusive-prefix-sum helper: `out[i] = Σ costs[..i]`, length `n + 1`.
 fn inclusive_prefix(costs: &[u128]) -> Vec<u128> {
@@ -1073,6 +1118,60 @@ mod tests {
         ));
         // The failed refreshes left the tables usable.
         bt.refresh(&refreshed_profile(1)).unwrap();
+    }
+
+    #[test]
+    fn equality_is_exact_and_ignores_only_the_scratch_builder() {
+        let (order, profile) = setup(1);
+        let shape = DeadlineShape::PerIteration;
+        let tables = BudgetTables::new(order.clone(), &profile, shape, 2).unwrap();
+        assert_eq!(
+            tables,
+            BudgetTables::new(order.clone(), &profile, shape, 2).unwrap()
+        );
+        // One cost cell, the deadline shape.
+        let mut bumped = profile.clone();
+        bumped
+            .update_avg(3, fgqos_time::Quality::new(0), c(14))
+            .unwrap();
+        assert_ne!(
+            tables,
+            BudgetTables::new(order.clone(), &bumped, shape, 2).unwrap()
+        );
+        assert_ne!(
+            tables,
+            BudgetTables::new(order.clone(), &profile, DeadlineShape::FinalOnly, 2).unwrap()
+        );
+        // Every field but the scratch builder counts.
+        let mutations: [fn(&mut BudgetTables); 14] = [
+            |t| t.order.reverse(),
+            |t| t.n += 1,
+            |t| t.nq += 1,
+            |t| t.iterations += 1,
+            |t| t.shape = DeadlineShape::FinalOnly,
+            |t| t.d_slope[0] = None,
+            |t| t.profile_actions += 1,
+            |t| t.classes[0].0 += 1,
+            |t| t.version_of[0] += 1,
+            |t| t.av_envs[0].truncate(1),
+            |t| t.av_prefix[1] += 1,
+            |t| t.wc_envs.truncate(1),
+            |t| t.wc_prefix[1] += 1,
+            |t| t.cwc_next[0] = Cycles::ZERO,
+        ];
+        for (field, mutate) in mutations.iter().enumerate() {
+            let mut other = tables.clone();
+            mutate(&mut other);
+            assert_ne!(tables, other, "mutation {field} went unseen");
+        }
+        let mut dirty = tables.clone();
+        dirty.scratch.push_shallower(1, 0);
+        assert_eq!(tables, dirty);
+        // The materialized tables of two budgets one cycle apart differ.
+        assert_ne!(
+            reference(&order, &profile, shape, 2, c(240)),
+            reference(&order, &profile, shape, 2, c(241))
+        );
     }
 
     #[test]

@@ -223,7 +223,10 @@ impl TableQuery for ConstraintTables {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Equality is exact: two tables compare equal only when every cell
+/// does, so one may stand in for the other.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstraintTables {
     order: Vec<ActionId>,
     n: usize,
@@ -621,6 +624,28 @@ mod tests {
         t.rebuild_av(&profile, &deadlines).unwrap();
         assert!(t.av_admits(0, 0, c(80)));
         assert!(!t.av_admits(0, 0, c(81)));
+    }
+
+    #[test]
+    fn equality_is_exact() {
+        let (order, profile, deadlines) = setup();
+        let t = ConstraintTables::new(order.clone(), &profile, &deadlines).unwrap();
+        assert_eq!(
+            t,
+            ConstraintTables::new(order.clone(), &profile, &deadlines).unwrap()
+        );
+        // One cost cell.
+        let mut bumped = profile.clone();
+        bumped
+            .update_avg(0, fgqos_time::Quality::new(0), c(11))
+            .unwrap();
+        assert_ne!(
+            t,
+            ConstraintTables::new(order.clone(), &bumped, &deadlines).unwrap()
+        );
+        // One deadline, one cycle later.
+        let later = DeadlineMap::uniform(profile.qualities().clone(), vec![c(100), c(201)]);
+        assert_ne!(t, ConstraintTables::new(order, &profile, &later).unwrap());
     }
 
     #[test]

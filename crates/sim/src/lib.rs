@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod intern;
 
 pub mod app;
 pub mod budget;

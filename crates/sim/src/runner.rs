@@ -20,7 +20,7 @@
 pub mod stepper;
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use fgqos_core::estimator::AvgEstimator;
 use fgqos_core::policy::{ConstantQuality, QualityPolicy};
@@ -36,6 +36,7 @@ use fgqos_time::{fig5, Cycles, DeadlineMap, Quality, QualityProfile, QualitySet}
 use crate::app::VideoApp;
 use crate::budget::BudgetSpec;
 use crate::exec::{ExecTimeModel, StochasticLoad};
+use crate::intern::Interner;
 use crate::pipeline::InputPipeline;
 use crate::runtime::parallel::FramePlan;
 use crate::runtime::{
@@ -306,14 +307,19 @@ pub struct Runner<A: VideoApp> {
     /// Budget-parametric tables shared by *every* frame of the run: the
     /// envelopes depend only on (order, tiled profile, deadline shape),
     /// so one build serves any frame budget — stochastic pop times
-    /// included. Built on first use; when an online estimator rewrites
-    /// `Cav`, the envelopes are *refreshed in place*
-    /// ([`BudgetTables::refresh`], O(hull size)) instead of rebuilt.
+    /// included. Built on first use, then swapped for the process-wide
+    /// copy of equal content ([`ENVELOPES`]), so every live runner of
+    /// one shape reads one set. When an online estimator rewrites `Cav`,
+    /// the envelopes are *refreshed* ([`BudgetTables::refresh`], O(hull
+    /// size)) instead of rebuilt, on a private copy (see
+    /// [`Runner::prepare_frame`]).
     budget_tables: Option<Arc<BudgetTables>>,
     /// Materialized constraint tables of recurring budgets, keyed by the
     /// frame budget they were built for (see [`Runner::tables_for`]).
-    /// Bounded, LRU-evicted, cleared when an estimator refresh makes the
-    /// baked-in profile stale.
+    /// Each entry is the process-wide copy of its content
+    /// ([`PROMOTED`]), shared with every runner that promoted an equal
+    /// table. Bounded, LRU-evicted, cleared when an estimator refresh
+    /// makes the baked-in profile stale.
     tables_cache: HashMap<Cycles, Arc<ConstraintTables>>,
     /// Recency order of `tables_cache` keys, least recently used first
     /// (hits move a key to the back, so a burst of unique budgets evicts
@@ -335,8 +341,10 @@ pub struct Runner<A: VideoApp> {
     /// ran (one per frame whose estimator update actually moved the
     /// profile; converged estimators stop paying anything).
     envelope_refreshes: u64,
-    /// Kernel DAG for [`Runner::run_parallel_on`], built on first use
-    /// (static across frames).
+    /// Kernel DAG for [`Runner::run_parallel_on`] and the stepped API,
+    /// built on first use (static across frames), then swapped for the
+    /// process-wide copy of equal content ([`PLANS`]): streams of one
+    /// shape walk one plan.
     parallel_plan: Option<Arc<FramePlan>>,
     /// Speculation seed: the quality committed at each unrolled instance
     /// during the most recent parallel frame.
@@ -407,6 +415,21 @@ impl RunnerMetrics {
 /// frame's budget is unique while still covering the common case (a
 /// handful of recurring budgets per run).
 const TABLES_CACHE_CAP: usize = 8;
+
+/// Fingerprint of a table set: schedule length, quality count,
+/// iterations and deadline shape. Cheap to read off a build; sharing is
+/// decided by full equality (see [`crate::intern`]).
+type TableShape = (usize, usize, usize, DeadlineShape);
+
+/// Shared kernel plans, fingerprinted by (instances, iterations).
+static PLANS: LazyLock<Interner<(usize, usize), FramePlan>> = LazyLock::new(Interner::default);
+
+/// Shared budget-parametric envelope sets.
+static ENVELOPES: LazyLock<Interner<TableShape, BudgetTables>> = LazyLock::new(Interner::default);
+
+/// Shared promoted tables, fingerprinted by shape and frame budget.
+static PROMOTED: LazyLock<Interner<(TableShape, Cycles), ConstraintTables>> =
+    LazyLock::new(Interner::default);
 
 impl<A: VideoApp> Runner<A> {
     /// Prepares a runner: unrolls the body, validates shapes, computes
@@ -567,6 +590,10 @@ impl<A: VideoApp> Runner<A> {
     /// forfeit the zero-rebuild guarantee the parametric tables exist
     /// for. Both forms answer every query identically
     /// (`crates/sched/tests/proptest_budget.rs`).
+    ///
+    /// Every build runs and is counted exactly as for a lone runner;
+    /// only its result is then swapped for the shared copy of equal
+    /// content, so the lock is taken once per build, never per frame.
     fn tables_for(
         &mut self,
         frame_budget: Cycles,
@@ -574,14 +601,15 @@ impl<A: VideoApp> Runner<A> {
     ) -> Result<SharedTables, SimError> {
         self.metrics.table_lookups.incr();
         if self.budget_tables.is_none() {
-            self.budget_tables = Some(Arc::new(BudgetTables::new(
+            let built = BudgetTables::new(
                 self.order.clone(),
                 &self.tiled_profile,
                 self.config.deadline_shape,
                 self.iter.iterations(),
-            )?));
+            )?;
             self.envelope_builds += 1;
             self.metrics.envelope_builds.incr();
+            self.budget_tables = Some(ENVELOPES.intern(self.table_shape(), built));
         }
         if frame_budget.is_finite() && !self.config.budget.is_moving() {
             if let Some(t) = self.tables_cache.get(&frame_budget).map(Arc::clone) {
@@ -629,21 +657,19 @@ impl<A: VideoApp> Runner<A> {
         }
     }
 
-    /// Builds the materialized tables for one budget and caches them
-    /// (LRU, bounded by [`TABLES_CACHE_CAP`]).
+    /// Builds the materialized tables for one budget, swaps them for the
+    /// shared copy of equal content and caches that (LRU, bounded by
+    /// [`TABLES_CACHE_CAP`]).
     fn materialize_tables(
         &mut self,
         frame_budget: Cycles,
         qs: &QualitySet,
     ) -> Result<Arc<ConstraintTables>, SimError> {
         let deadlines = DeadlineMap::uniform(qs.clone(), self.deadline_vec(frame_budget));
-        let tables = Arc::new(ConstraintTables::new(
-            self.order.clone(),
-            &self.tiled_profile,
-            &deadlines,
-        )?);
+        let built = ConstraintTables::new(self.order.clone(), &self.tiled_profile, &deadlines)?;
         self.full_table_builds += 1;
         self.metrics.full_table_builds.incr();
+        let tables = PROMOTED.intern((self.table_shape(), frame_budget), built);
         if self.tables_cache.len() >= TABLES_CACHE_CAP {
             if let Some(oldest) = self.tables_cache_order.pop_front() {
                 self.tables_cache.remove(&oldest);
@@ -652,6 +678,16 @@ impl<A: VideoApp> Runner<A> {
         self.tables_cache.insert(frame_budget, Arc::clone(&tables));
         self.tables_cache_order.push_back(frame_budget);
         Ok(tables)
+    }
+
+    /// The fingerprint this runner's table builds are interned under.
+    fn table_shape(&self) -> TableShape {
+        (
+            self.order.len(),
+            self.tiled_profile.qualities().len(),
+            self.iter.iterations(),
+            self.config.deadline_shape,
+        )
     }
 
     /// Per-instance deadline vector for one frame of budget `budget` —
@@ -797,7 +833,7 @@ impl<A: VideoApp> Runner<A> {
     /// returns the constraint tables for this frame's budget.
     ///
     /// When the estimator actually moves the profile, the
-    /// budget-parametric envelopes are *refreshed in place*
+    /// budget-parametric envelopes are *refreshed*
     /// ([`BudgetTables::refresh`]: slopes, classes and hull structure are
     /// schedule facts; only the `Cav` intercepts shift) — no per-frame
     /// `ConstraintTables` build, no envelope rebuild. Materialized
@@ -815,9 +851,13 @@ impl<A: VideoApp> Runner<A> {
             if apply_estimates(est, body_profile) {
                 body_profile.tile_into(self.iter.iterations(), &mut self.tiled_profile);
                 if let Some(tables) = self.budget_tables.as_mut() {
-                    // Streams drop their `SharedTables` handle at frame
-                    // end, so this is normally a zero-copy in-place
-                    // update; a still-shared handle forces one clone.
+                    // The first refresh detaches the set from the shared
+                    // copy: while other runners hold it, `make_mut`
+                    // clones it once; as its sole holder, `make_mut`
+                    // moves the data out and orphans the interner's weak
+                    // entry. Either way refreshed content is never handed
+                    // to another runner. Later refreshes update the now
+                    // private set in place.
                     Arc::make_mut(tables).refresh(&self.tiled_profile)?;
                     self.envelope_refreshes += 1;
                     self.metrics.envelope_refreshes.incr();
@@ -1423,6 +1463,120 @@ mod tests {
         assert_eq!(res.skips(), 0, "{}", res.summary());
         // Real time actually passed: 5 frames x 10 ms of camera pacing.
         assert!(clock.now() >= period.saturating_mul(4));
+    }
+
+    /// A paced `mb`-macroblock stream: at `stretch` periods per frame of
+    /// nominal work every steady-state budget recurs, so it promotes.
+    fn paced_runner(mb: usize, stretch: u64) -> Runner<TableApp> {
+        let scenario = LoadScenario::paper_benchmark(5).truncated(30);
+        let app = TableApp::with_macroblocks(scenario, mb).unwrap();
+        let base = RunConfig::paper_defaults().scaled_to_macroblocks(mb);
+        Runner::new(app, base.with_period(base.period.saturating_mul(stretch))).unwrap()
+    }
+
+    /// Runs a paced runner through the stepped parallel path, so it
+    /// builds all three shared structures: plan, envelopes, promotions.
+    fn paced_run(r: &mut Runner<TableApp>) -> StreamResult {
+        use crate::exec::Deterministic;
+        let mut backend = ModelBackend::new(Deterministic::nominal());
+        r.run_parallel_on(
+            &mut VirtualClock::new(),
+            &mut backend,
+            Mode::Controlled,
+            &mut MaxQuality::new(),
+            None,
+            1,
+        )
+        .unwrap()
+    }
+
+    /// A promoted table of `r` (the run must have promoted one).
+    fn some_promoted(r: &Runner<TableApp>) -> (Cycles, Arc<ConstraintTables>) {
+        let (&b, t) = r.tables_cache.iter().next().expect("a budget promoted");
+        (b, Arc::clone(t))
+    }
+
+    #[test]
+    fn runners_of_one_shape_share_plan_envelopes_and_promoted_tables() {
+        let solo = paced_run(&mut paced_runner(8, 2));
+        let mut a = paced_runner(8, 2);
+        let mut b = paced_runner(8, 2);
+        let res_a = paced_run(&mut a);
+        let res_b = paced_run(&mut b);
+        // One copy per content...
+        let plan = |r: &Runner<TableApp>| Arc::clone(r.parallel_plan.as_ref().unwrap());
+        let envs = |r: &Runner<TableApp>| Arc::clone(r.budget_tables.as_ref().unwrap());
+        assert!(Arc::ptr_eq(&plan(&a), &plan(&b)));
+        assert!(Arc::ptr_eq(&envs(&a), &envs(&b)));
+        let (budget, promoted) = some_promoted(&a);
+        assert!(Arc::ptr_eq(&promoted, &b.tables_cache[&budget]));
+        // ...while every build still ran and counted as for a lone runner.
+        for r in [&a, &b] {
+            assert_eq!(r.envelope_builds(), 1);
+            assert!(r.full_table_builds() >= 1);
+        }
+        // ...and sharing is invisible in the results.
+        assert_eq!(res_a.frames(), solo.frames());
+        assert_eq!(res_b.frames(), solo.frames());
+    }
+
+    #[test]
+    fn estimator_refreshes_never_leak_into_runners_of_one_shape() {
+        use fgqos_core::estimator::EwmaEstimator;
+        fn run(r: &mut Runner<TableApp>, estimate: bool) -> StreamResult {
+            let qs = r.app().profile().qualities().clone();
+            let mut est = EwmaEstimator::new(9, qs, 0.3);
+            let est = estimate.then_some(&mut est as &mut dyn AvgEstimator);
+            let mut exec = StochasticLoad::new(17);
+            r.run(Mode::Controlled, &mut MaxQuality::new(), &mut exec, est)
+                .unwrap()
+        }
+        let envs = |r: &Runner<TableApp>| Arc::clone(r.budget_tables.as_ref().unwrap());
+        let solo = run(&mut small_runner(20, 8, 1), false);
+        // Sole holder: the refresh moves the set out of the interned copy.
+        let mut a1 = small_runner(20, 8, 1);
+        run(&mut a1, true);
+        let mut b = small_runner(20, 8, 1);
+        let res_b = run(&mut b, false);
+        // Shared holder: the refresh clones the set B also holds.
+        let mut a2 = small_runner(20, 8, 1);
+        run(&mut a2, true);
+        let fresh = BudgetTables::new(
+            b.order.clone(),
+            &b.app().profile().tile(b.iter.iterations()),
+            b.config.deadline_shape,
+            b.iter.iterations(),
+        )
+        .unwrap();
+        for a in [&a1, &a2] {
+            assert!(a.envelope_refreshes() > 0, "the estimator moved nothing");
+            assert!(!Arc::ptr_eq(&envs(a), &envs(&b)));
+            assert_ne!(*envs(a), fresh, "refreshed content equals the declared");
+        }
+        assert_eq!(*envs(&b), fresh, "B reads the declared profile's envelopes");
+        let mut c = small_runner(20, 8, 1);
+        run(&mut c, false);
+        assert!(Arc::ptr_eq(&envs(&c), &envs(&b)));
+        assert_eq!(res_b.frames(), solo.frames());
+    }
+
+    #[test]
+    fn shared_copies_die_with_their_last_runner() {
+        // A shape no other test in this binary builds, so no other test
+        // can hold these copies alive.
+        let mut a = paced_runner(5, 3);
+        let mut b = paced_runner(5, 3);
+        paced_run(&mut a);
+        paced_run(&mut b);
+        let plan = Arc::downgrade(a.parallel_plan.as_ref().unwrap());
+        let envs = Arc::downgrade(a.budget_tables.as_ref().unwrap());
+        let promoted = Arc::downgrade(&some_promoted(&a).1);
+        drop(a);
+        assert!(plan.upgrade().is_some(), "B still holds the plan");
+        drop(b);
+        assert!(plan.upgrade().is_none(), "the interner kept the plan alive");
+        assert!(envs.upgrade().is_none(), "the interner kept the envelopes");
+        assert!(promoted.upgrade().is_none(), "the interner kept a table");
     }
 
     #[test]

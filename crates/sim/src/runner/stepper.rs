@@ -432,11 +432,9 @@ impl<A: ParallelApp> Runner<A> {
     /// errors.
     pub fn start_parallel(&mut self, mode: Mode) -> Result<ParallelStream, SimError> {
         if self.parallel_plan.is_none() {
-            self.parallel_plan = Some(Arc::new(FramePlan::build(
-                &self.app,
-                &self.iter,
-                &self.order_pos,
-            )?));
+            let built = FramePlan::build(&self.app, &self.iter, &self.order_pos)?;
+            let shape = (built.indegree.len(), self.iter.iterations());
+            self.parallel_plan = Some(super::PLANS.intern(shape, built));
         }
         let plan = Arc::clone(self.parallel_plan.as_ref().expect("plan just built"));
         let state = self.open(mode)?;

@@ -169,7 +169,10 @@ pub(crate) struct SpecSlot {
 /// phase 1 and validity (taint) edges for phase 2. Instances are indexed
 /// iteration-major (`mb * body_len + action`), matching
 /// [`IteratedGraph::instance`].
-#[derive(Debug, Clone)]
+///
+/// Equality is exact over all three edge sets, so runners whose plans
+/// compare equal can share one copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FramePlan {
     /// In-degree of each instance in the execution DAG.
     pub indegree: Vec<usize>,
@@ -310,6 +313,36 @@ mod tests {
                 assert_eq!(p / body_len, inst / body_len, "taint crossed iterations");
             }
         }
+    }
+
+    #[test]
+    fn plan_equality_is_exact() {
+        let app = table_app(3);
+        let iter = IteratedGraph::new(app.body(), 3, IterationMode::Sequential).unwrap();
+        let plan = FramePlan::build(&app, &iter, &order_pos(&iter)).unwrap();
+        assert_eq!(
+            plan,
+            FramePlan::build(&app, &iter, &order_pos(&iter)).unwrap()
+        );
+        let last = plan.indegree.len() - 1;
+        // One execution edge more, one fewer, one more taint edge.
+        let mut extra = plan.clone();
+        extra.succs[0].push(last);
+        extra.indegree[last] += 1;
+        assert_ne!(plan, extra);
+        let mut fewer = plan.clone();
+        let to = fewer.succs[0].pop().expect("the source has a successor");
+        fewer.indegree[to] -= 1;
+        assert_ne!(plan, fewer);
+        let mut taint = plan.clone();
+        taint.taint_preds[last].push(0);
+        assert_ne!(plan, taint);
+        // Same graph size, other iteration mode: other edges.
+        let pipelined = IteratedGraph::new(app.body(), 3, IterationMode::Pipelined).unwrap();
+        assert_ne!(
+            plan,
+            FramePlan::build(&app, &pipelined, &order_pos(&pipelined)).unwrap()
+        );
     }
 
     /// An app declaring an out-of-order data dep is rejected.
