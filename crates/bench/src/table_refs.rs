@@ -127,7 +127,7 @@ impl RebuildPolicy {
 
     /// The rebuilt tables of the frame `ctx` belongs to.
     fn frame_tables(&mut self, ctx: &PolicyCtx<'_>) -> Arc<ConstraintTables> {
-        let live = ctx.tables;
+        let live = ctx.tables();
         // Both deadline shapes give the final macroblock's actions the
         // whole frame budget (infinite for an unconstrained frame); the
         // schedule is fixed, so its position is found once.
@@ -173,7 +173,7 @@ impl QualityPolicy for RebuildPolicy {
     fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Choice {
         if self.frame.is_none() {
             let tables = self.frame_tables(ctx);
-            let live = ctx.tables;
+            let live = ctx.tables();
             if self.checked
                 && (0..live.len()).any(|i| live.deadline_at(0, i) != tables.deadline_at(0, i))
             {
@@ -182,7 +182,7 @@ impl QualityPolicy for RebuildPolicy {
             self.frame = Some(tables);
         }
         let tables = self.frame.as_deref().expect("frame tables just built");
-        let rebuilt = MaxQuality::new().choose(&PolicyCtx { tables, ..*ctx });
+        let rebuilt = MaxQuality::new().choose(&ctx.with_tables(tables));
         if self.checked && rebuilt != MaxQuality::new().choose(ctx) {
             self.mismatches += 1;
         }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use fgqos_graph::ActionId;
-use fgqos_sched::{BestSched, ConstraintTables, SharedTables, TableQuery};
+use fgqos_sched::{BestSched, ConstraintTables, FrameTables, SharedTables, TableQuery};
 use fgqos_time::{Cycles, Quality, QualitySet};
 
 use crate::policy::{PolicyCtx, QualityPolicy};
@@ -46,8 +46,10 @@ pub struct CycleController {
     /// Shared so cyclic streams can reuse one table set across every
     /// frame with the same budget — or, for budget-parametric tables,
     /// one envelope set across *all* frames (the controller never
-    /// mutates tables; cloning the handle is an `Arc` bump).
-    tables: SharedTables,
+    /// mutates tables; cloning the handle is an `Arc` bump). The
+    /// wrapper memoizes the envelope values `q_M` reads during the
+    /// cycle.
+    tables: FrameTables,
     qualities: QualitySet,
     pos: usize,
     pending: Option<Decision>,
@@ -115,8 +117,8 @@ impl CycleController {
     /// caveats as [`CycleController::from_tables`].
     #[must_use]
     pub fn from_shared(tables: impl Into<SharedTables>, qualities: QualitySet) -> Self {
-        let tables = tables.into();
-        let n = tables.len();
+        let tables = FrameTables::new(tables);
+        let n = tables.tables().len();
         CycleController {
             tables,
             qualities,
@@ -131,13 +133,13 @@ impl CycleController {
     /// The static schedule `α` the controller follows.
     #[must_use]
     pub fn schedule(&self) -> &[ActionId] {
-        self.tables.order()
+        self.tables.tables().order()
     }
 
     /// The constraint tables (exposed for policies, codegen and tests).
     #[must_use]
     pub fn tables(&self) -> &dyn TableQuery {
-        &self.tables
+        self.tables.tables()
     }
 
     /// Number of actions already completed.
@@ -149,11 +151,16 @@ impl CycleController {
     /// Whether every action of the cycle has completed.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.pos == self.tables.len() && self.pending.is_none()
+        self.pos == self.tables.tables().len() && self.pending.is_none()
     }
 
     /// Step `i` of the abstract algorithm: choose the next action and its
     /// quality, given the elapsed cycle time `t = Ĉ(α)(i)`.
+    ///
+    /// Evaluates `q_M = max{q | Qual_Const}` once, reading
+    /// budget-parametric envelope values through the cycle's memo, and
+    /// hands it to `policy` in the [`PolicyCtx`]; the same value is the
+    /// decision's [`Decision::feasible_max`].
     ///
     /// Returns `None` when the cycle is complete.
     ///
@@ -170,20 +177,25 @@ impl CycleController {
         if self.pending.is_some() {
             return Err(CoreError::DecisionPending);
         }
-        if self.pos == self.tables.len() {
+        if self.pos == self.tables.tables().len() {
             return Ok(None);
         }
         if t < self.last_time {
             return Err(CoreError::TimeWentBackwards);
         }
-        let ctx = PolicyCtx {
-            tables: &self.tables,
-            qualities: &self.qualities,
-            position: self.pos,
-            elapsed: t,
-            previous: self.records.last().map(|r| r.quality),
-        };
-        let feasible_max = ctx.max_feasible();
+        let feasible_max = self
+            .tables
+            .max_feasible(self.pos, t)
+            .map(|qi| self.qualities.at(qi));
+        let tables = self.tables.tables();
+        let ctx = PolicyCtx::decided(
+            tables,
+            &self.qualities,
+            self.pos,
+            t,
+            self.records.last().map(|r| r.quality),
+            feasible_max,
+        );
         let choice = policy.choose(&ctx);
         if choice.fallback {
             self.fallbacks += 1;
@@ -192,13 +204,13 @@ impl CycleController {
             .qualities
             .index_of(choice.quality)
             .expect("policies must return members of the quality set");
-        let action = self.tables.order()[self.pos];
+        let action = tables.order()[self.pos];
         let decision = Decision {
             position: self.pos,
             action,
             quality: choice.quality,
             feasible_max,
-            deadline: deadline_of(&self.tables, qi, self.pos),
+            deadline: deadline_of(tables, qi, self.pos),
         };
         self.pending = Some(decision);
         self.last_time = t.max(self.last_time);

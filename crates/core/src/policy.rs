@@ -12,34 +12,144 @@ use fgqos_sched::TableQuery;
 use fgqos_time::{Cycles, Quality, QualitySet};
 
 /// Decision context handed to a policy at each step.
+///
+/// Besides the decision coordinates it carries `q_M`, the maximal level
+/// satisfying the full `Qual_Const` at them, evaluated once when the
+/// context is built: [`CycleController::decide`] computes it once per
+/// decision (through its per-frame memo on budget-parametric tables),
+/// and every policy reads it with [`PolicyCtx::max_feasible`] instead
+/// of scanning the tables again. Every field is private and read
+/// through an accessor, so `q_M` always belongs to the context's own
+/// tables and coordinates: [`PolicyCtx::new`] evaluates it, and
+/// [`PolicyCtx::with_tables`] re-evaluates it for other tables. No
+/// other way builds or re-targets a context:
+///
+/// ```compile_fail,E0616
+/// use fgqos_core::policy::PolicyCtx;
+/// use fgqos_sched::TableQuery;
+///
+/// fn retarget<'a>(ctx: &PolicyCtx<'a>, other: &'a dyn TableQuery) -> PolicyCtx<'a> {
+///     let mut moved = *ctx;
+///     moved.tables = other; // private: `q_M` would still be the old tables'
+///     moved
+/// }
+/// ```
+///
+/// [`CycleController::decide`]: crate::CycleController::decide
 #[derive(Debug, Clone, Copy)]
 pub struct PolicyCtx<'a> {
+    tables: &'a dyn TableQuery,
+    qualities: &'a QualitySet,
+    position: usize,
+    elapsed: Cycles,
+    previous: Option<Quality>,
+    /// `q_M` of `tables` at (`position`, `elapsed`).
+    max_feasible: Option<Quality>,
+}
+
+impl<'a> PolicyCtx<'a> {
+    /// A context for the decision at `position` after `elapsed` cycles,
+    /// with `q_M` evaluated from `tables`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position > tables.len()`.
+    #[must_use]
+    pub fn new(
+        tables: &'a dyn TableQuery,
+        qualities: &'a QualitySet,
+        position: usize,
+        elapsed: Cycles,
+        previous: Option<Quality>,
+    ) -> Self {
+        let max_feasible = tables
+            .max_feasible(position, elapsed)
+            .map(|qi| qualities.at(qi));
+        Self::decided(tables, qualities, position, elapsed, previous, max_feasible)
+    }
+
+    /// A context whose `q_M` the controller already evaluated from
+    /// `tables` at (`position`, `elapsed`).
+    pub(crate) fn decided(
+        tables: &'a dyn TableQuery,
+        qualities: &'a QualitySet,
+        position: usize,
+        elapsed: Cycles,
+        previous: Option<Quality>,
+        max_feasible: Option<Quality>,
+    ) -> Self {
+        PolicyCtx {
+            tables,
+            qualities,
+            position,
+            elapsed,
+            previous,
+            max_feasible,
+        }
+    }
+
+    /// The same decision judged against other `tables`, with `q_M`
+    /// re-evaluated from them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the position is beyond `tables`' schedule.
+    #[must_use]
+    pub fn with_tables<'b>(&self, tables: &'b dyn TableQuery) -> PolicyCtx<'b>
+    where
+        'a: 'b,
+    {
+        PolicyCtx::new(
+            tables,
+            self.qualities,
+            self.position,
+            self.elapsed,
+            self.previous,
+        )
+    }
+
     /// Constraint tables for the cycle's schedule — materialized
     /// (`ConstraintTables`) or a budget-parametric view, behind the
     /// common [`TableQuery`] surface.
-    pub tables: &'a dyn TableQuery,
-    /// The system's quality set.
-    pub qualities: &'a QualitySet,
-    /// 0-based position of the next action in the schedule.
-    pub position: usize,
-    /// Elapsed time since the beginning of the cycle.
-    pub elapsed: Cycles,
-    /// Quality chosen for the previous action of this cycle, if any.
-    pub previous: Option<Quality>,
-}
+    #[must_use]
+    pub fn tables(&self) -> &'a dyn TableQuery {
+        self.tables
+    }
 
-impl PolicyCtx<'_> {
-    /// The maximal quality satisfying the *full* constraint
+    /// The system's quality set.
+    #[must_use]
+    pub fn qualities(&self) -> &'a QualitySet {
+        self.qualities
+    }
+
+    /// 0-based position of the next action in the schedule.
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.position
+    }
+
+    /// Elapsed time since the beginning of the cycle.
+    #[must_use]
+    pub fn elapsed(&self) -> Cycles {
+        self.elapsed
+    }
+
+    /// Quality chosen for the previous action of this cycle, if any.
+    #[must_use]
+    pub fn previous(&self) -> Option<Quality> {
+        self.previous
+    }
+
+    /// `q_M`: the maximal quality satisfying the *full* constraint
     /// (`Qual_Constav ∧ Qual_Constwc`), or `None` if even `q_min` fails.
+    /// Evaluated once, when the context was built.
     #[must_use]
     pub fn max_feasible(&self) -> Option<Quality> {
-        self.tables
-            .max_feasible(self.position, self.elapsed)
-            .map(|qi| self.qualities.at(qi))
+        self.max_feasible
     }
 
     /// The maximal quality satisfying only the average constraint (soft
-    /// deadlines).
+    /// deadlines). Evaluated on each call.
     #[must_use]
     pub fn max_feasible_soft(&self) -> Option<Quality> {
         self.tables
@@ -102,7 +212,7 @@ impl QualityPolicy for MaxQuality {
                 quality,
                 fallback: false,
             },
-            None => fallback_choice(ctx.qualities),
+            None => fallback_choice(ctx.qualities()),
         }
     }
 
@@ -163,7 +273,7 @@ impl QualityPolicy for SoftDeadline {
                 quality,
                 fallback: false,
             },
-            None => fallback_choice(ctx.qualities),
+            None => fallback_choice(ctx.qualities()),
         }
     }
 
@@ -196,15 +306,15 @@ impl Smooth {
 impl QualityPolicy for Smooth {
     fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Choice {
         let Some(feasible) = ctx.max_feasible() else {
-            return fallback_choice(ctx.qualities);
+            return fallback_choice(ctx.qualities());
         };
-        let Some(prev) = ctx.previous else {
+        let Some(prev) = ctx.previous() else {
             return Choice {
                 quality: feasible,
                 fallback: false,
             };
         };
-        let qs = ctx.qualities;
+        let qs = ctx.qualities();
         let prev_idx = qs.index_of(prev).unwrap_or(0);
         let feas_idx = qs
             .index_of(feasible)
@@ -253,8 +363,8 @@ impl QualityPolicy for Hysteresis {
     fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Choice {
         let Some(feasible) = ctx.max_feasible() else {
             self.streak = 0;
-            self.current = Some(ctx.qualities.min());
-            return fallback_choice(ctx.qualities);
+            self.current = Some(ctx.qualities().min());
+            return fallback_choice(ctx.qualities());
         };
         let cur = self.current.unwrap_or(feasible);
         let chosen = if feasible < cur {
@@ -264,7 +374,7 @@ impl QualityPolicy for Hysteresis {
             self.streak += 1;
             if self.streak >= self.patience {
                 self.streak = 0;
-                ctx.qualities.above(cur).unwrap_or(cur)
+                ctx.qualities().above(cur).unwrap_or(cur)
             } else {
                 cur
             }
@@ -318,13 +428,7 @@ mod tests {
         elapsed: u64,
         previous: Option<Quality>,
     ) -> PolicyCtx<'a> {
-        PolicyCtx {
-            tables,
-            qualities: qs,
-            position: 0,
-            elapsed: Cycles::new(elapsed),
-            previous,
-        }
+        PolicyCtx::new(tables, qs, 0, Cycles::new(elapsed), previous)
     }
 
     #[test]

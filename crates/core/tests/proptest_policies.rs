@@ -47,13 +47,7 @@ proptest! {
         patience in 1usize..5,
     ) {
         let (tables, qs) = make_tables(base, growth, deadline, 4);
-        let ctx = PolicyCtx {
-            tables: &tables,
-            qualities: &qs,
-            position: 0,
-            elapsed: Cycles::new(t),
-            previous: Some(Quality::new(prev)),
-        };
+        let ctx = PolicyCtx::new(&tables, &qs, 0, Cycles::new(t), Some(Quality::new(prev)));
         let envelope = ctx.max_feasible();
         let mut policies: Vec<Box<dyn QualityPolicy>> = vec![
             Box::new(MaxQuality::new()),
@@ -80,6 +74,31 @@ proptest! {
         }
     }
 
+    /// A context carries exactly the tables' `q_M`: `PolicyCtx::new`
+    /// evaluates it at its coordinates, and `with_tables` re-evaluates it
+    /// for other tables instead of keeping the first tables' answer.
+    #[test]
+    fn context_carries_the_tables_q_m(
+        base in 1u64..200,
+        growth in 1u64..4,
+        deadline in 1u64..4000,
+        other_deadline in 1u64..4000,
+        t in 0u64..4000,
+        position in 0usize..2,
+    ) {
+        let (tables, qs) = make_tables(base, growth, deadline, 4);
+        let (other, _) = make_tables(base, growth, other_deadline, 4);
+        let at = |tables: &ConstraintTables| {
+            tables.max_feasible(position, Cycles::new(t)).map(|qi| qs.at(qi))
+        };
+        let ctx = PolicyCtx::new(&tables, &qs, position, Cycles::new(t), None);
+        prop_assert_eq!(ctx.max_feasible(), at(&tables));
+        let moved = ctx.with_tables(&other);
+        prop_assert_eq!(moved.max_feasible(), at(&other));
+        prop_assert_eq!(moved.position(), position);
+        prop_assert_eq!(moved.elapsed(), Cycles::new(t));
+    }
+
     /// The soft policy sits between the hard maximum and the av-only
     /// maximum.
     #[test]
@@ -90,13 +109,7 @@ proptest! {
         t in 0u64..4000,
     ) {
         let (tables, qs) = make_tables(base, growth, deadline, 4);
-        let ctx = PolicyCtx {
-            tables: &tables,
-            qualities: &qs,
-            position: 0,
-            elapsed: Cycles::new(t),
-            previous: None,
-        };
+        let ctx = PolicyCtx::new(&tables, &qs, 0, Cycles::new(t), None);
         let mut soft = SoftDeadline::new();
         let choice = soft.choose(&ctx);
         match ctx.max_feasible_soft() {
@@ -119,13 +132,7 @@ proptest! {
         level in 0u8..4,
     ) {
         let (tables, qs) = make_tables(base, 2, deadline, 4);
-        let ctx = PolicyCtx {
-            tables: &tables,
-            qualities: &qs,
-            position: 0,
-            elapsed: Cycles::new(t),
-            previous: None,
-        };
+        let ctx = PolicyCtx::new(&tables, &qs, 0, Cycles::new(t), None);
         let mut p = ConstantQuality::new(Quality::new(level));
         let choice = p.choose(&ctx);
         prop_assert_eq!(choice.quality, Quality::new(level));
@@ -145,13 +152,7 @@ proptest! {
         step in 1usize..3,
     ) {
         let (tables, qs) = make_tables(base, growth, deadline, 6);
-        let ctx = PolicyCtx {
-            tables: &tables,
-            qualities: &qs,
-            position: 0,
-            elapsed: Cycles::new(t),
-            previous: Some(Quality::new(prev)),
-        };
+        let ctx = PolicyCtx::new(&tables, &qs, 0, Cycles::new(t), Some(Quality::new(prev)));
         let mut p = Smooth::new(step);
         let choice = p.choose(&ctx);
         if !choice.fallback {
@@ -171,13 +172,7 @@ proptest! {
 fn hysteresis_ignores_transient_headroom() {
     let (tables, qs) = make_tables(10, 2, 10_000, 4);
     let mut p = Hysteresis::new(3);
-    let ctx_at = |t: u64| PolicyCtx {
-        tables: &tables,
-        qualities: &qs,
-        position: 0,
-        elapsed: Cycles::new(t),
-        previous: None,
-    };
+    let ctx_at = |t: u64| PolicyCtx::new(&tables, &qs, 0, Cycles::new(t), None);
     // Anchor low: at t = 9950 only q0 fits (q1's worst case of 60 would
     // end at 10_010 > 10_000).
     let anchored = p.choose(&ctx_at(9_950)).quality;

@@ -49,17 +49,19 @@
 //! frames, only the `Cav`/`Cwc` *values* move — the schedule, deadline
 //! slopes, class structure and version map are untouched. Rather than
 //! rebuilding, [`BudgetTables::refresh`] re-sweeps the prefix sums in
-//! place and re-hulls only the envelopes of quality levels whose prefixes
-//! actually changed, reusing every buffer (O(hull size) per changed
-//! quality, no allocation once warm). `refresh(profile')` is
-//! property-tested to be indistinguishable from a fresh build over random
-//! schedules, shapes and refresh sequences.
+//! place and re-hulls the envelopes, reusing every buffer (O(n + hull
+//! size) per quality, no allocation once warm). The runners call
+//! [`BudgetTables::refresh_body`], which reads the per-iteration body
+//! profile instead of its tiling and skips the quality levels whose body
+//! averages did not move, and the worst-case side while no worst case
+//! moved. Both are property-tested to be indistinguishable from a fresh
+//! build over random schedules, shapes and refresh sequences.
 
 use std::sync::Arc;
 
 use fgqos_graph::{ActionId, GraphError};
 use fgqos_time::series::{EnvelopeBuilder, LineEnvelope};
-use fgqos_time::{Cycles, QualityProfile, Slack};
+use fgqos_time::{ActionTimes, Cycles, QualityProfile, Slack};
 
 use crate::{ConstraintTables, SchedError, TableQuery};
 
@@ -170,11 +172,15 @@ type EnvelopeVersions = Vec<LineEnvelope>;
 ///
 /// Equality is exact over everything a query reads (and the structure
 /// [`BudgetTables::refresh`] re-hulls from); only the scratch hull
-/// builder is ignored. Two equal sets answer every query identically, so
-/// one may stand in for the other.
+/// builder and the body cells [`BudgetTables::refresh_body`] remembers
+/// (always those the rest was derived from) are ignored. Two equal sets
+/// answer every query identically, so one may stand in for the other.
 #[derive(Debug, Clone)]
 pub struct BudgetTables {
     order: Vec<ActionId>,
+    /// Per position: its body action (instance index modulo the body
+    /// length), the cell [`BudgetTables::refresh_body`] reads.
+    body_of: Vec<u32>,
     n: usize,
     nq: usize,
     /// Denominator of the affine deadline terms (`N` iterations).
@@ -193,6 +199,10 @@ pub struct BudgetTables {
     classes: Vec<(u64, usize)>,
     /// Scratch hull builder reused across refreshes.
     scratch: EnvelopeBuilder,
+    /// The body cells of the last [`BudgetTables::refresh_body`] (empty
+    /// until one, and after a [`BudgetTables::refresh`]): the next
+    /// `refresh_body` skips the columns that still equal them.
+    body_cells: Vec<ActionTimes>,
     /// `version_of[i]` (for `i` in `0..=n`): which envelope version
     /// covers the suffix starting at `i`. Shared by the av and wcmin
     /// families — the deadline classes depend only on schedule and
@@ -315,8 +325,13 @@ impl BudgetTables {
         let wc_prefix = inclusive_prefix(&wc_costs);
         let wc_envs = suffix_envelopes(&classes, &wc_prefix, iterations as u64);
 
+        let body_of = order
+            .iter()
+            .map(|a| u32::try_from(a.index() % body_len.max(1)).expect("body index fits u32"))
+            .collect();
         Ok(BudgetTables {
             order,
+            body_of,
             n,
             nq,
             iterations: iterations as u64,
@@ -325,6 +340,7 @@ impl BudgetTables {
             profile_actions: profile.n_actions(),
             classes,
             scratch: EnvelopeBuilder::new(),
+            body_cells: Vec::new(),
             version_of,
             av_envs,
             av_prefix,
@@ -339,24 +355,71 @@ impl BudgetTables {
     /// keeping the schedule structure (deadline slopes, classes, version
     /// map) fixed.
     ///
-    /// This is the online-estimator fast path: a profile refresh only
-    /// moves the `Cav`/`Cwc` values, so per quality level the work is one
-    /// prefix sweep plus an O(hull size) re-hull of that quality's
-    /// envelopes, all in place (no allocation once the buffers are warm).
-    /// Quality levels whose prefix sums did not change keep their
-    /// envelopes untouched. The refreshed tables answer every query
+    /// A profile refresh only moves the `Cav`/`Cwc` values, so per
+    /// quality level the work is one prefix sweep plus an O(hull size)
+    /// re-hull of that quality's envelopes, all in place (no allocation
+    /// once the buffers are warm). The refreshed tables answer every query
     /// exactly as `BudgetTables::new(order, profile, shape, iterations)`
-    /// would.
+    /// would. The online estimators use the cheaper
+    /// [`BudgetTables::refresh_body`].
     ///
     /// # Errors
     ///
     /// [`SchedError::DimensionMismatch`] if `profile` does not have the
     /// action count or quality-level count the tables were built with.
     pub fn refresh(&mut self, profile: &QualityProfile) -> Result<(), SchedError> {
-        if profile.n_actions() != self.profile_actions {
+        self.check_refresh(profile, profile.n_actions())?;
+        self.body_cells.clear();
+        self.refresh_with(
+            |_| true,
+            true,
+            |order, _, i, qi| profile.times_by_qidx(order[i].index(), qi),
+        );
+        Ok(())
+    }
+
+    /// [`BudgetTables::refresh`] from the per-iteration `body` profile:
+    /// the tables end up exactly as after
+    /// `refresh(&body.tile(iterations))`, without building the tiled
+    /// profile. The sweep reads the body's few cells instead of the tiled
+    /// table, and after a first `refresh_body` the tables remember the
+    /// body cells, so a later one skips every quality level whose body
+    /// averages did not move and, while no worst case moved (estimators
+    /// only move averages), the worst-case side.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::DimensionMismatch`] if `body` tiled over the
+    /// iterations does not have the action count, or `body` does not have
+    /// the quality-level count, the tables were built with.
+    pub fn refresh_body(&mut self, body: &QualityProfile) -> Result<(), SchedError> {
+        let tiled_actions = body.n_actions().saturating_mul(self.iterations as usize);
+        self.check_refresh(body, tiled_actions)?;
+        let nq = self.nq;
+        let cell = |k: usize| body.times_by_qidx(k / nq, k % nq);
+        let mut known = std::mem::take(&mut self.body_cells);
+        let remembered = !known.is_empty();
+        let av_moved = |qi: usize| {
+            !remembered
+                || (0..body.n_actions())
+                    .any(|a| known[a * nq + qi].avg() != cell(a * nq + qi).avg())
+        };
+        let worst_moved =
+            !remembered || (0..known.len()).any(|k| known[k].worst() != cell(k).worst());
+        self.refresh_with(av_moved, worst_moved, |_, body_of, i, qi| {
+            body.times_by_qidx(body_of[i] as usize, qi)
+        });
+        known.clear();
+        known.extend((0..body.n_actions() * nq).map(cell));
+        self.body_cells = known;
+        Ok(())
+    }
+
+    fn check_refresh(&self, profile: &QualityProfile, actions: usize) -> Result<(), SchedError> {
+        if actions != self.profile_actions {
             return Err(SchedError::DimensionMismatch {
                 expected: self.profile_actions,
-                actual: profile.n_actions(),
+                actual: actions,
             });
         }
         if profile.qualities().len() != self.nq {
@@ -365,54 +428,65 @@ impl BudgetTables {
                 actual: profile.qualities().len(),
             });
         }
+        Ok(())
+    }
+
+    /// The refresh sweep. `times(order, body_of, i, qi)` are the new
+    /// times of schedule position `i` at quality index `qi`; only the
+    /// average side of the levels `av_moved` names, and the worst-case
+    /// side if `worst_moved`, are re-derived. A re-derived side is
+    /// re-hulled without checking whether its prefix sums moved: the
+    /// check costs the sweep about as much as the hull it would save.
+    fn refresh_with(
+        &mut self,
+        av_moved: impl Fn(usize) -> bool,
+        worst_moved: bool,
+        times: impl Fn(&[ActionId], &[u32], usize, usize) -> ActionTimes,
+    ) {
+        let BudgetTables {
+            order,
+            body_of,
+            n,
+            iterations,
+            classes,
+            scratch,
+            av_envs,
+            av_prefix,
+            wc_envs,
+            wc_prefix,
+            cwc_next,
+            ..
+        } = self;
+        let n = *n;
         // Quality sets are sorted, so the enumerate index is the storage
         // index — `times_by_qidx` skips the per-cell binary search that
         // `avg`/`worst` would redo 2·n·|Q| times per refresh.
-        for qi in 0..self.nq {
-            let base = qi * (self.n + 1);
-            let mut acc = 0u128;
-            let mut changed = false;
-            for (i, a) in self.order.iter().enumerate() {
-                let t = profile.times_by_qidx(a.index(), qi);
-                acc += u128::from(t.avg().get());
-                let slot = &mut self.av_prefix[base + i + 1];
-                if *slot != acc {
-                    *slot = acc;
-                    changed = true;
+        for (qi, envs) in av_envs.iter_mut().enumerate() {
+            if av_moved(qi) {
+                let prefix = &mut av_prefix[qi * (n + 1)..(qi + 1) * (n + 1)];
+                let mut acc = 0u128;
+                for (i, p) in prefix[1..].iter_mut().enumerate() {
+                    acc += u128::from(times(order, body_of, i, qi).avg().get());
+                    *p = acc;
                 }
-                self.cwc_next[qi * self.n + i] = t.worst();
+                suffix_envelopes_into(classes, prefix, *iterations, envs, scratch);
             }
-            if changed {
-                suffix_envelopes_into(
-                    &self.classes,
-                    &self.av_prefix[base..base + self.n + 1],
-                    self.iterations,
-                    &mut self.av_envs[qi],
-                    &mut self.scratch,
-                );
+            if worst_moved {
+                for (i, w) in cwc_next[qi * n..(qi + 1) * n].iter_mut().enumerate() {
+                    *w = times(order, body_of, i, qi).worst();
+                }
             }
+        }
+        if !worst_moved {
+            return;
         }
         let mut acc = 0u128;
-        let mut changed = false;
-        for (i, a) in self.order.iter().enumerate() {
+        for (i, p) in wc_prefix[1..].iter_mut().enumerate() {
             // qmin is storage index 0 (sets are sorted ascending).
-            acc += u128::from(profile.times_by_qidx(a.index(), 0).worst().get());
-            let slot = &mut self.wc_prefix[i + 1];
-            if *slot != acc {
-                *slot = acc;
-                changed = true;
-            }
+            acc += u128::from(times(order, body_of, i, 0).worst().get());
+            *p = acc;
         }
-        if changed {
-            suffix_envelopes_into(
-                &self.classes,
-                &self.wc_prefix,
-                self.iterations,
-                &mut self.wc_envs,
-                &mut self.scratch,
-            );
-        }
-        Ok(())
+        suffix_envelopes_into(classes, wc_prefix, *iterations, wc_envs, scratch);
     }
 
     /// The [`TableQuery`] view of these tables at frame budget `budget`
@@ -490,6 +564,7 @@ impl BudgetTables {
             + self.d_slope.len() * std::mem::size_of::<Option<u64>>()
             + self.version_of.len() * std::mem::size_of::<u32>()
             + self.order.len() * std::mem::size_of::<ActionId>()
+            + self.body_of.len() * std::mem::size_of::<u32>()
     }
 
     /// Envelope evaluation shared by the av and wcmin sides:
@@ -544,6 +619,7 @@ impl PartialEq for BudgetTables {
         // cheap scalars first, so unequal shapes fail fast.
         let BudgetTables {
             order,
+            body_of,
             n,
             nq,
             iterations,
@@ -552,6 +628,7 @@ impl PartialEq for BudgetTables {
             profile_actions,
             classes,
             scratch: _,
+            body_cells: _,
             version_of,
             av_envs,
             av_prefix,
@@ -568,6 +645,7 @@ impl PartialEq for BudgetTables {
             && *av_prefix == other.av_prefix
             && *cwc_next == other.cwc_next
             && *order == other.order
+            && *body_of == other.body_of
             && *d_slope == other.d_slope
             && *classes == other.classes
             && *version_of == other.version_of
@@ -709,18 +787,39 @@ impl TableQuery for BudgetView<'_> {
     }
 
     // Control-time hot path: the admit predicates compare in the
-    // envelope's numerator domain — `t ≤ ⌊num/N⌋ + P  ⟺  N·(t − P) ≤
-    // num` for integers — which saves the 128-bit division that
-    // `av_budget_at` pays to report the exact slack.
+    // envelope's numerator domain (see `av_admits_by`), which saves the
+    // 128-bit division that `av_budget_at` pays to report the exact slack.
 
     fn av_admits(&self, qi: usize, i: usize, t: Cycles) -> bool {
+        let tb = self.tables;
+        self.av_admits_by(qi, i, t, |v| tb.av_envs[qi][v].eval(self.budget.get()))
+    }
+
+    fn wc_admits(&self, qi: usize, i: usize, t: Cycles) -> bool {
+        let tb = self.tables;
+        self.wc_admits_by(qi, i, t, |v| tb.wc_envs[v].eval(self.budget.get()))
+    }
+}
+
+impl BudgetView<'_> {
+    /// `Qual_Constav` with the suffix envelope's value at the budget
+    /// supplied by `num(version)`, called only when it is needed: the
+    /// one copy of the av comparison, shared by the view itself and by
+    /// the per-frame memo of [`FrameTables`]. Compares in the numerator
+    /// domain: `t ≤ ⌊num/N⌋ + P  ⟺  N·(t − P) ≤ num` for integers.
+    fn av_admits_by(
+        &self,
+        qi: usize,
+        i: usize,
+        t: Cycles,
+        num: impl FnOnce(usize) -> Option<i128>,
+    ) -> bool {
         let tb = self.tables;
         assert!(qi < tb.nq && i <= tb.n, "table coordinates out of range");
         if i == tb.n || self.budget.is_infinite() {
             return true;
         }
-        let env = &tb.av_envs[qi][tb.version_of[i] as usize];
-        let Some(num) = env.eval(self.budget.get()) else {
+        let Some(num) = num(tb.version_of[i] as usize) else {
             return true; // no finite deadline in the suffix: slack +∞
         };
         if t.is_infinite() {
@@ -731,7 +830,16 @@ impl TableQuery for BudgetView<'_> {
         i128::from(tb.iterations) * (i128::from(t.get()) - prefix) <= num
     }
 
-    fn wc_admits(&self, qi: usize, i: usize, t: Cycles) -> bool {
+    /// `Qual_Constwc` with the wcmin envelope's value for the suffix
+    /// after `i` supplied by `num(version)` — see
+    /// [`BudgetView::av_admits_by`].
+    fn wc_admits_by(
+        &self,
+        qi: usize,
+        i: usize,
+        t: Cycles,
+        num: impl FnOnce(usize) -> Option<i128>,
+    ) -> bool {
         let tb = self.tables;
         assert!(qi < tb.nq && i <= tb.n, "table coordinates out of range");
         if i == tb.n {
@@ -755,8 +863,7 @@ impl TableQuery for BudgetView<'_> {
             }
         }
         // Rest bound: t + Cwc − P_{i+1} ≤ ⌊num_wc/N⌋.
-        let env = &tb.wc_envs[tb.version_of[i + 1] as usize];
-        let Some(num) = env.eval(self.budget.get()) else {
+        let Some(num) = num(tb.version_of[i + 1] as usize) else {
             return true; // no finite deadline in the wcmin suffix: +∞
         };
         if t.is_infinite() {
@@ -764,6 +871,107 @@ impl TableQuery for BudgetView<'_> {
         }
         let prefix = i128::try_from(tb.wc_prefix[i + 1]).expect("prefix sums fit in i128");
         i128::from(tb.iterations) * (i128::from(t.get()) + cwc - prefix) <= num
+    }
+}
+
+/// One frame's constraint tables as a controller reads them: a
+/// [`SharedTables`] handle plus a lazy memo for
+/// [`FrameTables::max_feasible`].
+///
+/// The frame budget is fixed for the whole frame, so on
+/// budget-parametric tables each envelope's value at it is a per-frame
+/// constant. The memo holds the values `q_M` reads: the av value of
+/// every quality for one suffix version, and the wcmin value for one
+/// version. Each is evaluated on its first probe; a probe of another
+/// version resets that side. Any order of queries therefore answers
+/// exactly as [`TableQuery::max_feasible`] on the same tables, with
+/// O(|Q|) memory. The handle is immutable (an estimator refresh
+/// replaces a shared [`BudgetTables`] copy-on-write), so the memo never
+/// needs invalidating. [`SharedTables::Fixed`] tables are already
+/// arrays and are read directly.
+#[derive(Debug, Clone)]
+pub struct FrameTables {
+    tables: SharedTables,
+    memo: EnvelopeMemo,
+}
+
+/// The envelope values [`FrameTables`] remembers. `None` marks a value
+/// not yet evaluated; a stored `Some(None)` is an empty envelope (`+∞`).
+#[derive(Debug, Clone)]
+struct EnvelopeMemo {
+    av_version: usize,
+    /// `av[qi]`: quality `qi`'s av envelope of version `av_version`.
+    av: Vec<Option<Option<i128>>>,
+    wc_version: usize,
+    /// The wcmin envelope of version `wc_version`.
+    wc: Option<Option<i128>>,
+}
+
+impl EnvelopeMemo {
+    fn av(&mut self, tables: &BudgetTables, qi: usize, v: usize, budget: Cycles) -> Option<i128> {
+        if v != self.av_version {
+            self.av.fill(None);
+            self.av_version = v;
+        }
+        *self.av[qi].get_or_insert_with(|| tables.av_envs[qi][v].eval(budget.get()))
+    }
+
+    fn wc(&mut self, tables: &BudgetTables, v: usize, budget: Cycles) -> Option<i128> {
+        if v != self.wc_version {
+            self.wc = None;
+            self.wc_version = v;
+        }
+        *self
+            .wc
+            .get_or_insert_with(|| tables.wc_envs[v].eval(budget.get()))
+    }
+}
+
+impl FrameTables {
+    /// Wraps one frame's tables with an empty memo.
+    #[must_use]
+    pub fn new(tables: impl Into<SharedTables>) -> Self {
+        let tables = tables.into();
+        let nq = match &tables {
+            SharedTables::Fixed(_) => 0,
+            SharedTables::AtBudget(t, _) => t.nq,
+        };
+        FrameTables {
+            tables,
+            memo: EnvelopeMemo {
+                av_version: 0,
+                av: vec![None; nq],
+                wc_version: 0,
+                wc: None,
+            },
+        }
+    }
+
+    /// The tables themselves.
+    #[must_use]
+    pub fn tables(&self) -> &SharedTables {
+        &self.tables
+    }
+
+    /// `q_M` at position `i` and elapsed time `t` as a quality index —
+    /// [`TableQuery::max_feasible`] on [`FrameTables::tables`], with
+    /// budget-parametric envelope values read through the memo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i > len()`.
+    pub fn max_feasible(&mut self, i: usize, t: Cycles) -> Option<usize> {
+        match &self.tables {
+            SharedTables::Fixed(tables) => tables.max_feasible(i, t),
+            SharedTables::AtBudget(tables, budget) => {
+                let view = tables.at_budget(*budget);
+                let memo = &mut self.memo;
+                (0..tables.nq).rev().find(|&qi| {
+                    view.av_admits_by(qi, i, t, |v| memo.av(tables, qi, v, *budget))
+                        && view.wc_admits_by(qi, i, t, |v| memo.wc(tables, v, *budget))
+                })
+            }
+        }
     }
 }
 
@@ -1143,8 +1351,9 @@ mod tests {
             BudgetTables::new(order.clone(), &profile, DeadlineShape::FinalOnly, 2).unwrap()
         );
         // Every field but the scratch builder counts.
-        let mutations: [fn(&mut BudgetTables); 14] = [
+        let mutations: [fn(&mut BudgetTables); 15] = [
             |t| t.order.reverse(),
+            |t| t.body_of[0] += 1,
             |t| t.n += 1,
             |t| t.nq += 1,
             |t| t.iterations += 1,
@@ -1166,6 +1375,8 @@ mod tests {
         }
         let mut dirty = tables.clone();
         dirty.scratch.push_shallower(1, 0);
+        // The remembered body cells are a cache of the same state.
+        dirty.body_cells.push(profile.times_by_qidx(0, 0));
         assert_eq!(tables, dirty);
         // The materialized tables of two budgets one cycle apart differ.
         assert_ne!(

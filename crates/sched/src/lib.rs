@@ -25,7 +25,9 @@
 //!   ([`BudgetTables::at_budget`]);
 //! * [`TableQuery`] — the common query surface of both table flavors
 //!   (what the controller and the quality policies consume), with
-//!   [`SharedTables`] as the cheap clonable handle over either.
+//!   [`SharedTables`] as the cheap clonable handle over either, and
+//!   [`FrameTables`] as one frame's handle with a lazy memo of the
+//!   envelope values `q_M` reads.
 //!
 //! # Example
 //!
@@ -59,6 +61,8 @@ pub mod edf;
 pub mod feasible;
 
 pub use best_sched::{BestSched, EdfScheduler, FifoScheduler};
-pub use budget::{budget_deadlines, BudgetTables, BudgetView, DeadlineShape, SharedTables};
+pub use budget::{
+    budget_deadlines, BudgetTables, BudgetView, DeadlineShape, FrameTables, SharedTables,
+};
 pub use error::SchedError;
 pub use tables::{ConstraintTables, TableQuery};

@@ -7,10 +7,16 @@
 //! `BudgetTables::at_budget(b)` must equal the answer of
 //! `ConstraintTables::new` built from `budget_deadlines(shape, …, b)` —
 //! including the raw suffix-budget slacks, which subsume the `admits`
-//! predicates.
+//! predicates. The per-frame memo of [`FrameTables`] must answer `q_M`
+//! exactly as the view it memoizes, in any order of queries.
+
+use std::sync::Arc;
 
 use fgqos_graph::ActionId;
-use fgqos_sched::{budget_deadlines, BudgetTables, ConstraintTables, DeadlineShape, TableQuery};
+use fgqos_sched::{
+    budget_deadlines, BudgetTables, ConstraintTables, DeadlineShape, FrameTables, SharedTables,
+    TableQuery,
+};
 use fgqos_time::{Cycles, DeadlineMap, QualityProfile, QualitySet};
 use proptest::prelude::*;
 
@@ -115,6 +121,68 @@ fn arb_refresh_sequence() -> impl Strategy<Value = (Instance, Vec<QualityProfile
                 })
                 .collect();
             (inst, profiles)
+        })
+}
+
+/// One step of a body-refresh sequence: the body profile, and whether
+/// it is applied through [`BudgetTables::refresh`] of its tiling instead
+/// of [`BudgetTables::refresh_body`].
+type BodyStep = (QualityProfile, bool);
+
+/// An instance plus a sequence of body profiles: each is a fresh random
+/// body (averages and worst cases move), the previous body with one
+/// average raised (what an estimator does), the previous body
+/// unchanged, or the body before it again; some steps go through the
+/// tiled refresh instead.
+fn arb_body_refreshes() -> impl Strategy<Value = (Instance, Vec<BodyStep>)> {
+    (arb_instance(), 1usize..=5)
+        .prop_flat_map(|(inst, rounds)| {
+            let cells = inst.body_len * inst.profile.qualities().len();
+            (
+                Just(inst),
+                proptest::collection::vec(1u64..5_000, cells * rounds),
+                proptest::collection::vec(0u64..5_000, cells * rounds),
+                proptest::collection::vec(
+                    (
+                        0u8..4,
+                        0usize..cells,
+                        1u64..3_000,
+                        proptest::bool::weighted(0.3),
+                    ),
+                    rounds,
+                ),
+            )
+        })
+        .prop_map(|(inst, avg_inc, gap_inc, steps)| {
+            let nq = inst.profile.qualities().len();
+            let nq_hi = u8::try_from(nq - 1).unwrap();
+            let cells = inst.body_len * nq;
+            let mut body: Option<QualityProfile> = None;
+            let mut before: Option<QualityProfile> = None;
+            let mut out = Vec::new();
+            for (r, (kind, cell, bump, tiled)) in steps.into_iter().enumerate() {
+                let span = r * cells..(r + 1) * cells;
+                let fresh =
+                    profile_from_incs(inst.body_len, nq_hi, &avg_inc[span.clone()], &gap_inc[span]);
+                let next = match (kind, body.clone()) {
+                    (1, Some(mut prev)) => {
+                        let (a, q) = (
+                            cell / nq,
+                            fgqos_time::Quality::new(u8::try_from(cell % nq).unwrap()),
+                        );
+                        let avg = prev.avg_idx(a, q);
+                        prev.update_avg(a, q, Cycles::new(avg.get() + bump))
+                            .unwrap();
+                        prev
+                    }
+                    (2, Some(prev)) => prev,
+                    (3, Some(_)) => before.clone().unwrap_or(fresh),
+                    _ => fresh,
+                };
+                out.push((next.clone(), tiled));
+                before = body.replace(next);
+            }
+            (inst, out)
         })
 }
 
@@ -234,6 +302,31 @@ proptest! {
         }
     }
 
+    /// A body refresh leaves the tables equal (full structural equality,
+    /// which covers every query) to a fresh build from the tiled body,
+    /// whichever columns moved, whatever the refresh history — including
+    /// tiled refreshes in between, after which the remembered body cells
+    /// are gone and a level must not be skipped.
+    #[test]
+    fn body_refresh_equals_a_fresh_build_of_the_tiling((inst, steps) in arb_body_refreshes()) {
+        let mut bt = BudgetTables::new(
+            inst.order.clone(),
+            &inst.profile,
+            inst.shape,
+            inst.iterations,
+        ).unwrap();
+        for (body, tiled) in &steps {
+            let tiling = body.tile(inst.iterations);
+            if *tiled {
+                bt.refresh(&tiling).unwrap();
+            } else {
+                bt.refresh_body(body).unwrap();
+            }
+            let fresh = BudgetTables::new(inst.order.clone(), &tiling, inst.shape, inst.iterations).unwrap();
+            prop_assert_eq!(&bt, &fresh);
+        }
+    }
+
     /// The derived predicates and the `q_M` searches agree at sampled
     /// elapsed times, including boundary times read off the reference
     /// tables (the tight admit/reject frontier).
@@ -271,6 +364,66 @@ proptest! {
                     prop_assert_eq!(view.max_feasible(i, t), ct.max_feasible(i, t));
                     prop_assert_eq!(view.max_feasible_soft(i, t), ct.max_feasible_soft(i, t));
                 }
+            }
+        }
+    }
+
+    /// The memoized `q_M` of a frame equals the view's own
+    /// `max_feasible` at every step of a random, non-monotone walk of
+    /// (position, elapsed) probes: positions jump back and forth across
+    /// suffix versions, and elapsed times include 0, `+∞` and the exact
+    /// admit/reject frontiers of both halves of `Qual_Const`. The same
+    /// walk over materialized tables (`SharedTables::Fixed`) reads the
+    /// arrays directly and must agree too.
+    #[test]
+    fn memoized_q_m_equals_the_view_in_any_order(
+        inst in arb_instance(),
+        extra in proptest::strategy::any::<u64>(),
+        walk in proptest::collection::vec(
+            (
+                proptest::strategy::any::<u64>(),
+                proptest::strategy::any::<u64>(),
+                0u8..6,
+            ),
+            1..48,
+        ),
+    ) {
+        let shared = Arc::new(BudgetTables::new(
+            inst.order.clone(),
+            &inst.profile,
+            inst.shape,
+            inst.iterations,
+        ).unwrap());
+        let n = shared.len();
+        let nq = shared.quality_count();
+        for budget in budget_grid(extra % (u64::MAX - 1)) {
+            let view = shared.at_budget(budget);
+            let mut frame = FrameTables::new(SharedTables::AtBudget(Arc::clone(&shared), budget));
+            let mut fixed = FrameTables::new(reference_tables(&inst, budget));
+            for &(pos, raw, kind) in &walk {
+                let i = usize::try_from(pos % (n as u64 + 1)).unwrap();
+                let qi = usize::try_from(raw % nq as u64).unwrap();
+                // A finite slack as an elapsed time, nudged by up to ±1.
+                let frontier = |slack: fgqos_time::Slack| {
+                    let v = u64::try_from(slack.get().max(0)).unwrap_or(u64::MAX - 1);
+                    let v = v.min(u64::MAX - 2);
+                    Cycles::new(match raw % 3 {
+                        0 => v.saturating_sub(1),
+                        1 => v,
+                        _ => v + 1,
+                    })
+                };
+                let t = match kind {
+                    0 => Cycles::INFINITY,
+                    1 => Cycles::ZERO,
+                    2 => frontier(view.av_budget_at(qi, i)),
+                    3 => frontier(view.wcmin_budget_at((i + 1).min(n))),
+                    4 => Cycles::new(raw % 100_000),
+                    _ => Cycles::new(raw % (u64::MAX - 1)),
+                };
+                let want = view.max_feasible(i, t);
+                prop_assert_eq!(frame.max_feasible(i, t), want, "i={} t={} b={}", i, t, budget);
+                prop_assert_eq!(fixed.max_feasible(i, t), want, "fixed i={} t={} b={}", i, t, budget);
             }
         }
     }

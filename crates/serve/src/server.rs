@@ -52,6 +52,7 @@
 //! is untouched; the ceiling just bounds its long-term demand to the
 //! share the admission layer granted.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use fgqos_core::estimator::AvgEstimator;
@@ -676,6 +677,7 @@ impl StreamServer {
             make_backend: Box::new(make_backend),
             make_clock: Box::new(make_clock),
             slots: Vec::new(),
+            index: ReadyIndex::default(),
             merged: None,
             server_now: Cycles::ZERO,
             ticks: 0,
@@ -810,6 +812,57 @@ struct Active<A: ParallelApp> {
     clock: Box<dyn Clock>,
     backend: Box<dyn ExecBackend>,
     policy: Box<dyn QualityPolicy>,
+    /// The server-time ready time the stream is filed under in the
+    /// session's [`ReadyIndex`]; `None` files it as exhausted.
+    ready_at: Option<Cycles>,
+}
+
+/// Every running stream of a session, ordered by when it can next make
+/// progress: the non-exhausted ones by (server-time ready time, slot),
+/// the exhausted ones by slot. A tick reads its due set and departures
+/// here instead of re-reading every stream's clock.
+#[derive(Default)]
+struct ReadyIndex {
+    ready: BTreeSet<(Cycles, usize)>,
+    exhausted: BTreeSet<usize>,
+}
+
+impl ReadyIndex {
+    fn insert(&mut self, slot: usize, at: Option<Cycles>) {
+        match at {
+            Some(t) => self.ready.insert((t, slot)),
+            None => self.exhausted.insert(slot),
+        };
+    }
+
+    fn remove(&mut self, slot: usize, at: Option<Cycles>) {
+        match at {
+            Some(t) => self.ready.remove(&(t, slot)),
+            None => self.exhausted.remove(&slot),
+        };
+    }
+
+    /// The earliest ready time over the non-exhausted streams.
+    fn earliest(&self) -> Option<Cycles> {
+        self.ready.first().map(|&(t, _)| t)
+    }
+
+    /// The slots ready at `t`, in slot order.
+    fn ready_at(&self, t: Cycles) -> Vec<usize> {
+        self.ready
+            .range((t, 0)..=(t, usize::MAX))
+            .map(|&(_, slot)| slot)
+            .collect()
+    }
+
+    /// The lowest exhausted slot at or above `from`.
+    fn exhausted_from(&self, from: usize) -> Option<usize> {
+        self.exhausted.range(from..).next().copied()
+    }
+
+    fn len(&self) -> usize {
+        self.ready.len() + self.exhausted.len()
+    }
 }
 
 /// Factory building a stream's application from its materialized
@@ -862,6 +915,25 @@ struct MergedDag {
 /// stream's own plan as is, several merged into one task graph; commits
 /// replay sequentially per stream.
 ///
+/// # Ready index
+///
+/// The session keeps every running stream in one ordered index of
+/// (server-time ready time, slot), plus an ordered set of exhausted
+/// slots, so a tick costs O(due · log live) rather than a pass over
+/// every slot. A stream's ready time is `attach_at + max(next arrival,
+/// now)` on its own clock, `attach_at + now` when a frame is buffered,
+/// or none once its source is exhausted. It is read when the stream
+/// starts (attach or re-admission) and again after each of its commits,
+/// and the entry is dropped when the stream is finalized.
+///
+/// On a [`VirtualClock`] that is exact: the pipeline moves only when the
+/// stream is prepared and the clock only when the stream's own runner
+/// advances it, so the index always equals a rescan of the slots. A
+/// clock that moves by itself (a [`fgqos_sim::runtime::WallClock`])
+/// keeps the ready time last observed for it, so a tick serves the
+/// streams that became ready earliest, ties in slot order. Wall-clock
+/// sessions have no determinism contract.
+///
 /// # Determinism
 ///
 /// On virtual clocks, everything — admission decisions, re-admission
@@ -882,6 +954,8 @@ pub struct StreamSession<'a, A: ParallelApp> {
     make_backend: BackendFactory<'a>,
     make_clock: ClockFactory<'a>,
     slots: Vec<Slot<A>>,
+    /// Every running slot by ready time — see "Ready index" above.
+    index: ReadyIndex,
     merged: Option<MergedDag>,
     server_now: Cycles,
     ticks: u64,
@@ -995,18 +1069,39 @@ impl<A: ParallelApp> StreamSession<'_, A> {
         let Parked {
             mut runner,
             backend,
-            clock,
+            mut clock,
         } = *parked;
         let st = runner.start_parallel(Mode::Controlled)?;
         slot.attach_at = self.server_now;
+        let ready_at = st
+            .next_ready_time(clock.as_mut())
+            .map(|t| slot.attach_at + t);
         slot.state = SlotState::Running(Box::new(Active {
             runner,
             st,
             clock,
             backend,
             policy: policy_for(slot.decision),
+            ready_at,
         }));
+        self.index.insert(i, ready_at);
         Ok(())
+    }
+
+    /// Re-reads running slot `i`'s ready time after a commit and refiles
+    /// it in the index.
+    fn refile(&mut self, i: usize) {
+        let slot = &mut self.slots[i];
+        let SlotState::Running(active) = &mut slot.state else {
+            unreachable!("only running slots are indexed");
+        };
+        let at = active
+            .st
+            .next_ready_time(active.clock.as_mut())
+            .map(|t| slot.attach_at + t);
+        self.index
+            .remove(i, std::mem::replace(&mut active.ready_at, at));
+        self.index.insert(i, at);
     }
 
     /// Detaches the slot's output ring, if any: closes it (subscribers
@@ -1054,8 +1149,10 @@ impl<A: ParallelApp> StreamSession<'_, A> {
             mut runner,
             st,
             policy,
+            ready_at,
             ..
         } = *active;
+        self.index.remove(i, ready_at);
         let result = if truncate {
             runner.finish_parallel_truncated(st, policy.name())
         } else {
@@ -1305,21 +1402,19 @@ impl<A: ParallelApp> StreamSession<'_, A> {
     /// Server time of the next tick — the earliest pending frame
     /// deadline over the running streams — or `None` when nothing is
     /// running. Time is per-stream frame-clock time offset by the
-    /// stream's attach time.
+    /// stream's attach time; an exhausted stream, which departs at the
+    /// next tick, counts as the current server time.
+    ///
+    /// Reads the session's ready index (see [`StreamSession`]): O(1),
+    /// and no stream's clock is read.
     #[must_use]
-    pub fn next_tick_time(&mut self) -> Option<Cycles> {
-        let mut t_min: Option<Cycles> = None;
-        for slot in &mut self.slots {
-            if let SlotState::Running(active) = &mut slot.state {
-                // An exhausted stream finalizes at the current frontier.
-                let t = active
-                    .st
-                    .next_ready_time(active.clock.as_mut())
-                    .map_or(self.server_now, |t| slot.attach_at + t);
-                t_min = Some(t_min.map_or(t, |m: Cycles| m.min(t)));
-            }
+    pub fn next_tick_time(&self) -> Option<Cycles> {
+        let earliest = self.index.earliest();
+        if self.index.exhausted.is_empty() {
+            earliest
+        } else {
+            Some(earliest.map_or(self.server_now, |t| t.min(self.server_now)))
         }
-        t_min
     }
 
     /// Executes one server tick: finalizes exhausted streams (running
@@ -1328,6 +1423,15 @@ impl<A: ParallelApp> StreamSession<'_, A> {
     /// kernels of all due streams on the shared pool, commits
     /// sequential. Returns `false` when no stream is running (idle
     /// session; attach more or [`StreamSession::finish`]).
+    ///
+    /// Both the departures and the due set come from the session's ready
+    /// index (see [`StreamSession`]), so a tick costs O(due · log live)
+    /// plus the due streams' own work. Departures run in ascending slot
+    /// order; a stream that a re-admission starts at a higher slot during
+    /// the pass is seen in the same pass. The due set is every stream
+    /// ready at the earliest time, in slot order, fixed before any of
+    /// them is prepared: a stream re-admitted during the tick waits for
+    /// the next one.
     ///
     /// # Errors
     ///
@@ -1343,46 +1447,24 @@ impl<A: ParallelApp> StreamSession<'_, A> {
         let tick_span = self.metrics.spans.start();
         // Departures first: a stream whose source is exhausted finalizes
         // and releases, which may start parked streams in this same tick.
-        for i in 0..self.slots.len() {
-            let exhausted = match &mut self.slots[i].state {
-                SlotState::Running(active) => {
-                    active.st.next_ready_time(active.clock.as_mut()).is_none()
-                }
-                _ => false,
-            };
-            if exhausted {
-                self.finalize_running(i, false);
-                self.release_and_readmit(i, false)?;
-            }
+        let mut from = 0;
+        while let Some(i) = self.index.exhausted_from(from) {
+            from = i + 1;
+            self.finalize_running(i, false);
+            self.release_and_readmit(i, false)?;
         }
 
-        // The earliest pending frame deadline drives the tick. Snapshot
-        // every stream's ready time ONCE: a wall clock moves between
-        // reads, so selecting the due set against a re-read would never
-        // match the minimum and the session would spin without progress.
-        let mut ready: Vec<(usize, Cycles)> = Vec::new();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let SlotState::Running(active) = &mut slot.state {
-                let t = active
-                    .st
-                    .next_ready_time(active.clock.as_mut())
-                    .expect("exhausted streams finalized above");
-                ready.push((i, slot.attach_at + t));
-            }
-        }
-        let Some(t_min) = ready.iter().map(|&(_, t)| t).min() else {
+        // The earliest pending frame deadline drives the tick.
+        let Some(t_min) = self.index.earliest() else {
             return Ok(false);
         };
 
         // 1. Prepare the next frame of every due stream (sequential;
         //    touches only per-stream state).
         let mut due: Vec<usize> = Vec::new();
-        for &(i, t) in &ready {
-            if t != t_min {
-                continue;
-            }
+        for i in self.index.ready_at(t_min) {
             let SlotState::Running(active) = &mut self.slots[i].state else {
-                unreachable!("ready snapshot only lists running slots");
+                unreachable!("the index only lists running slots");
             };
             let mut est: Option<&mut dyn AvgEstimator> = None;
             let more = active.runner.next_parallel_frame(
@@ -1482,6 +1564,7 @@ impl<A: ParallelApp> StreamSession<'_, A> {
                     }
                 }
             }
+            self.refile(i);
             self.metrics
                 .spans
                 .record(self.metrics.coord_lane, "commit", "serve", commit_span);
@@ -1558,10 +1641,7 @@ impl<A: ParallelApp> StreamSession<'_, A> {
     /// Streams currently running.
     #[must_use]
     pub fn running(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s.state, SlotState::Running(_)))
-            .count()
+        self.index.len()
     }
 
     /// Streams parked waiting for capacity.
@@ -1848,6 +1928,174 @@ mod tests {
         assert_eq!(parked.result.as_ref().unwrap().frames().len(), 12);
         assert_eq!(report.admission().lifecycle().readmitted, 1);
         assert!(report.all_safe());
+    }
+
+    /// What a tick needs, recomputed by brute force from every slot's
+    /// clock and pipeline.
+    struct Rescan {
+        /// Every non-exhausted running slot as (ready time, slot).
+        ready: BTreeSet<(Cycles, usize)>,
+        /// What `next_tick_time` must answer: an exhausted stream counts
+        /// as the current server time.
+        next: Option<Cycles>,
+        /// The slots ready at the earliest time, in slot order.
+        due: Vec<usize>,
+        exhausted: BTreeSet<usize>,
+    }
+
+    fn rescan<A: ParallelApp>(session: &mut StreamSession<'_, A>) -> Rescan {
+        let mut ready = BTreeSet::new();
+        let mut exhausted = BTreeSet::new();
+        for (i, slot) in session.slots.iter_mut().enumerate() {
+            if let SlotState::Running(active) = &mut slot.state {
+                match active.st.next_ready_time(active.clock.as_mut()) {
+                    Some(t) => ready.insert((slot.attach_at + t, i)),
+                    None => exhausted.insert(i),
+                };
+            }
+        }
+        let earliest = ready.iter().map(|&(t, _)| t).min();
+        let due = ready
+            .iter()
+            .filter(|&&(t, _)| Some(t) == earliest)
+            .map(|&(_, i)| i)
+            .collect();
+        let next = ready
+            .iter()
+            .map(|&(t, _)| t)
+            .chain(exhausted.iter().map(|_| session.server_now))
+            .min();
+        Rescan {
+            ready,
+            next,
+            due,
+            exhausted,
+        }
+    }
+
+    /// Asserts that the session's ready index equals a rescan.
+    fn assert_index_is_exact<A: ParallelApp>(session: &mut StreamSession<'_, A>) {
+        let tick = session.ticks();
+        let want = rescan(session);
+        let index = &session.index;
+        assert_eq!(index.ready, want.ready, "ready entries at tick {tick}");
+        assert_eq!(index.exhausted, want.exhausted, "exhausted at tick {tick}");
+        assert_eq!(session.next_tick_time(), want.next, "next tick at {tick}");
+        let due = index
+            .earliest()
+            .map_or_else(Vec::new, |t| index.ready_at(t));
+        assert_eq!(due, want.due, "due set at tick {tick}");
+        assert_eq!(session.running(), want.ready.len() + want.exhausted.len());
+    }
+
+    /// The ready index equals a rescan of the slots before every tick of
+    /// an overloaded churn storm — streams park, re-admit, degrade,
+    /// detach and run dry — at one and two workers.
+    #[test]
+    fn ready_index_equals_a_rescan_through_a_churn_storm() {
+        use crate::churn::ChurnStorm;
+        for workers in [1usize, 2] {
+            let server = ServerConfig::new(workers).capacity(2.5).build();
+            let mut session = server.session(table_apps(8), stochastic_backends());
+            let (mut parked, mut degraded) = (0usize, false);
+            for event in ChurnStorm::paper_default(5).events() {
+                loop {
+                    assert_index_is_exact(&mut session);
+                    parked = parked.max(session.waiting());
+                    degraded |= session.slots.iter().any(|s| {
+                        matches!(s.state, SlotState::Running(_))
+                            && matches!(s.decision, AdmissionDecision::Degrade(_))
+                    });
+                    match session.next_tick_time() {
+                        Some(t) if t < event.at => assert!(session.step().unwrap()),
+                        _ => break,
+                    }
+                }
+                session.run_script(vec![event]).unwrap();
+            }
+            loop {
+                assert_index_is_exact(&mut session);
+                if !session.step().unwrap() {
+                    break;
+                }
+            }
+            assert_eq!(session.running(), 0);
+            let report = session.finish();
+            let life = report.admission().lifecycle();
+            assert!(parked > 0, "the storm must park streams");
+            assert!(life.readmitted > 0, "departures must re-admit");
+            assert!(life.detached > 0, "the storm must detach streams");
+            assert!(degraded, "the storm must run degraded streams");
+            assert!(report.all_safe());
+        }
+    }
+
+    /// A clock that moves by itself: every read advances it by a fixed
+    /// step — a deterministic stand-in for a wall clock.
+    struct DriftingClock {
+        now: Cycles,
+        step: Cycles,
+    }
+
+    impl Clock for DriftingClock {
+        fn now(&mut self) -> Cycles {
+            self.now += self.step;
+            self.now
+        }
+
+        fn advance(&mut self, dur: Cycles) {
+            if dur.is_finite() {
+                self.now += dur;
+            }
+        }
+
+        fn sleep_until(&mut self, t: Cycles) {
+            if t.is_finite() {
+                self.now = self.now.max(t);
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "drifting"
+        }
+    }
+
+    /// Streams whose clocks move between reads keep the ready time last
+    /// observed for them: the session still terminates, and every stream
+    /// that was not detached covers all of its camera frames.
+    #[test]
+    fn clocks_that_move_by_themselves_still_serve_every_frame() {
+        let server = ServerConfig::new(2).capacity(64.0).build();
+        let mut session =
+            server.session_with_clocks(table_apps(8), stochastic_backends(), |_: &StreamSpec| {
+                Box::new(DriftingClock {
+                    now: Cycles::ZERO,
+                    step: Cycles::new(1_000),
+                }) as Box<dyn Clock>
+            });
+        session.attach(spec("a", 1, 3, 20, 8)).unwrap();
+        session.attach(spec("b", 2, 4, 25, 8)).unwrap();
+        session.attach(spec("c", 3, 5, 15, 8)).unwrap();
+        for _ in 0..10 {
+            assert!(session.step().unwrap());
+        }
+        session.detach("b").unwrap();
+        let mut ticks = 0;
+        while session.step().unwrap() {
+            ticks += 1;
+            assert!(ticks < 10_000, "the session must terminate");
+        }
+        let report = session.finish();
+        for o in report.outcomes() {
+            let frames = o.result.as_ref().expect("every stream ran").frames().len();
+            if o.name == "b" {
+                assert!(o.detached);
+                assert!(frames < o.frames, "b was detached mid-run");
+            } else {
+                assert!(!o.detached, "{} must run dry, not be detached", o.name);
+                assert_eq!(frames, o.frames, "{} must cover every frame", o.name);
+            }
+        }
     }
 
     /// Table apps have no bitstream: a subscriber on a table session

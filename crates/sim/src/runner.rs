@@ -300,8 +300,12 @@ pub struct Runner<A: VideoApp> {
     order: Vec<ActionId>,
     /// `order_pos[instance] = position of that instance in `order``.
     order_pos: Vec<usize>,
-    /// Profile tiled to the unrolled graph.
-    tiled_profile: QualityProfile,
+    /// The body profile an online estimator last moved, or `None` while
+    /// the app's declared profile stands. Table builds tile it on demand
+    /// ([`Runner::tiled_profile`]); the parametric set refreshes from it
+    /// directly ([`BudgetTables::refresh_body`]), so no runner keeps a
+    /// tiled copy between builds.
+    refreshed_body: Option<QualityProfile>,
     /// Monitor accumulating safety statistics across the run.
     monitor: safety::SafetyMonitor,
     /// Budget-parametric tables shared by *every* frame of the run: the
@@ -310,8 +314,8 @@ pub struct Runner<A: VideoApp> {
     /// included. Built on first use, then swapped for the process-wide
     /// copy of equal content ([`ENVELOPES`]), so every live runner of
     /// one shape reads one set. When an online estimator rewrites `Cav`,
-    /// the envelopes are *refreshed* ([`BudgetTables::refresh`], O(hull
-    /// size)) instead of rebuilt, on a private copy (see
+    /// the envelopes are *refreshed* ([`BudgetTables::refresh_body`],
+    /// O(hull size)) instead of rebuilt, on a private copy (see
     /// [`Runner::prepare_frame`]).
     budget_tables: Option<Arc<BudgetTables>>,
     /// Materialized constraint tables of recurring budgets, keyed by the
@@ -337,7 +341,7 @@ pub struct Runner<A: VideoApp> {
     envelope_builds: u64,
     /// Diagnostics: how many full `ConstraintTables::new` builds ran.
     full_table_builds: u64,
-    /// Diagnostics: how many in-place [`BudgetTables::refresh`] passes
+    /// Diagnostics: how many in-place [`BudgetTables::refresh_body`] passes
     /// ran (one per frame whose estimator update actually moved the
     /// profile; converged estimators stop paying anything).
     envelope_refreshes: u64,
@@ -469,7 +473,6 @@ impl<A: VideoApp> Runner<A> {
         for (p, a) in order.iter().enumerate() {
             order_pos[a.index()] = p;
         }
-        let tiled_profile = app.profile().tile(n);
         // IteratedGraph rejects zero iterations, and the deadline
         // decomposition (budget_deadlines) relies on that invariant for
         // its final-iteration indexing — assert it at the construction
@@ -481,7 +484,7 @@ impl<A: VideoApp> Runner<A> {
             iter,
             order,
             order_pos,
-            tiled_profile,
+            refreshed_body: None,
             monitor: safety::SafetyMonitor::new(),
             budget_tables: None,
             tables_cache: HashMap::new(),
@@ -603,7 +606,7 @@ impl<A: VideoApp> Runner<A> {
         if self.budget_tables.is_none() {
             let built = BudgetTables::new(
                 self.order.clone(),
-                &self.tiled_profile,
+                &self.tiled_profile(),
                 self.config.deadline_shape,
                 self.iter.iterations(),
             )?;
@@ -666,7 +669,7 @@ impl<A: VideoApp> Runner<A> {
         qs: &QualitySet,
     ) -> Result<Arc<ConstraintTables>, SimError> {
         let deadlines = DeadlineMap::uniform(qs.clone(), self.deadline_vec(frame_budget));
-        let built = ConstraintTables::new(self.order.clone(), &self.tiled_profile, &deadlines)?;
+        let built = ConstraintTables::new(self.order.clone(), &self.tiled_profile(), &deadlines)?;
         self.full_table_builds += 1;
         self.metrics.full_table_builds.incr();
         let tables = PROMOTED.intern((self.table_shape(), frame_budget), built);
@@ -680,11 +683,20 @@ impl<A: VideoApp> Runner<A> {
         Ok(tables)
     }
 
+    /// The current body profile tiled to the unrolled graph, for one
+    /// table build.
+    fn tiled_profile(&self) -> QualityProfile {
+        self.refreshed_body
+            .as_ref()
+            .unwrap_or_else(|| self.app.profile())
+            .tile(self.iter.iterations())
+    }
+
     /// The fingerprint this runner's table builds are interned under.
     fn table_shape(&self) -> TableShape {
         (
             self.order.len(),
-            self.tiled_profile.qualities().len(),
+            self.app.profile().qualities().len(),
             self.iter.iterations(),
             self.config.deadline_shape,
         )
@@ -834,9 +846,10 @@ impl<A: VideoApp> Runner<A> {
     ///
     /// When the estimator actually moves the profile, the
     /// budget-parametric envelopes are *refreshed*
-    /// ([`BudgetTables::refresh`]: slopes, classes and hull structure are
-    /// schedule facts; only the `Cav` intercepts shift) — no per-frame
-    /// `ConstraintTables` build, no envelope rebuild. Materialized
+    /// ([`BudgetTables::refresh_body`]: slopes, classes and hull
+    /// structure are schedule facts; only the `Cav` intercepts shift) —
+    /// no per-frame `ConstraintTables` build, no envelope rebuild, and no
+    /// tiled profile until a table build needs one. Materialized
     /// per-budget tables baked the old profile in, so those caches are
     /// dropped. A converged estimator (no profile change) invalidates
     /// nothing at all.
@@ -849,7 +862,6 @@ impl<A: VideoApp> Runner<A> {
     ) -> Result<SharedTables, SimError> {
         if let Some(est) = estimator.as_deref_mut() {
             if apply_estimates(est, body_profile) {
-                body_profile.tile_into(self.iter.iterations(), &mut self.tiled_profile);
                 if let Some(tables) = self.budget_tables.as_mut() {
                     // The first refresh detaches the set from the shared
                     // copy: while other runners hold it, `make_mut`
@@ -858,10 +870,11 @@ impl<A: VideoApp> Runner<A> {
                     // entry. Either way refreshed content is never handed
                     // to another runner. Later refreshes update the now
                     // private set in place.
-                    Arc::make_mut(tables).refresh(&self.tiled_profile)?;
+                    Arc::make_mut(tables).refresh_body(body_profile)?;
                     self.envelope_refreshes += 1;
                     self.metrics.envelope_refreshes.incr();
                 }
+                self.refreshed_body = Some(body_profile.clone());
                 self.tables_cache.clear();
                 self.tables_cache_order.clear();
                 self.recent_budgets.clear();
@@ -1044,6 +1057,7 @@ mod tests {
     use crate::app::TableApp;
     use crate::scenario::LoadScenario;
     use fgqos_core::policy::MaxQuality;
+    use fgqos_sched::TableQuery;
 
     fn small_runner(frames: usize, mb: usize, k: usize) -> Runner<TableApp> {
         let scenario = LoadScenario::paper_benchmark(5).truncated(frames);
@@ -1407,6 +1421,43 @@ mod tests {
         let res = r.run_controlled(&mut MaxQuality::new(), 3).unwrap();
         assert_eq!(res.skips(), 0);
         assert_eq!(r.envelope_builds(), 1);
+    }
+
+    #[test]
+    fn tables_promoted_after_an_estimator_run_use_the_refreshed_profile() {
+        use fgqos_core::estimator::EwmaEstimator;
+        // The refreshes read the body profile and leave the tiling for
+        // later: a table promoted afterwards must still be built from the
+        // refreshed profile, i.e. answer exactly as the refreshed
+        // envelopes do at its budget.
+        let mut r = small_runner(20, 8, 1);
+        let qs = r.app().profile().qualities().clone();
+        let mut est = EwmaEstimator::new(9, qs.clone(), 0.3);
+        r.run(
+            Mode::Controlled,
+            &mut MaxQuality::new(),
+            &mut StochasticLoad::new(17),
+            Some(&mut est),
+        )
+        .unwrap();
+        assert!(r.envelope_refreshes() > 0, "the estimator moved nothing");
+        let b = Cycles::new(1_234_567);
+        r.tables_for(b, &qs).unwrap();
+        let SharedTables::Fixed(promoted) = r.tables_for(b, &qs).unwrap() else {
+            panic!("a recurring budget is promoted");
+        };
+        let envelopes = Arc::clone(r.budget_tables.as_ref().unwrap());
+        let view = envelopes.at_budget(b);
+        for i in 0..=promoted.len() {
+            assert_eq!(promoted.wcmin_budget_at(i), view.wcmin_budget_at(i));
+            for qi in 0..promoted.quality_count() {
+                assert_eq!(
+                    promoted.av_budget_at(qi, i),
+                    view.av_budget_at(qi, i),
+                    "qi {qi} i {i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -136,7 +136,8 @@ pub fn suffix_budgets(deadlines: &[Cycles], durations: &[Cycles]) -> Vec<Slack> 
 /// suffix budget as `min_j (m_j · b − c_j)` over the frame budget `b` —
 /// a lower envelope of lines with integer slopes and intercepts. This
 /// type precomputes that envelope once (exact integer comparisons, no
-/// floats) and evaluates it per query in `O(log segments)`.
+/// floats, no divisions) and evaluates it per query in
+/// `O(log segments)`.
 ///
 /// Queries are restricted to `x ≥ 0`; lines that are never minimal on
 /// that domain are discarded at construction.
@@ -166,12 +167,8 @@ pub fn suffix_budgets(deadlines: &[Cycles], durations: &[Cycles]) -> Vec<Slack> 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineEnvelope {
     /// Hull lines `(slope, intercept)` in coverage order for increasing
-    /// `x` (slopes strictly decreasing).
+    /// `x` (slopes strictly decreasing, intercepts strictly increasing).
     lines: Vec<(i128, i128)>,
-    /// `starts[i]`: the smallest integer `x` at which `lines[i]` attains
-    /// the envelope minimum (`starts[0] == 0`, strictly increasing in
-    /// the real line, weakly increasing after integer rounding).
-    starts: Vec<u128>,
 }
 
 impl LineEnvelope {
@@ -193,40 +190,26 @@ impl LineEnvelope {
         b.snapshot()
     }
 
-    /// Computes the segment switch points of a valid hull into `starts`
-    /// (cleared first; existing capacity is reused). The builder now
-    /// maintains starts incrementally; this batch form remains as the
-    /// debug-build cross-check oracle in
-    /// [`EnvelopeBuilder::snapshot_into`].
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    fn starts_of_hull(hull: &[(i128, i128)], starts: &mut Vec<u128>) {
-        starts.clear();
-        if !hull.is_empty() {
-            starts.push(0u128);
-        }
-        for w in hull.windows(2) {
-            let (m0, c0) = w[0];
-            let (m1, c1) = w[1];
-            // Smallest integer x with m1·x + c1 ≤ m0·x + c0, i.e.
-            // x ≥ (c1 − c0)/(m0 − m1); both differences are positive by
-            // hull construction, so this is a plain ceiling division.
-            let num = c1 - c0;
-            let den = m0 - m1;
-            let x = (num + den - 1) / den;
-            starts.push(u128::try_from(x).expect("hull switch points are non-negative"));
-        }
-    }
-
     /// Evaluates `min_j (m_j · x + c_j)` at `x`, or `None` for the empty
     /// envelope (the minimum over no lines, i.e. `+∞`).
     #[must_use]
     pub fn eval(&self, x: u64) -> Option<i128> {
-        if self.lines.is_empty() {
-            return None;
+        let at = |(m, c): (i128, i128)| m * i128::from(x) + c;
+        // Along the hull, line `j + 1` is not above line `j` exactly
+        // when `x` is at or past their crossing (slopes fall, so their
+        // difference grows with `x`), and the crossings rise along the
+        // hull. So that test holds for a prefix of the pairs, and the
+        // line right after that prefix is the one minimal at `x`.
+        let (mut lo, mut hi) = (0, self.lines.len().checked_sub(1)?);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if at(self.lines[mid + 1]) <= at(self.lines[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        let idx = self.starts.partition_point(|&s| s <= u128::from(x)) - 1;
-        let (m, c) = self.lines[idx];
-        Some(m * i128::from(x) + c)
+        Some(at(self.lines[lo]))
     }
 
     /// Number of envelope segments after construction.
@@ -245,7 +228,6 @@ impl LineEnvelope {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.lines.len() * std::mem::size_of::<(i128, i128)>()
-            + self.starts.len() * std::mem::size_of::<u128>()
     }
 }
 
@@ -272,12 +254,6 @@ impl LineEnvelope {
 #[derive(Debug, Clone, Default)]
 pub struct EnvelopeBuilder {
     hull: Vec<(i128, i128)>,
-    /// Segment switch points aligned with `hull`, maintained under the
-    /// same stack discipline: a line's start is fixed at push time (its
-    /// predecessor can only change by popping the line itself first), so
-    /// snapshots copy it instead of re-deriving it — one ceiling
-    /// division per push instead of one per hull line per snapshot.
-    starts: Vec<u128>,
 }
 
 impl EnvelopeBuilder {
@@ -305,7 +281,6 @@ impl EnvelopeBuilder {
                     return; // existing equal-slope line is not above
                 }
                 self.hull.pop();
-                self.starts.pop();
             }
         }
         loop {
@@ -316,7 +291,6 @@ impl EnvelopeBuilder {
                     // smaller is never minimal on x >= 0.
                     if self.hull[0].1 >= c {
                         self.hull.pop();
-                        self.starts.pop();
                     } else {
                         break;
                     }
@@ -330,69 +304,36 @@ impl EnvelopeBuilder {
                     // cross-multiplied (both denominators positive).
                     if (c - cu) * (mu - mt) <= (ct - cu) * (mu - m) {
                         self.hull.pop();
-                        self.starts.pop();
                     } else {
                         break;
                     }
                 }
             }
         }
-        // Same switch-point formula as `starts_of_hull`, applied to the
-        // one new consecutive pair — the settled top of the stack is
-        // exactly this line's final predecessor. Both differences are
-        // positive by hull construction; when they fit in 64 bits the
-        // ceiling division runs in hardware instead of the 128-bit
-        // soft-division libcall (this is the refresh hot path).
-        let start = match self.hull.last() {
-            None => 0u128,
-            Some(&(mt, ct)) => {
-                let num = c - ct;
-                let den = mt - m;
-                if num < (1 << 63) && den < (1 << 63) {
-                    u128::from((num as u64).div_ceil(den as u64))
-                } else {
-                    u128::try_from((num + den - 1) / den)
-                        .expect("hull switch points are non-negative")
-                }
-            }
-        };
         self.hull.push((m, c));
-        self.starts.push(start);
     }
 
     /// The envelope over every line pushed so far. O(hull size).
     #[must_use]
     pub fn snapshot(&self) -> LineEnvelope {
-        let mut out = LineEnvelope {
-            lines: Vec::new(),
-            starts: Vec::new(),
-        };
+        let mut out = LineEnvelope { lines: Vec::new() };
         self.snapshot_into(&mut out);
         out
     }
 
     /// Writes the envelope over every line pushed so far into `out`,
-    /// reusing its `lines`/`starts` buffers. O(hull size) buffer copies,
+    /// reusing its line buffer. O(hull size) copies,
     /// allocation-free once `out` has capacity — the intercept-refresh
     /// fast path of the budget-parametric tables.
     pub fn snapshot_into(&self, out: &mut LineEnvelope) {
         out.lines.clear();
         out.lines.extend_from_slice(&self.hull);
-        out.starts.clear();
-        out.starts.extend_from_slice(&self.starts);
-        #[cfg(debug_assertions)]
-        {
-            let mut check = Vec::new();
-            LineEnvelope::starts_of_hull(&out.lines, &mut check);
-            debug_assert_eq!(check, out.starts, "incremental starts diverged");
-        }
     }
 
     /// Empties the builder for a fresh sequence of lines, retaining the
     /// buffers' capacity.
     pub fn clear(&mut self) {
         self.hull.clear();
-        self.starts.clear();
     }
 }
 

@@ -237,7 +237,7 @@ fn quality_switches_only_cost_re_execution_never_divergence() {
             // feasible max so the controller accepts it.
             let want = if self.0.is_multiple_of(2) { 2 } else { 7 };
             let feasible = ctx.max_feasible();
-            let q = feasible.map_or(ctx.qualities.min(), |m| Quality::new(want.min(m.level())));
+            let q = feasible.map_or(ctx.qualities().min(), |m| Quality::new(want.min(m.level())));
             Choice {
                 quality: q,
                 fallback: feasible.is_none(),

@@ -71,6 +71,29 @@ fn saturated_controlled_run_is_byte_identical_to_the_legacy_path() {
     }
 }
 
+/// The oracle can fail. Its decisions come from its own rebuilt tables
+/// (`PolicyCtx::with_tables` re-evaluates `q_M` for them), so when its
+/// profile drifts from the runner's — one `Cav` raised before every
+/// frame, on a run without an estimator — the checked twin must count
+/// mismatches instead of echoing the runner's answer.
+#[test]
+fn rebuild_oracle_counts_mismatches_when_its_tables_differ() {
+    let shape = DeadlineShape::PerIteration;
+    let mut r = runner(40, 8, shape);
+    let top = r.app().profile().qualities().max();
+    let mut oracle = rebuild_policy(&r, shape).refreshed_by(move |profile| {
+        let raised = profile.worst_idx(0, top);
+        profile
+            .update_avg(0, top, raised)
+            .expect("action 0 at the top level exists");
+    });
+    r.run_controlled(&mut oracle, 11).unwrap();
+    assert!(
+        oracle.mismatches() > 0,
+        "a drifted profile went unnoticed by the checked oracle"
+    );
+}
+
 #[test]
 fn paced_controlled_run_decides_like_cached_tables() {
     // Doubling the period at nominal times makes every steady-state
