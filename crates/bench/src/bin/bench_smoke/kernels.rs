@@ -11,6 +11,8 @@ use fgqos_encoder::dct;
 use fgqos_encoder::frame::{Frame, PaddedFrame};
 use fgqos_encoder::motion::search;
 use fgqos_encoder::quant::{dequantize, quantize};
+use fgqos_encoder::synth::SyntheticCamera;
+use fgqos_sim::scenario::LoadScenario;
 use fgqos_telemetry::json::{JsonObj, JsonValue};
 
 use crate::harness::{best_of, lcg, ms, ratio, Section, H, REPS, W};
@@ -24,6 +26,9 @@ const KRN_ITERS: usize = 200;
 const KRN_DCT_MIN_SPEEDUP: f64 = 2.0;
 /// Repetitions of the single border-macroblock search per timed rep.
 const KRN_BORDER_ITERS: usize = 20;
+/// The camera motion case: frames `KRN_CAMERA_FRAME - 1 → KRN_CAMERA_FRAME`
+/// of the paper benchmark, inside its heavy-motion scene 3.
+const KRN_CAMERA_FRAME: usize = 196;
 
 /// Best-of-`REPS` wall time of `KRN_ITERS` passes of `f` over `items`.
 fn time_each<T>(items: &[T], f: impl Fn(&T)) -> Duration {
@@ -81,7 +86,8 @@ pub fn run() -> Section {
     });
 
     // Motion on noise frames: the regime where the bounded SAD does the
-    // work (early exit never fires).
+    // work (early exit never fires, and successive elimination prunes
+    // nothing).
     let mut fseed = 0x0b07_u64;
     let mut noise = |w: usize, h: usize| {
         let mut f = Frame::new(w, h);
@@ -130,6 +136,33 @@ pub fn run() -> Section {
         }
     });
     let border_speedup = ratio(t_border_ref, t_border);
+
+    // Motion on moving camera content, every macroblock: the regime
+    // where successive elimination prunes most candidates (reported, not
+    // gated).
+    let scenario = LoadScenario::paper_benchmark(1).truncated(KRN_CAMERA_FRAME + 1);
+    let camera = SyntheticCamera::new(&scenario, W, H, 1);
+    let cam_ref = camera.frame(KRN_CAMERA_FRAME - 1);
+    let cam_cur = camera.frame(KRN_CAMERA_FRAME);
+    let cam_padded = PaddedFrame::from_frame(&cam_ref);
+    let cam_origins: Vec<(usize, usize)> = (0..cam_cur.macroblocks())
+        .map(|mb| cam_cur.mb_origin(mb))
+        .collect();
+    for &(ox, oy) in &cam_origins {
+        bit_identical &= search(&cam_cur, &cam_padded, ox, oy, 16)
+            == search_reference(&cam_cur, &cam_ref, ox, oy, 16);
+    }
+    let t_camera = best_of(REPS, || {
+        for &(ox, oy) in &cam_origins {
+            std::hint::black_box(search(&cam_cur, &cam_padded, ox, oy, 16));
+        }
+    });
+    let t_camera_ref = best_of(REPS, || {
+        for &(ox, oy) in &cam_origins {
+            std::hint::black_box(search_reference(&cam_cur, &cam_ref, ox, oy, 16));
+        }
+    });
+    let camera_speedup = ratio(t_camera_ref, t_camera);
 
     // Compress: one macroblock's entropy coding (inter, so the vector is
     // coded too) over the quantized residual blocks.
@@ -186,6 +219,16 @@ pub fn run() -> Section {
                 .fixed("search_ms", ms(t_border), 3)
                 .fixed("search_reference_ms", ms(t_border_ref), 3)
                 .fixed("speedup", border_speedup, 3),
+        )
+        .obj(
+            "motion_camera",
+            JsonObj::new()
+                .int("radius", 16)
+                .int("frame", KRN_CAMERA_FRAME as u64)
+                .int("macroblocks", cam_origins.len() as u64)
+                .fixed("search_ms", ms(t_camera), 3)
+                .fixed("search_reference_ms", ms(t_camera_ref), 3)
+                .fixed("speedup", camera_speedup, 3),
         )
         .obj(
             "compress",

@@ -53,7 +53,7 @@ use crate::dct;
 use crate::entropy::{encode_block, encode_mv, BitWriter};
 use crate::frame::{Frame, PaddedFrame, MB_SIZE};
 use crate::intra::{dc_predict_blocks, decide_mode, MbMode};
-use crate::motion::{predict, radius_for_quality, search};
+use crate::motion::{predict, radius_for_quality, SearchTrace};
 use crate::psnr::psnr;
 use crate::quant::{dequantize, nonzeros, quantize, RateController};
 use crate::synth::SyntheticCamera;
@@ -147,6 +147,20 @@ impl Default for MbState {
     }
 }
 
+/// What one macroblock's lock guards: the working state other kernels
+/// read, and the motion-search trace that only `Motion_Estimate` reads
+/// and writes.
+///
+/// The trace lives beside [`MbState`], not in it, because snapshots
+/// compare only what downstream kernels read: a re-run search that lands
+/// on the same vector must re-validate even though its trace grew.
+/// `Grab_Macro_Block` clears it, so it is valid for exactly one frame.
+#[derive(Debug, Default)]
+struct MbSlot {
+    state: MbState,
+    trace: SearchTrace,
+}
+
 /// Pixel-level encoder application (see module docs).
 #[derive(Debug)]
 pub struct EncoderApp {
@@ -176,8 +190,9 @@ pub struct EncoderApp {
     frame_bits: u64,
     total_bits: u64,
     frames_encoded: usize,
-    /// Per-macroblock working state, one lock per macroblock.
-    mb_states: Vec<Mutex<MbState>>,
+    /// Per-macroblock working state and search trace, one lock per
+    /// macroblock.
+    mb_states: Vec<Mutex<MbSlot>>,
     /// Finished streams of the last completed frame.
     last_frame_streams: Vec<Vec<u8>>,
     /// QP the last completed frame was coded at.
@@ -249,7 +264,7 @@ impl EncoderApp {
             total_bits: 0,
             frames_encoded: 0,
             mb_states: (0..macroblocks)
-                .map(|_| Mutex::new(MbState::default()))
+                .map(|_| Mutex::new(MbSlot::default()))
                 .collect(),
             last_frame_streams: Vec::new(),
             last_frame_qp: 12,
@@ -329,7 +344,7 @@ impl EncoderApp {
     /// reads copy their data out before the own-state lock is taken), so
     /// ordering is trivial; a poisoned lock only means a sibling kernel
     /// panicked mid-frame, and the state is still well-formed bytes.
-    fn lock_mb(&self, mb: usize) -> MutexGuard<'_, MbState> {
+    fn lock_mb(&self, mb: usize) -> MutexGuard<'_, MbSlot> {
         self.mb_states[mb]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -340,17 +355,18 @@ impl EncoderApp {
     /// macroblocks' `Reconstruct` kernels already ran.
     fn neighbour_recon(&self, mb: usize) -> (Option<[u8; 256]>, Option<[u8; 256]>) {
         let cols = self.source.mb_cols();
-        let above = (mb >= cols).then(|| self.lock_mb(mb - cols).recon_block);
-        let left = (!mb.is_multiple_of(cols)).then(|| self.lock_mb(mb - 1).recon_block);
+        let above = (mb >= cols).then(|| self.lock_mb(mb - cols).state.recon_block);
+        let left = (!mb.is_multiple_of(cols)).then(|| self.lock_mb(mb - 1).state.recon_block);
         (above, left)
     }
 
-    fn run_grab(&self, st: &mut MbState, mb: usize) -> u64 {
+    fn run_grab(&self, slot: &mut MbSlot, mb: usize) -> u64 {
         let (ox, oy) = self.mb_origin(mb);
         // Reset in place but keep the stream's heap allocation from the
         // previous frame — a cleared `Vec` compares equal to a fresh
         // one, so snapshots (and speculation re-validation) see the
         // exact state the full reset produced.
+        let st = &mut slot.state;
         let mut stream = std::mem::take(&mut st.stream);
         stream.clear();
         *st = MbState {
@@ -358,10 +374,14 @@ impl EncoderApp {
             stream,
             ..MbState::default()
         };
+        slot.trace.clear();
         timing::grab_cycles()
     }
 
-    fn run_motion(&self, st: &mut MbState, mb: usize, q: Quality) -> u64 {
+    /// The search resumes this frame's trace: a commit re-run at another
+    /// radius reads or extends what the speculative search left.
+    fn run_motion(&self, slot: &mut MbSlot, mb: usize, q: Quality) -> u64 {
+        let MbSlot { state: st, trace } = slot;
         if self.force_intra || !self.has_reference {
             // I-frames skip the search: the trivial level-0 check.
             st.inter_sad = u32::MAX;
@@ -370,7 +390,7 @@ impl EncoderApp {
         }
         let (ox, oy) = self.mb_origin(mb);
         let radius = radius_for_quality(q.level());
-        let result = search(&self.source, &self.reference, ox, oy, radius);
+        let result = trace.search(&self.source, &self.reference, ox, oy, radius);
         st.inter_mv = result.mv;
         st.inter_sad = result.sad;
         st.inter_pred = predict(&self.reference, ox, oy, result.mv);
@@ -525,9 +545,9 @@ impl VideoApp for EncoderApp {
         self.last_frame_streams
             .resize_with(self.mb_states.len(), Vec::new);
         for (out, m) in self.last_frame_streams.iter_mut().zip(&self.mb_states) {
-            let st = m.lock().unwrap_or_else(PoisonError::into_inner);
+            let slot = m.lock().unwrap_or_else(PoisonError::into_inner);
             out.clear();
-            out.extend_from_slice(&st.stream);
+            out.extend_from_slice(&slot.state.stream);
         }
         self.last_frame_qp = self.qp;
         self.last_frame_index = frame;
@@ -560,7 +580,7 @@ impl ParallelApp for EncoderApp {
     type Snapshot = MbState;
 
     fn snapshot(&self, mb: usize) -> MbState {
-        self.lock_mb(mb).clone()
+        self.lock_mb(mb).state.clone()
     }
 
     fn data_preds(&self, action: ActionId, mb: usize) -> Vec<(ActionId, usize)> {
@@ -614,26 +634,27 @@ impl ParallelApp for EncoderApp {
             // Copy neighbour context before taking the own-state lock:
             // locks stay leaf-level, no ordering discipline needed.
             let (above, left) = self.neighbour_recon(mb);
-            let mut st = self.lock_mb(mb);
-            self.run_intra(&mut st, above.as_ref(), left.as_ref())
+            let mut slot = self.lock_mb(mb);
+            self.run_intra(&mut slot.state, above.as_ref(), left.as_ref())
         } else {
-            let mut st = self.lock_mb(mb);
+            let mut slot = self.lock_mb(mb);
+            let st = &mut slot.state;
             if action == self.ids.grab {
-                self.run_grab(&mut st, mb)
+                self.run_grab(&mut slot, mb)
             } else if action == self.ids.me {
-                self.run_motion(&mut st, mb, q)
+                self.run_motion(&mut slot, mb, q)
             } else if action == self.ids.dct {
-                self.run_dct(&mut st)
+                self.run_dct(st)
             } else if action == self.ids.quant {
-                self.run_quantize(&mut st)
+                self.run_quantize(st)
             } else if action == self.ids.compress {
-                self.run_compress(&mut st)
+                self.run_compress(st)
             } else if action == self.ids.invq {
-                self.run_inverse_quantize(&mut st)
+                self.run_inverse_quantize(st)
             } else if action == self.ids.idct {
-                self.run_idct(&mut st)
+                self.run_idct(st)
             } else if action == self.ids.recon {
-                self.run_reconstruct(&mut st)
+                self.run_reconstruct(st)
             } else {
                 unreachable!("unknown action handed to encoder app");
             }
@@ -643,11 +664,11 @@ impl ParallelApp for EncoderApp {
 
     fn apply(&mut self, action: ActionId, mb: usize) {
         if action == self.ids.compress {
-            let bits = self.lock_mb(mb).bits;
+            let bits = self.lock_mb(mb).state.bits;
             self.frame_bits += bits;
             self.total_bits += bits;
         } else if action == self.ids.recon {
-            let block = self.lock_mb(mb).recon_block;
+            let block = self.lock_mb(mb).state.recon_block;
             let (ox, oy) = self.mb_origin(mb);
             self.recon.write_block(ox, oy, &block);
         }
@@ -676,6 +697,7 @@ impl ParallelApp for EncoderApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::motion::search;
     use fgqos_core::policy::MaxQuality;
     use fgqos_sim::exec::WorkDriven;
     use fgqos_sim::runner::{Mode, RunConfig, Runner};
@@ -819,6 +841,86 @@ mod tests {
         // Pure-chain kernels need nothing extra.
         assert!(app.data_preds(ids.quant, 4).is_empty());
         assert!(app.data_preds(ids.idct, 4).is_empty());
+    }
+
+    /// Runs every action of `frame` on every macroblock in body order at
+    /// quality `q`, then closes the frame.
+    fn encode_frame(app: &mut EncoderApp, frame: usize, q: Quality) {
+        let ids = app.ids;
+        app.begin_frame(frame);
+        for mb in 0..app.iterations() {
+            for action in [
+                ids.grab,
+                ids.me,
+                ids.intra,
+                ids.dct,
+                ids.quant,
+                ids.compress,
+                ids.invq,
+                ids.idct,
+                ids.recon,
+            ] {
+                app.run_action(action, mb, q);
+            }
+        }
+        app.encoded_psnr(frame, 0.0, &CycleReport::from_records(Vec::new(), 0));
+    }
+
+    /// An app that has encoded the I-frame 0 and the P-frame 1 (which
+    /// leaves a search trace on every macroblock) and grabbed P-frame 2.
+    fn grabbed_p_frame() -> EncoderApp {
+        let scenario = LoadScenario::paper_benchmark(3).truncated(4);
+        let mut app = EncoderApp::new(scenario, 64, 48, 5).unwrap();
+        encode_frame(&mut app, 0, Quality::new(7));
+        encode_frame(&mut app, 1, Quality::new(7));
+        app.begin_frame(2);
+        assert!(!app.force_intra);
+        for mb in 0..app.iterations() {
+            app.run_action(app.ids.grab, mb, Quality::new(7));
+        }
+        app
+    }
+
+    #[test]
+    fn a_commit_rerun_through_the_trace_equals_a_fresh_search() {
+        let me = grabbed_p_frame().ids.me;
+        let mut revalidated = 0;
+        for (spec, commit) in [(7, 2), (2, 7), (7, 6), (4, 5)] {
+            let (spec, commit) = (Quality::new(spec), Quality::new(commit));
+            // A speculative search at `spec`, then the commit's re-run at
+            // `commit`, against a fresh app that searches once at
+            // `commit` and against a one-shot search.
+            let mut resumed = grabbed_p_frame();
+            let mut fresh = grabbed_p_frame();
+            for mb in 0..resumed.iterations() {
+                resumed.kernel(me, mb, spec);
+                let speculated = resumed.snapshot(mb);
+                let work = resumed.run_action(me, mb, commit);
+                let (ox, oy) = resumed.mb_origin(mb);
+                let radius = radius_for_quality(commit.level());
+                let once = search(&resumed.source, &resumed.reference, ox, oy, radius);
+                assert_eq!(
+                    work,
+                    Some(timing::motion_cycles(commit.level(), once.evaluations))
+                );
+                assert_eq!(
+                    work,
+                    fresh.run_action(me, mb, commit),
+                    "{spec} then {commit}"
+                );
+                let state = resumed.snapshot(mb);
+                assert_eq!(state, fresh.snapshot(mb), "{spec} then {commit}");
+                assert_eq!((state.inter_mv, state.inter_sad), (once.mv, once.sad));
+                // The trace is not part of the snapshot: a re-run that
+                // lands on the same match re-validates.
+                if (state.inter_mv, state.inter_sad) == (speculated.inter_mv, speculated.inter_sad)
+                {
+                    assert_eq!(state, speculated);
+                    revalidated += 1;
+                }
+            }
+        }
+        assert!(revalidated > 0, "no re-run found the speculated vector");
     }
 
     #[test]

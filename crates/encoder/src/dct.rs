@@ -189,7 +189,8 @@ pub fn forward(input: &[i16; BLOCK * BLOCK]) -> [f32; BLOCK * BLOCK] {
 /// Inverse 8×8 DCT back to spatial residuals (`i16`).
 ///
 /// Bit-identical to the original scalar transform (same per-output term
-/// order and association, `(scale·coeff)·basis`).
+/// order and association, `(scale·coeff)·basis`; the final rounding is
+/// the exact libm-free `round_clamped`).
 #[must_use]
 pub fn inverse(coeffs: &[f32; BLOCK * BLOCK]) -> [i16; BLOCK * BLOCK] {
     let mut tmp = [0f32; BLOCK * BLOCK];
@@ -218,10 +219,28 @@ pub fn inverse(coeffs: &[f32; BLOCK * BLOCK]) -> [i16; BLOCK * BLOCK] {
             }
         }
         for x in 0..BLOCK {
-            out[y * BLOCK + x] = acc[x].round().clamp(-4096.0, 4096.0) as i16;
+            out[y * BLOCK + x] = round_clamped(acc[x], 4096.0);
         }
     }
     out
+}
+
+/// `y` rounded half away from zero and clamped to `±lim`: exactly
+/// `y.round().clamp(-lim, lim) as i16` for an integer `lim` below
+/// 2¹⁵, NaN included (it maps to 0), but without `f32::round`, which is
+/// a libm `roundf` call on the baseline x86-64 target.
+///
+/// Clamping first gives the same result as clamping after rounding,
+/// since rounding is monotone and `±lim` are integers. On the clamped
+/// value `t = y as i32` truncates toward zero and `y − t` is exact, so
+/// adding ±1 when `|y − t| ≥ 0.5` is round-half-away. The whole body is
+/// branch-free, so loops over blocks vectorize.
+#[inline]
+pub(crate) fn round_clamped(y: f32, lim: f32) -> i16 {
+    let y = y.clamp(-lim, lim);
+    let t = y as i32;
+    let frac = y - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16
 }
 
 /// Splits a 16×16 macroblock residual into its four 8×8 blocks
@@ -369,6 +388,78 @@ mod tests {
             (spatial - freq).abs() / spatial < 1e-4,
             "{spatial} vs {freq}"
         );
+    }
+
+    /// `round_clamped` against its definition at both limits in use.
+    fn assert_rounds_like_libm(x: f32) {
+        for lim in [2048.0, 4096.0] {
+            assert_eq!(
+                round_clamped(x, lim),
+                x.round().clamp(-lim, lim) as i16,
+                "{x:e} (bits {:#010x}) at limit {lim}",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_the_edge_cases() {
+        let mut cases = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            0.499_999_97,
+            0.5,
+            1.5,
+            2.5,
+            2047.5,
+            2048.5,
+            4095.5,
+            4096.5,
+            8_388_607.5,
+            8_388_608.0,
+            8_388_609.0,
+            16_777_216.0,
+            1e30,
+        ];
+        cases.extend(cases.clone().into_iter().map(|x| -x));
+        for x in cases {
+            assert_rounds_like_libm(x);
+        }
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_a_sample_of_every_f32() {
+        // Every bit pattern at a stride coprime to 2^32 (all exponents,
+        // both signs, NaNs and subnormals): ~1M values.
+        for bits in (0..=u32::MAX).step_by(4099) {
+            assert_rounds_like_libm(f32::from_bits(bits));
+        }
+    }
+
+    /// Every `f32` with 0.5 ≤ |x| < 8192, both signs: the values that
+    /// round to a nonzero level below and past both limits. Below 0.5
+    /// every value rounds to 0 and from 2^23 every value is an integer
+    /// (both covered by the cases above). A few seconds in release;
+    /// ignored in debug builds, where the sampled test runs instead.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn rounding_matches_libm_on_every_f32_that_rounds_nonzero() {
+        for bits in 0.5f32.to_bits()..8192f32.to_bits() {
+            let x = f32::from_bits(bits);
+            assert_rounds_like_libm(x);
+            assert_rounds_like_libm(-x);
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! ([`PaddedFrame::sad_bounded`]) and motion compensation
 //! ([`PaddedFrame::block`]) then read every candidate as 16 plain row
 //! slices, with the same bytes the per-pixel clamp would have produced.
+//! The padded plane also carries the pixel sum of the 16×16 block at
+//! every origin ([`PaddedFrame::block_sum`]), the successive-elimination
+//! bound of motion search.
 
 use std::fmt;
 
@@ -202,6 +205,14 @@ impl fmt::Display for Frame {
 /// A frame stored with [`PAD`] pixels of edge replication on every side:
 /// the reference plane of motion search and motion compensation.
 ///
+/// Beside the pixels it keeps a `u16` plane of block sums: the sum of
+/// the 16×16 block at every origin of the padded plane (at most
+/// 256 · 255 = 65,280, so it fits). [`PaddedFrame::refill`] rebuilds it
+/// with the pixels, and [`PaddedFrame::block_sum`] reads it through the
+/// same origin clamp as [`PaddedFrame::block`], so a sum is exact for
+/// every signed origin. Motion search uses it to rule out candidates
+/// without scoring them (see [`crate::motion`]).
+///
 /// # Example
 ///
 /// ```
@@ -221,6 +232,11 @@ pub struct PaddedFrame {
     /// Bytes per padded row: `width + 2 * PAD`.
     stride: usize,
     data: Vec<u8>,
+    /// Sum of the 16×16 block whose top-left pixel is `data[i]`, at every
+    /// index `i` a block fits below (same stride as `data`; the last
+    /// `MB_SIZE - 1` entries of each row hold values no clamped origin
+    /// reads), then one spare row of scratch for [`Self::fill_sums`].
+    sums: Vec<u16>,
 }
 
 impl PaddedFrame {
@@ -233,11 +249,13 @@ impl PaddedFrame {
     pub fn new(width: usize, height: usize) -> Self {
         let _probe = Frame::new(width, height);
         let stride = width + 2 * PAD;
+        let rows = height + 2 * PAD;
         PaddedFrame {
             width,
             height,
             stride,
-            data: vec![0; stride * (height + 2 * PAD)],
+            data: vec![0; stride * rows],
+            sums: vec![0; stride * (rows - MB_SIZE + 2)],
         }
     }
 
@@ -249,8 +267,8 @@ impl PaddedFrame {
         out
     }
 
-    /// Overwrites this plane in place with `frame` and its replicated
-    /// edges (no allocation).
+    /// Overwrites this plane in place with `frame`, its replicated edges
+    /// and its block sums (no allocation).
     ///
     /// # Panics
     ///
@@ -275,11 +293,57 @@ impl PaddedFrame {
             self.data
                 .copy_within(last..last + s, (PAD + self.height + r) * s);
         }
+        self.fill_sums();
+    }
+
+    /// Rebuilds the block-sum plane from the pixels, in two passes of
+    /// plain element-wise adds the compiler vectorizes. First the column
+    /// sums: each row of `sums` gets the sum of the 16 pixel rows from
+    /// its own down, slid from the row above (add the row entering, drop
+    /// the row leaving). Then each row is summed 16 wide by four doubling
+    /// steps (2, 4, 8, 16 columns), ping-ponging with the spare last row.
+    /// No intermediate exceeds the final 16×16 sum, so `u16` never
+    /// overflows.
+    fn fill_sums(&mut self) {
+        let s = self.stride;
+        let last = self.sums.len() - s;
+        let (sums, spare) = self.sums.split_at_mut(last);
+        let (first, _) = sums.split_at_mut(s);
+        first.fill(0);
+        for row in self.data.chunks_exact(s).take(MB_SIZE) {
+            for (c, &p) in first.iter_mut().zip(row) {
+                *c += u16::from(p);
+            }
+        }
+        for y in 1..sums.len() / s {
+            let (above, below) = sums.split_at_mut(y * s);
+            let prev = &above[(y - 1) * s..];
+            let enter = &self.data[(y - 1 + MB_SIZE) * s..(y + MB_SIZE) * s];
+            let leave = &self.data[(y - 1) * s..y * s];
+            for (((c, &p), &e), &l) in below[..s].iter_mut().zip(prev).zip(enter).zip(leave) {
+                *c = p + u16::from(e) - u16::from(l);
+            }
+        }
+        for row in sums.chunks_exact_mut(s) {
+            for (t, (&a, &b)) in spare.iter_mut().zip(row.iter().zip(&row[1..])) {
+                *t = a + b;
+            }
+            for (r, (&a, &b)) in row.iter_mut().zip(spare.iter().zip(&spare[2..])) {
+                *r = a + b;
+            }
+            for (t, (&a, &b)) in spare.iter_mut().zip(row.iter().zip(&row[4..])) {
+                *t = a + b;
+            }
+            for (r, (&a, &b)) in row.iter_mut().zip(spare.iter().zip(&spare[8..])) {
+                *r = a + b;
+            }
+        }
     }
 
     /// Index of the top-left pixel of the 16×16 block at signed origin
-    /// `(ox, oy)`. The origin is clamped into the padded plane, which
-    /// leaves the block's bytes unchanged (see [`PAD`]).
+    /// `(ox, oy)`, in `data` and in `sums` alike. The origin is clamped
+    /// into the padded plane, which leaves the block's bytes unchanged
+    /// (see [`PAD`]).
     #[inline]
     fn block_start(&self, ox: i32, oy: i32) -> usize {
         let max_x = (self.width + 2 * PAD - MB_SIZE) as i32;
@@ -300,6 +364,14 @@ impl PaddedFrame {
             dst.copy_from_slice(&self.data[row..row + MB_SIZE]);
         }
         out
+    }
+
+    /// Sum of the pixels of the 16×16 block at signed origin `(ox, oy)`;
+    /// equals the sum of [`PaddedFrame::block`] for every origin.
+    #[inline]
+    #[must_use]
+    pub fn block_sum(&self, ox: i32, oy: i32) -> u16 {
+        self.sums[self.block_start(ox, oy)]
     }
 
     /// SAD between `target` and the 16×16 block at signed origin
@@ -515,6 +587,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts [`PaddedFrame::block_sum`] equals the brute-force sum of
+    /// the clamped block at every origin of the padded plane, plus a ring
+    /// of origins past it that the clamp folds back in.
+    fn assert_sums_match(padded: &PaddedFrame, f: &Frame, what: &str) {
+        let reach = PAD as i32 + 3;
+        for oy in -reach..=f.height as i32 + 3 {
+            for ox in -reach..=f.width as i32 + 3 {
+                let want: u32 = f.block_clamped(ox, oy).iter().map(|&p| u32::from(p)).sum();
+                assert_eq!(
+                    u32::from(padded.block_sum(ox, oy)),
+                    want,
+                    "{what}: origin ({ox}, {oy})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_sums_equal_brute_force_at_every_clamped_origin() {
+        use crate::synth::SyntheticCamera;
+        use fgqos_sim::scenario::LoadScenario;
+        let scenario = LoadScenario::paper_benchmark(2).truncated(8);
+        let cam = SyntheticCamera::new(&scenario, 64, 48, 2);
+        let mut white = Frame::new(64, 48);
+        white.data_mut().fill(255);
+        let frames = [
+            ("noise", noise_frame(64, 48)),
+            ("camera 3", cam.frame(3)),
+            ("white", white),
+            ("camera 7", cam.frame(7)),
+        ];
+        // Refill one plane frame after frame: no stale sum survives.
+        let mut padded = PaddedFrame::new(64, 48);
+        for (what, f) in &frames {
+            padded.refill(f);
+            assert_sums_match(&padded, f, what);
+        }
+        assert_eq!(
+            PaddedFrame::from_frame(&frames[2].1).block_sum(-99, 99),
+            65_280
+        );
     }
 
     #[test]

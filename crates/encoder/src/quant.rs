@@ -1,6 +1,6 @@
 //! Quantization and rate control.
 
-use crate::dct::BLOCK;
+use crate::dct::{round_clamped, BLOCK};
 
 /// Quantization parameter bounds (MPEG-4-style).
 pub const QP_MIN: u8 = 2;
@@ -13,15 +13,16 @@ pub const QP_MAX: u8 = 40;
 ///
 /// The DC coefficient is peeled off so the 63-element AC tail is one
 /// branch-free constant-step loop the compiler can vectorize; each
-/// element's arithmetic is unchanged.
+/// element's arithmetic is unchanged, and rounding goes through the
+/// libm-free exact `round_clamped` the inverse DCT shares.
 #[must_use]
 pub fn quantize(coeffs: &[f32; BLOCK * BLOCK], qp: u8) -> [i16; BLOCK * BLOCK] {
     let mut out = [0i16; BLOCK * BLOCK];
     let ac_step = f32::from(qp) * 2.0;
     let dc_step = f32::from(qp);
-    out[0] = (coeffs[0] / dc_step).round().clamp(-2048.0, 2048.0) as i16;
+    out[0] = round_clamped(coeffs[0] / dc_step, 2048.0);
     for (o, &c) in out[1..].iter_mut().zip(&coeffs[1..]) {
-        *o = (c / ac_step).round().clamp(-2048.0, 2048.0) as i16;
+        *o = round_clamped(c / ac_step, 2048.0);
     }
     out
 }
