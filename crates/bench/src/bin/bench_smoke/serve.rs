@@ -31,10 +31,10 @@ use fgqos_core::policy::{MaxQuality, QualityPolicy};
 use fgqos_encoder::app::EncoderApp;
 use fgqos_graph::iterate::IterationMode;
 use fgqos_serve::{PacedSource, ServerConfig, StreamSpec};
-use fgqos_sim::app::TableApp;
+use fgqos_sim::app::{TableApp, VideoApp};
 use fgqos_sim::exec::{StochasticLoad, WorkDriven};
 use fgqos_sim::runner::{Mode, ParallelStream, RunConfig, Runner, StreamResult};
-use fgqos_sim::runtime::{ExecBackend, ModelBackend, ParallelApp, VirtualClock, WorkStealingPool};
+use fgqos_sim::runtime::{ExecBackend, ModelBackend, VirtualClock, WorkStealingPool};
 use fgqos_sim::scenario::LoadScenario;
 use fgqos_telemetry::json::{JsonObj, JsonValue};
 use fgqos_time::Cycles;
@@ -337,7 +337,7 @@ struct ForkRate {
 /// Runs `app` to completion with every frame's phase 1 on one resident
 /// pool and counts the pool's forks ([`WorkStealingPool::forks`], which
 /// needs no telemetry).
-fn fork_rate<A: ParallelApp>(app: A, mut backend: impl ExecBackend, mb: usize) -> ForkRate {
+fn fork_rate<A: VideoApp>(app: A, mut backend: impl ExecBackend, mb: usize) -> ForkRate {
     let pool = WorkStealingPool::new(SRV_WORKERS);
     let mut runner = Runner::new(app, stream_config(mb)).expect("runner");
     let mut st = runner.start_parallel(Mode::Controlled).expect("start");

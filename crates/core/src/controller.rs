@@ -148,12 +148,6 @@ impl CycleController {
         self.pos
     }
 
-    /// Whether every action of the cycle has completed.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.pos == self.tables.tables().len() && self.pending.is_none()
-    }
-
     /// Step `i` of the abstract algorithm: choose the next action and its
     /// quality, given the elapsed cycle time `t = Ĉ(α)(i)`.
     ///
@@ -311,7 +305,6 @@ mod tests {
         assert_eq!(d1.quality.level(), 1);
         ctl.complete(Cycles::new(140)).unwrap();
 
-        assert!(ctl.is_finished());
         let report = ctl.finish();
         assert_eq!(report.misses, 0);
         assert_eq!(report.decisions, 2);

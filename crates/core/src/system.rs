@@ -117,16 +117,6 @@ impl ParamSystem {
         ParamSystem::new(self.graph.clone(), profile, self.deadlines.clone())
     }
 
-    /// Replaces the deadline map (each cycle gets fresh deadlines from its
-    /// time budget), revalidating dimensions.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ParamSystem::new`].
-    pub fn with_deadlines(&self, deadlines: DeadlineMap) -> Result<Self, CoreError> {
-        ParamSystem::new(self.graph.clone(), self.profile.clone(), deadlines)
-    }
-
     /// The control problem's precondition (Section 2.1): a feasible
     /// schedule must exist for worst-case times at minimal quality. On
     /// success returns the witness (EDF) schedule.
@@ -186,25 +176,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::Time(_)));
-    }
-
-    #[test]
-    fn with_deadlines_swaps_in_new_budget() {
-        let qs = QualitySet::contiguous(0, 0).unwrap();
-        let mut pb = QualityProfile::builder(qs.clone(), 1);
-        pb.set_constant(0, 1, 2).unwrap();
-        let sys = ParamSystem::new(
-            graph1(),
-            pb.build().unwrap(),
-            DeadlineMap::uniform(qs.clone(), vec![Cycles::new(5)]),
-        )
-        .unwrap();
-        let sys2 = sys
-            .with_deadlines(DeadlineMap::uniform(qs, vec![Cycles::new(9)]))
-            .unwrap();
-        assert_eq!(sys2.deadlines().deadline_idx(0, 0), Cycles::new(9));
-        // Original untouched.
-        assert_eq!(sys.deadlines().deadline_idx(0, 0), Cycles::new(5));
     }
 
     #[test]

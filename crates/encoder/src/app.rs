@@ -3,21 +3,21 @@
 //!
 //! Each macroblock runs the nine Fig. 2 actions in the controller's EDF
 //! order. The app carries real codec state (reference frame,
-//! reconstruction in progress, bitstream, rate control); `run_action`
-//! performs the actual signal processing and reports its work converted
-//! to cycles via [`crate::timing`].
+//! reconstruction in progress, bitstream, rate control); each action's
+//! kernel performs the actual signal processing and reports its work
+//! converted to cycles via [`crate::timing`].
 //!
 //! # Parallel structure
 //!
 //! The per-macroblock working state lives in one lock per macroblock
-//! ([`MbState`]), and every action is split along the
-//! [`fgqos_sim::runtime::ParallelApp`] contract:
+//! ([`MbState`]), and every action is split along the [`VideoApp`]
+//! contract:
 //!
-//! * [`ParallelApp::kernel`] — the pure signal processing, `&self` only:
+//! * [`VideoApp::kernel`] — the pure signal processing, `&self` only:
 //!   reads the frame-constant source/reference/QP, its own macroblock
 //!   state, and (for intra prediction) the *reconstruction blocks* of the
 //!   left/above macroblocks, which it declares as data dependencies;
-//! * [`ParallelApp::apply`] — the sequential side effects: bit
+//! * [`VideoApp::apply`] — the sequential side effects: bit
 //!   accounting after `Compress`, writing the reconstruction block into
 //!   the shared frame after `Reconstruct`.
 //!
@@ -44,7 +44,6 @@ use fgqos_core::CycleReport;
 use fgqos_graph::{ActionId, PrecedenceGraph};
 use fgqos_sim::app::{fig2_body, fig2_profile, VideoApp};
 use fgqos_sim::output::EncodedFrame;
-use fgqos_sim::runtime::ParallelApp;
 use fgqos_sim::scenario::LoadScenario;
 use fgqos_sim::SimError;
 use fgqos_time::{fig5, Cycles, Quality, QualityProfile};
@@ -93,7 +92,7 @@ impl Fig2Ids {
 /// Per-macroblock working state threaded between actions. One instance
 /// per macroblock, behind its own lock, so kernels of different
 /// macroblocks run concurrently. Opaque outside this module; public only
-/// as the [`ParallelApp::Snapshot`] type (the runner compares snapshots
+/// as the [`VideoApp::Snapshot`] type (the runner compares snapshots
 /// around re-executions to cut mis-speculation cascades).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MbState {
@@ -276,7 +275,7 @@ impl EncoderApp {
     }
 
     /// The simulation backend matching this app: the work reported by
-    /// `run_action` *is* the execution time in cycles (base 0, one cycle
+    /// a kernel *is* the execution time in cycles (base 0, one cycle
     /// per unit), clamped at the declared worst case by the model.
     #[must_use]
     pub fn work_backend(
@@ -493,6 +492,8 @@ impl EncoderApp {
 }
 
 impl VideoApp for EncoderApp {
+    type Snapshot = MbState;
+
     fn body(&self) -> &PrecedenceGraph {
         &self.body
     }
@@ -505,16 +506,8 @@ impl VideoApp for EncoderApp {
         &self.profile
     }
 
-    fn activity(&self, frame: usize) -> f64 {
-        self.scenario.frame(frame).activity
-    }
-
-    fn is_iframe(&self, frame: usize) -> bool {
-        self.scenario.frame(frame).is_iframe
-    }
-
-    fn budget_cycles(&self, frame: usize) -> Option<fgqos_time::Cycles> {
-        self.scenario.frame(frame).budget_cycles
+    fn scenario(&self) -> &LoadScenario {
+        &self.scenario
     }
 
     fn begin_frame(&mut self, frame: usize) {
@@ -523,15 +516,6 @@ impl VideoApp for EncoderApp {
         self.force_intra = self.scenario.frame(frame).is_iframe || !self.has_reference;
         self.qp = self.rc.qp();
         self.frame_bits = 0;
-    }
-
-    fn run_action(&mut self, action: ActionId, mb: usize, q: Quality) -> Option<u64> {
-        // The sequential path is the fused form of the parallel contract:
-        // pure kernel, then side effects — one code path for both
-        // runners, which is what makes them byte-identical.
-        let work = self.kernel(action, mb, q);
-        self.apply(action, mb);
-        work
     }
 
     fn encoded_psnr(&mut self, frame: usize, _quality_index: f64, _report: &CycleReport) -> f64 {
@@ -570,14 +554,6 @@ impl VideoApp for EncoderApp {
         self.camera.render_into(frame, &mut self.skipped_source);
         psnr(&self.skipped_source, &self.displayed)
     }
-
-    fn stream_len(&self) -> usize {
-        self.scenario.frames()
-    }
-}
-
-impl ParallelApp for EncoderApp {
-    type Snapshot = MbState;
 
     fn snapshot(&self, mb: usize) -> MbState {
         self.lock_mb(mb).state.clone()
@@ -720,7 +696,7 @@ mod tests {
         assert_eq!(app.body().len(), 9);
         assert_eq!(app.iterations(), 6); // 48x32 = 3x2 macroblocks
         assert_eq!(app.profile().n_actions(), 9);
-        assert_eq!(app.stream_len(), 5);
+        assert_eq!(app.scenario().frames(), 5);
     }
 
     /// End-to-end: the controlled pixel encoder over a short stream
@@ -812,7 +788,8 @@ mod tests {
         let mut app = tiny_app(8);
         app.begin_frame(0); // scene start = I-frame
         assert!(app.force_intra);
-        let work = app.run_action(app.ids.me, 0, Quality::new(7)).unwrap();
+        let me = app.ids.me;
+        let work = run(&mut app, me, 0, Quality::new(7)).unwrap();
         // Trivial level-0 search cost, not a q7 search.
         assert!(work < 1_000, "I-frame ME cost {work}");
     }
@@ -843,6 +820,14 @@ mod tests {
         assert!(app.data_preds(ids.idct, 4).is_empty());
     }
 
+    /// Runs one action in place, kernel then apply, as every runner does
+    /// when it has no speculated result to consume.
+    fn run(app: &mut EncoderApp, action: ActionId, mb: usize, q: Quality) -> Option<u64> {
+        let work = app.kernel(action, mb, q);
+        app.apply(action, mb);
+        work
+    }
+
     /// Runs every action of `frame` on every macroblock in body order at
     /// quality `q`, then closes the frame.
     fn encode_frame(app: &mut EncoderApp, frame: usize, q: Quality) {
@@ -860,7 +845,7 @@ mod tests {
                 ids.idct,
                 ids.recon,
             ] {
-                app.run_action(action, mb, q);
+                run(app, action, mb, q);
             }
         }
         app.encoded_psnr(frame, 0.0, &CycleReport::from_records(Vec::new(), 0));
@@ -875,8 +860,9 @@ mod tests {
         encode_frame(&mut app, 1, Quality::new(7));
         app.begin_frame(2);
         assert!(!app.force_intra);
+        let grab = app.ids.grab;
         for mb in 0..app.iterations() {
-            app.run_action(app.ids.grab, mb, Quality::new(7));
+            run(&mut app, grab, mb, Quality::new(7));
         }
         app
     }
@@ -895,7 +881,7 @@ mod tests {
             for mb in 0..resumed.iterations() {
                 resumed.kernel(me, mb, spec);
                 let speculated = resumed.snapshot(mb);
-                let work = resumed.run_action(me, mb, commit);
+                let work = run(&mut resumed, me, mb, commit);
                 let (ox, oy) = resumed.mb_origin(mb);
                 let radius = radius_for_quality(commit.level());
                 let once = search(&resumed.source, &resumed.reference, ox, oy, radius);
@@ -905,7 +891,7 @@ mod tests {
                 );
                 assert_eq!(
                     work,
-                    fresh.run_action(me, mb, commit),
+                    run(&mut fresh, me, mb, commit),
                     "{spec} then {commit}"
                 );
                 let state = resumed.snapshot(mb);

@@ -40,8 +40,8 @@ pub mod dct;
 
 /// Re-export of the encoded-output payload type the
 /// [`app::EncoderApp`] produces through
-/// [`fgqos_sim::runtime::ParallelApp::encoded_output`] (defined in
-/// `fgqos-sim` because the producer hook lives on `ParallelApp`).
+/// [`fgqos_sim::app::VideoApp::encoded_output`] (defined in `fgqos-sim`
+/// because the producer hook lives on `VideoApp`).
 pub use fgqos_sim::output::EncodedFrame;
 pub mod decoder;
 pub mod entropy;

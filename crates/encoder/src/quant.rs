@@ -94,12 +94,6 @@ impl RateController {
         self.qp.round().clamp(f64::from(QP_MIN), f64::from(QP_MAX)) as u8
     }
 
-    /// The per-frame bit target.
-    #[must_use]
-    pub fn target_bits(&self) -> u64 {
-        self.target_bits_per_frame
-    }
-
     /// Reports the bits spent on the frame just encoded and adapts QP
     /// proportionally (ratio > 1 ⇒ coarser quantization next frame).
     pub fn end_frame(&mut self, bits_used: u64) {
@@ -190,7 +184,6 @@ mod tests {
             rc.end_frame(1_000);
         }
         assert!(rc.qp() <= 10, "underspending must lower qp: {}", rc.qp());
-        assert_eq!(rc.target_bits(), 10_000);
     }
 
     #[test]

@@ -11,8 +11,7 @@ use crate::{edf, SchedError};
 /// Given the precedence graph, per-action deadlines (already resolved for
 /// the quality assignment under consideration) and the prefix of actions
 /// that have already executed, produce a complete schedule extending that
-/// prefix. The paper instantiates this with EDF; a FIFO baseline is
-/// provided for comparison benches.
+/// prefix. The paper instantiates this with EDF ([`EdfScheduler`]).
 pub trait BestSched {
     /// Computes a complete schedule of `graph` whose first `prefix.len()`
     /// elements are exactly `prefix`.
@@ -58,36 +57,6 @@ impl BestSched for EdfScheduler {
     }
 }
 
-/// Deadline-blind baseline: canonical topological (program) order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FifoScheduler;
-
-impl BestSched for FifoScheduler {
-    fn best_schedule(
-        &self,
-        graph: &PrecedenceGraph,
-        deadlines: &[Cycles],
-        prefix: &[ActionId],
-    ) -> Result<Vec<ActionId>, SchedError> {
-        if deadlines.len() != graph.len() {
-            return Err(SchedError::DimensionMismatch {
-                expected: graph.len(),
-                actual: deadlines.len(),
-            });
-        }
-        graph.validate_sequence(prefix)?;
-        Ok(fgqos_graph::topo::list_order_by_key_with_prefix(
-            graph,
-            prefix,
-            &mut |a| graph.topological_position(a),
-        ))
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,33 +80,21 @@ mod tests {
     }
 
     #[test]
-    fn fifo_scheduler_ignores_deadlines() {
-        let (g, x, y) = two_independent();
-        let s = FifoScheduler
-            .best_schedule(&g, &[Cycles::new(9), Cycles::new(3)], &[])
+    fn edf_respects_prefix_and_validates() {
+        let (g, _, y) = two_independent();
+        let s = EdfScheduler
+            .best_schedule(&g, &[Cycles::new(1), Cycles::new(2)], &[y])
             .unwrap();
-        assert_eq!(s, vec![x, y]);
-        assert_eq!(FifoScheduler.name(), "fifo");
-    }
-
-    #[test]
-    fn both_respect_prefix_and_validate() {
-        let (g, x, y) = two_independent();
-        for sched in [&EdfScheduler as &dyn BestSched, &FifoScheduler] {
-            let s = sched
-                .best_schedule(&g, &[Cycles::new(1), Cycles::new(2)], &[y])
-                .unwrap();
-            assert_eq!(s[0], y);
-            assert_eq!(s.len(), 2);
-            let _ = x;
-            assert!(sched.best_schedule(&g, &[Cycles::new(1)], &[]).is_err());
-        }
+        assert_eq!(s[0], y);
+        assert_eq!(s.len(), 2);
+        assert!(EdfScheduler
+            .best_schedule(&g, &[Cycles::new(1)], &[])
+            .is_err());
     }
 
     #[test]
     fn trait_is_object_safe() {
-        let schedulers: Vec<Box<dyn BestSched>> =
-            vec![Box::new(EdfScheduler), Box::new(FifoScheduler)];
+        let schedulers: Vec<Box<dyn BestSched>> = vec![Box::new(EdfScheduler)];
         let (g, _, _) = two_independent();
         for s in &schedulers {
             let out = s

@@ -8,8 +8,7 @@
 //!   deadline assignments that are not monotone along precedence edges;
 //! * [`BestSched`] — the paper's `Best_Sched(α, θ, i)` abstraction: compute
 //!   an optimal schedule that keeps an already-executed prefix fixed
-//!   ([`EdfScheduler`] is the paper's choice, [`FifoScheduler`] is the
-//!   naive baseline);
+//!   ([`EdfScheduler`] is the paper's choice);
 //! * [`feasible`] — Definition 2.2 feasibility of schedules and the
 //!   schedulability precondition of the control problem (a feasible
 //!   schedule must exist for `Cwc_qmin` and `D_qmin`);
@@ -60,7 +59,7 @@ mod tables;
 pub mod edf;
 pub mod feasible;
 
-pub use best_sched::{BestSched, EdfScheduler, FifoScheduler};
+pub use best_sched::{BestSched, EdfScheduler};
 pub use budget::{
     budget_deadlines, BudgetTables, BudgetView, DeadlineShape, FrameTables, SharedTables,
 };

@@ -303,8 +303,8 @@ impl AdmissionController {
     /// The grant for one demand against `used` cores already committed:
     /// admit at full quality if it fits, else the highest quality ceiling
     /// that fits, else reject. Returns the decision and the utilization
-    /// to charge. Pure — the single pricing rule behind both
-    /// [`AdmissionController::decide`] and [`AdmissionLedger`].
+    /// to charge. Pure — the single pricing rule behind every
+    /// [`AdmissionLedger`] transition.
     #[must_use]
     pub fn grant(&self, used: f64, d: &StreamDemand) -> (AdmissionDecision, f64) {
         let demand_at_max = d.at_max();
@@ -327,44 +327,6 @@ impl AdmissionController {
             }
         }
     }
-
-    /// Decides every candidate. Pure: the outcome depends only on the
-    /// demands (and this controller's capacity), never on thread timing,
-    /// worker counts or map iteration order.
-    #[must_use]
-    pub fn decide(&self, demands: &[StreamDemand]) -> AdmissionReport {
-        let mut rank: Vec<usize> = (0..demands.len()).collect();
-        rank.sort_by(|&a, &b| {
-            demands[b]
-                .priority
-                .cmp(&demands[a].priority)
-                .then(demands[a].index.cmp(&demands[b].index))
-        });
-        let mut used = 0.0f64;
-        let mut records = Vec::with_capacity(demands.len());
-        for i in rank {
-            let d = &demands[i];
-            let (decision, granted) = self.grant(used, d);
-            used += granted;
-            records.push(AdmissionRecord {
-                index: d.index,
-                priority: d.priority,
-                decision,
-                demand_at_max: d.at_max(),
-                granted_utilization: granted,
-                readmissions: 0,
-            });
-        }
-        AdmissionReport {
-            records,
-            capacity: self.capacity,
-            used,
-            lifecycle: LifecycleCounts {
-                attached: demands.len(),
-                ..LifecycleCounts::default()
-            },
-        }
-    }
 }
 
 /// The stateful side of admission for a *churn* session: a running
@@ -372,15 +334,14 @@ impl AdmissionController {
 /// server runs.
 ///
 /// The ledger prices every transition with the same pure
-/// [`AdmissionController::grant`] rule the batch decision uses, so every
-/// decision remains a deterministic function of (priorities, declared
-/// utilizations, attach order) — worker counts and host scheduling never
-/// enter. Three transitions exist beyond the batch decision:
+/// [`AdmissionController::grant`] rule, so every decision remains a
+/// deterministic function of (priorities, declared utilizations, attach
+/// order) — worker counts and host scheduling never enter. Three
+/// transitions exist:
 ///
 /// * [`AdmissionLedger::attach`] — price one stream against the current
 ///   residual capacity (a batch [`AdmissionLedger::attach_batch`] prices
-///   a whole population rank-ordered, exactly like
-///   [`AdmissionController::decide`]);
+///   a whole population the same way, rank-ordered);
 /// * [`AdmissionLedger::release`] — a stream finished or detached: its
 ///   granted utilization returns to the pool;
 /// * [`AdmissionLedger::regrant`] — after a release, try to improve a
@@ -437,10 +398,11 @@ impl AdmissionLedger {
         decision
     }
 
-    /// Prices a whole population at once, rank-ordered by (priority desc,
-    /// index asc) — byte-identical decisions and record order to
-    /// [`AdmissionController::decide`] on an empty ledger, which is what
-    /// lets the batch server be a thin wrapper over a session.
+    /// Prices a whole population at once: [`AdmissionLedger::attach`] on
+    /// each demand in rank order, (priority desc, index asc), so the
+    /// outcome is a pure function of the demands — never of thread
+    /// timing, worker counts or map iteration order. Returns the
+    /// decisions in that order.
     ///
     /// # Panics
     ///
@@ -451,11 +413,11 @@ impl AdmissionLedger {
             self.records.is_empty(),
             "attach_batch on a non-empty ledger"
         );
-        let report = self.controller.decide(demands);
-        self.used = report.granted_utilization();
-        self.lifecycle.attached = demands.len();
-        self.records = report.records;
-        self.records.iter().map(|r| (r.index, r.decision)).collect()
+        let mut rank: Vec<&StreamDemand> = demands.iter().collect();
+        rank.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.index.cmp(&b.index)));
+        rank.into_iter()
+            .map(|d| (d.index, self.attach(d)))
+            .collect()
     }
 
     /// Returns a finished or detached stream's granted utilization to the
@@ -578,18 +540,29 @@ mod tests {
         }
     }
 
+    /// Prices `demands` as a batch on a fresh ledger over `ctl`.
+    fn batch(ctl: AdmissionController, demands: &[StreamDemand]) -> AdmissionReport {
+        let mut ledger = AdmissionLedger::new(ctl);
+        ledger.attach_batch(demands);
+        ledger.report()
+    }
+
     #[test]
     fn under_capacity_everyone_is_admitted() {
         let ctl = AdmissionController::for_workers(4);
-        let report = ctl.decide(&[
-            demand(0, 1, &[0.2, 0.5, 1.0]),
-            demand(1, 5, &[0.2, 0.5, 1.0]),
-            demand(2, 3, &[0.2, 0.5, 1.0]),
-        ]);
+        let report = batch(
+            ctl,
+            &[
+                demand(0, 1, &[0.2, 0.5, 1.0]),
+                demand(1, 5, &[0.2, 0.5, 1.0]),
+                demand(2, 3, &[0.2, 0.5, 1.0]),
+            ],
+        );
         assert_eq!(report.admitted(), 3);
         assert_eq!(report.degraded(), 0);
         assert_eq!(report.rejected(), 0);
         assert!((report.granted_utilization() - 3.0).abs() < 1e-12);
+        assert_eq!(report.lifecycle().attached, 3);
         // Rank order: priority desc, then index.
         let seq = report.sequence();
         assert_eq!(seq[0].0, 1);
@@ -602,12 +575,15 @@ mod tests {
         // Capacity 2.0; three streams wanting 1.0 each at max, 0.4 at
         // q1, 0.2 at q0.
         let ctl = AdmissionController::new(2.0);
-        let report = ctl.decide(&[
-            demand(0, 9, &[0.2, 0.4, 1.0]),
-            demand(1, 9, &[0.2, 0.4, 1.0]),
-            demand(2, 1, &[0.2, 0.4, 1.0]),
-            demand(3, 0, &[1.5, 1.7, 2.0]),
-        ]);
+        let report = batch(
+            ctl,
+            &[
+                demand(0, 9, &[0.2, 0.4, 1.0]),
+                demand(1, 9, &[0.2, 0.4, 1.0]),
+                demand(2, 1, &[0.2, 0.4, 1.0]),
+                demand(3, 0, &[1.5, 1.7, 2.0]),
+            ],
+        );
         // 0 and 1 admit (2.0 used); 2 degrades to q1 (0.4 doesn't fit —
         // nothing fits! 2.0 + 0.2 > 2.0) → reject; 3 rejects.
         assert_eq!(
@@ -631,10 +607,13 @@ mod tests {
     #[test]
     fn degradation_grants_the_highest_fitting_ceiling() {
         let ctl = AdmissionController::new(1.5);
-        let report = ctl.decide(&[
-            demand(0, 2, &[0.2, 0.5, 1.0]),
-            demand(1, 1, &[0.1, 0.4, 0.9]),
-        ]);
+        let report = batch(
+            ctl,
+            &[
+                demand(0, 2, &[0.2, 0.5, 1.0]),
+                demand(1, 1, &[0.1, 0.4, 0.9]),
+            ],
+        );
         assert_eq!(
             report.for_stream(0).unwrap().decision,
             AdmissionDecision::Admit
@@ -654,20 +633,23 @@ mod tests {
             demand(3, 1, &[0.1, 0.2, 0.3]),
         ];
         let ctl = AdmissionController::new(2.5);
-        let a = ctl.decide(&demands).sequence();
+        let a = batch(ctl, &demands).sequence();
         for _ in 0..10 {
-            assert_eq!(ctl.decide(&demands).sequence(), a);
+            assert_eq!(batch(ctl, &demands).sequence(), a);
         }
     }
 
     #[test]
     fn empty_demand_is_rejected() {
         let ctl = AdmissionController::new(1.0);
-        let report = ctl.decide(&[StreamDemand {
-            index: 0,
-            priority: 0,
-            utilization: Vec::new(),
-        }]);
+        let report = batch(
+            ctl,
+            &[StreamDemand {
+                index: 0,
+                priority: 0,
+                utilization: Vec::new(),
+            }],
+        );
         assert_eq!(report.rejected(), 1);
     }
 
@@ -675,24 +657,6 @@ mod tests {
     fn bad_capacity_panics() {
         assert!(std::panic::catch_unwind(|| AdmissionController::new(0.0)).is_err());
         assert!(std::panic::catch_unwind(|| AdmissionController::new(f64::NAN)).is_err());
-    }
-
-    #[test]
-    fn ledger_batch_matches_batch_decide() {
-        let demands = vec![
-            demand(0, 3, &[0.3, 0.8, 1.4]),
-            demand(1, 7, &[0.2, 0.6, 1.2]),
-            demand(2, 1, &[0.1, 0.2, 0.3]),
-        ];
-        let ctl = AdmissionController::new(2.5);
-        let mut ledger = AdmissionLedger::new(ctl);
-        let seq = ledger.attach_batch(&demands);
-        assert_eq!(seq, ctl.decide(&demands).sequence());
-        assert!(
-            (ledger.used() - ctl.decide(&demands).granted_utilization()).abs() < 1e-12,
-            "charges must match the batch decision"
-        );
-        assert_eq!(ledger.report().lifecycle().attached, 3);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! Wiring: [`crate::server::StreamSession::subscribe`] attaches a
 //! subscriber to a named running stream; the session publishes after
 //! each frame commit via
-//! [`fgqos_sim::runtime::ParallelApp::encoded_output`] (table apps
+//! [`fgqos_sim::app::VideoApp::encoded_output`] (table apps
 //! return `None` and publish nothing); detach or stream completion
 //! closes the ring — subscribers drain what remains, then see
 //! [`Delivery::Closed`].
@@ -449,12 +449,6 @@ impl Broadcast {
     /// subscribers see [`Delivery::Closed`] once they catch up.
     pub fn close(&self) {
         self.shared.closed.store(true, Ordering::Release);
-    }
-
-    /// Whether [`Broadcast::close`] was called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
     }
 
     /// Current publication counters.

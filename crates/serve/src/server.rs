@@ -58,13 +58,10 @@ use std::sync::Arc;
 use fgqos_core::estimator::AvgEstimator;
 use fgqos_core::policy::{Choice, MaxQuality, PolicyCtx, QualityPolicy};
 use fgqos_core::safety::SafetyMonitor;
-use fgqos_sim::app::TableApp;
-use fgqos_sim::budget::BudgetSpec;
+use fgqos_sim::app::{TableApp, VideoApp};
 use fgqos_sim::exec::StochasticLoad;
 use fgqos_sim::runner::{Mode, ParallelStream, RunConfig, Runner, StreamResult};
-use fgqos_sim::runtime::{
-    Clock, ExecBackend, ModelBackend, ParallelApp, VirtualClock, WorkStealingPool,
-};
+use fgqos_sim::runtime::{Clock, ExecBackend, ModelBackend, VirtualClock, WorkStealingPool};
 use fgqos_sim::scenario::LoadScenario;
 use fgqos_sim::SimError;
 use fgqos_telemetry::{
@@ -146,24 +143,13 @@ impl StreamSpecBuilder {
         self
     }
 
-    /// Camera period, buffer capacity, deadline shape, iteration mode
-    /// (default [`RunConfig::paper_defaults`]).
+    /// Camera period, buffer capacity, deadline shape, iteration mode and
+    /// budget source (default [`RunConfig::paper_defaults`]). A moving
+    /// budget source ([`RunConfig::with_budget_source`]) serves
+    /// identically to a solo run with the same config and seed.
     #[must_use]
     pub fn config(mut self, config: RunConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Per-frame budget source for the stream's [`RunConfig`] (default
-    /// [`BudgetSpec::Constant`] — the pipeline deadline alone). A
-    /// moving source ([`BudgetSpec::Trace`] or [`BudgetSpec::Channel`],
-    /// the *simulated-channel* budget, distinct from the frame-source
-    /// [`crate::source::ChannelSource`]) tightens each frame's budget to
-    /// `min(deadline, sourced)` — identical to a solo run with the same
-    /// spec and seed.
-    #[must_use]
-    pub fn budget_source(mut self, budget: BudgetSpec) -> Self {
-        self.config.budget = budget;
         self
     }
 
@@ -644,7 +630,7 @@ impl StreamServer {
     /// session, departures trigger re-admission. See [`StreamSession`].
     pub fn session<'a, A, FA, FB>(&'a self, make_app: FA, make_backend: FB) -> StreamSession<'a, A>
     where
-        A: ParallelApp,
+        A: VideoApp,
         FA: FnMut(LoadScenario, &StreamSpec) -> Result<A, SimError> + 'a,
         FB: FnMut(&StreamSpec) -> Box<dyn ExecBackend> + 'a,
     {
@@ -662,7 +648,7 @@ impl StreamServer {
         make_clock: FC,
     ) -> StreamSession<'a, A>
     where
-        A: ParallelApp,
+        A: VideoApp,
         FA: FnMut(LoadScenario, &StreamSpec) -> Result<A, SimError> + 'a,
         FB: FnMut(&StreamSpec) -> Box<dyn ExecBackend> + 'a,
         FC: FnMut(&StreamSpec) -> Box<dyn Clock> + 'a,
@@ -714,7 +700,7 @@ impl StreamServer {
         make_backend: FB,
     ) -> Result<ServeReport, ServeError>
     where
-        A: ParallelApp,
+        A: VideoApp,
         FA: FnMut(LoadScenario, &StreamSpec) -> Result<A, SimError>,
         FB: FnMut(&StreamSpec) -> Box<dyn ExecBackend>,
     {
@@ -752,7 +738,7 @@ pub fn stochastic_backends() -> impl FnMut(&StreamSpec) -> Box<dyn ExecBackend> 
 }
 
 /// One stream's place in a session, at a stable attach index.
-struct Slot<A: ParallelApp> {
+struct Slot<A: VideoApp> {
     name: String,
     priority: u8,
     source_kind: &'static str,
@@ -788,7 +774,7 @@ struct FeedbackState {
     capped: bool,
 }
 
-enum SlotState<A: ParallelApp> {
+enum SlotState<A: VideoApp> {
     /// Priced but not granted capacity (elastic sessions park rejected
     /// streams; a release may re-admit them).
     Waiting(Box<Parked<A>>),
@@ -799,14 +785,14 @@ enum SlotState<A: ParallelApp> {
 }
 
 /// A stream waiting for capacity: everything needed to start it later.
-struct Parked<A: ParallelApp> {
+struct Parked<A: VideoApp> {
     runner: Runner<A>,
     backend: Box<dyn ExecBackend>,
     clock: Box<dyn Clock>,
 }
 
 /// A running stream: the per-stream serving state of the old batch loop.
-struct Active<A: ParallelApp> {
+struct Active<A: VideoApp> {
     runner: Runner<A>,
     st: ParallelStream,
     clock: Box<dyn Clock>,
@@ -940,7 +926,7 @@ struct MergedDag {
 /// order, tick grouping, every per-frame record — is a pure function of
 /// the attach/detach call sequence and the specs. Worker count changes
 /// only wall-clock speed.
-pub struct StreamSession<'a, A: ParallelApp> {
+pub struct StreamSession<'a, A: VideoApp> {
     pool: &'a WorkStealingPool,
     /// Retention policy for lazily created per-stream output rings.
     ring: RingConfig,
@@ -1002,7 +988,7 @@ impl SessionMetrics {
     }
 }
 
-impl<A: ParallelApp> StreamSession<'_, A> {
+impl<A: VideoApp> StreamSession<'_, A> {
     /// Materializes a spec into a slot: source → scenario → runner →
     /// declared demand. Does not price it.
     fn materialize(&mut self, mut spec: StreamSpec) -> Result<Slot<A>, ServeError> {
@@ -1298,9 +1284,9 @@ impl<A: ParallelApp> StreamSession<'_, A> {
     }
 
     /// Attaches a whole population at once, priced together rank-ordered
-    /// by (priority desc, submission index asc) — identical decisions to
-    /// the one-shot [`AdmissionController::decide`]. Only valid as the
-    /// session's opening move (the batch wrapper's path).
+    /// by (priority desc, submission index asc) — see
+    /// [`AdmissionLedger::attach_batch`]. Only valid as the session's
+    /// opening move (the batch wrapper's path).
     ///
     /// # Errors
     ///
@@ -1943,7 +1929,7 @@ mod tests {
         exhausted: BTreeSet<usize>,
     }
 
-    fn rescan<A: ParallelApp>(session: &mut StreamSession<'_, A>) -> Rescan {
+    fn rescan<A: VideoApp>(session: &mut StreamSession<'_, A>) -> Rescan {
         let mut ready = BTreeSet::new();
         let mut exhausted = BTreeSet::new();
         for (i, slot) in session.slots.iter_mut().enumerate() {
@@ -1974,7 +1960,7 @@ mod tests {
     }
 
     /// Asserts that the session's ready index equals a rescan.
-    fn assert_index_is_exact<A: ParallelApp>(session: &mut StreamSession<'_, A>) {
+    fn assert_index_is_exact<A: VideoApp>(session: &mut StreamSession<'_, A>) {
         let tick = session.ticks();
         let want = rescan(session);
         let index = &session.index;

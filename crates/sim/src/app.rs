@@ -4,17 +4,152 @@
 use fgqos_core::CycleReport;
 use fgqos_graph::{ActionId, GraphBuilder, PrecedenceGraph};
 use fgqos_time::fig5;
-use fgqos_time::QualityProfile;
+use fgqos_time::{Cycles, Quality, QualityProfile};
 
+use crate::output::EncodedFrame;
 use crate::scenario::{LoadScenario, PsnrModel};
 use crate::SimError;
 
 /// A cyclic video application: one cycle encodes one frame as `N`
-/// iterations (macroblocks) of a body precedence graph.
+/// iterations (macroblocks) of a body precedence graph, each action
+/// instance split into a pure [`VideoApp::kernel`] and its sequential
+/// [`VideoApp::apply`].
 ///
 /// Implementations: [`TableApp`] (timing-only, this crate) and the
 /// pixel-level encoder in `fgqos-encoder`.
-pub trait VideoApp {
+///
+/// # Contract
+///
+/// Every runner executes an action instance as `kernel` then `apply`:
+/// [`crate::runner::Runner::run_on`] back to back at commit,
+/// [`crate::runner::Runner::run_parallel_on`] and the stepped API with
+/// the kernel run ahead on a worker thread (phase 1) and `apply` at
+/// commit — or both at commit when the speculated result is unusable.
+/// Both paths perform the same state transitions, which is what makes
+/// solo, parallel and served runs byte-identical.
+///
+/// [`VideoApp::kernel`] takes `&self` and may be called from several
+/// worker threads at once; per-macroblock working state must live behind
+/// interior locks keyed by `mb` (see `fgqos-encoder`'s `EncoderApp`). A
+/// kernel may read only
+///
+/// * shared state that is constant for the duration of the frame (the
+///   source image, the previous reference frame, the frame QP),
+/// * its own macroblock's working state, and
+/// * working state written by instances it declared in
+///   [`VideoApp::data_preds`] (or by same-iteration predecessors in the
+///   body graph).
+///
+/// Two structural rules keep the commit phase sound:
+///
+/// * **exact read sets** — [`VideoApp::data_preds`] must cover every
+///   working-state read that is not a *direct* body-graph edge. Relying
+///   on transitive graph coverage is incorrect: output re-validation can
+///   confirm an intermediary while an input that bypasses it changed;
+/// * **single writer per field** — within one iteration, each
+///   working-state field may be written by exactly one action. Otherwise
+///   a re-executed early action could clobber the speculated output of a
+///   later action that commits from cache without rewriting its fields.
+///
+/// # Example: one contract, both drivers
+///
+/// A one-action app whose kernel's work grows with the quality level
+/// (so its [`VideoApp::kernel_class`] is the level), run through the
+/// in-place driver and the parallel driver at 2 workers:
+///
+/// ```
+/// use fgqos_core::policy::MaxQuality;
+/// use fgqos_core::CycleReport;
+/// use fgqos_graph::{ActionId, GraphBuilder, PrecedenceGraph};
+/// use fgqos_sim::app::VideoApp;
+/// use fgqos_sim::exec::WorkDriven;
+/// use fgqos_sim::runner::{Mode, RunConfig, Runner};
+/// use fgqos_sim::runtime::{ModelBackend, VirtualClock};
+/// use fgqos_sim::scenario::LoadScenario;
+/// use fgqos_time::{Cycles, Quality, QualityProfile, QualitySet};
+///
+/// struct Toy {
+///     body: PrecedenceGraph,
+///     profile: QualityProfile,
+///     scenario: LoadScenario,
+/// }
+///
+/// impl VideoApp for Toy {
+///     type Snapshot = ();
+///     fn body(&self) -> &PrecedenceGraph {
+///         &self.body
+///     }
+///     fn iterations(&self) -> usize {
+///         4
+///     }
+///     fn profile(&self) -> &QualityProfile {
+///         &self.profile
+///     }
+///     fn scenario(&self) -> &LoadScenario {
+///         &self.scenario
+///     }
+///     fn begin_frame(&mut self, _frame: usize) {}
+///     fn snapshot(&self, _mb: usize) {}
+///     fn kernel_class(&self, _action: ActionId, _mb: usize, q: Quality) -> u64 {
+///         u64::from(q.level())
+///     }
+///     fn kernel(&self, _action: ActionId, _mb: usize, q: Quality) -> Option<u64> {
+///         Some(80 * u64::from(q.level() + 1))
+///     }
+///     fn apply(&mut self, _action: ActionId, _mb: usize) {}
+///     fn encoded_psnr(&mut self, _frame: usize, quality_index: f64, _: &CycleReport) -> f64 {
+///         30.0 + quality_index
+///     }
+///     fn skipped_psnr(&mut self, _frame: usize) -> f64 {
+///         20.0
+///     }
+/// }
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let toy = || -> Result<Toy, Box<dyn std::error::Error>> {
+///     let mut body = GraphBuilder::new();
+///     body.action("Work");
+///     let mut profile = QualityProfile::builder(QualitySet::contiguous(0, 2)?, 1);
+///     profile.set_levels(0, &[(100, 150), (200, 300), (300, 450)])?;
+///     Ok(Toy {
+///         body: body.build()?,
+///         profile: profile.build()?,
+///         scenario: LoadScenario::paper_benchmark(1).truncated(6),
+///     })
+/// };
+/// let config = RunConfig::paper_defaults().with_period(Cycles::new(700));
+/// let mut solo = Runner::new(toy()?, config)?;
+/// let mut parallel = Runner::new(toy()?, config)?;
+/// let a = solo.run_on(
+///     &mut VirtualClock::new(),
+///     &mut ModelBackend::new(WorkDriven::new(0, 1.0, 7)),
+///     Mode::Controlled,
+///     &mut MaxQuality::new(),
+///     None,
+/// )?;
+/// let b = parallel.run_parallel_on(
+///     &mut VirtualClock::new(),
+///     &mut ModelBackend::new(WorkDriven::new(0, 1.0, 7)),
+///     Mode::Controlled,
+///     &mut MaxQuality::new(),
+///     None,
+///     2,
+/// )?;
+/// assert_eq!(a.frames(), b.frames());
+/// assert_eq!((a.skips(), a.misses()), (0, 0));
+/// # Ok(())
+/// # }
+/// ```
+pub trait VideoApp: Sync {
+    /// A comparable copy of one macroblock's working state, taken with
+    /// [`VideoApp::snapshot`]. The runner uses it to *re-validate*
+    /// mis-speculated work: if re-executing an action reproduces exactly
+    /// the state the speculative phase left behind, every downstream
+    /// kernel read correct inputs and its cached result stays usable —
+    /// without this, one mis-speculated motion search would taint its
+    /// entire dependency cone and serialize the rest of the frame.
+    type Snapshot: PartialEq;
+
     /// The per-macroblock body graph (the paper's Fig. 2).
     fn body(&self) -> &PrecedenceGraph;
 
@@ -33,27 +168,47 @@ pub trait VideoApp {
         self.profile()
     }
 
-    /// Activity factor of frame `f` (load multiplier for exec models).
-    fn activity(&self, frame: usize) -> f64;
-
-    /// Whether frame `f` starts a new scene (I-frame).
-    fn is_iframe(&self, frame: usize) -> bool;
-
-    /// Recorded channel budget of frame `f`, if the app's stream
-    /// carries a bandwidth trace — what
-    /// [`crate::budget::BudgetSpec::Trace`] runs replay. `None` (the
-    /// default) means the pipeline deadline applies alone.
-    fn budget_cycles(&self, _frame: usize) -> Option<fgqos_time::Cycles> {
-        None
-    }
+    /// The camera stream this app encodes: its length, and per frame the
+    /// activity factor (load multiplier for exec models), the scene-cut
+    /// flag, and the recorded channel budget that
+    /// [`crate::budget::BudgetSpec::Trace`] runs replay.
+    fn scenario(&self) -> &LoadScenario;
 
     /// Called when the encoder starts frame `f`.
     fn begin_frame(&mut self, frame: usize);
 
-    /// Performs the real work of `action` for macroblock `mb` at quality
+    /// Copies macroblock `mb`'s working state for equality comparison
+    /// around a re-execution.
+    fn snapshot(&self, mb: usize) -> Self::Snapshot;
+
+    /// Direct *data* predecessors of the kernel for `(action, mb)` that
+    /// are not same-iteration body-graph edges: pairs of (producer body
+    /// action, producer iteration). Producer iterations must not exceed
+    /// `mb`, and same-iteration entries must precede `action` in the
+    /// body's EDF order.
+    fn data_preds(&self, action: ActionId, mb: usize) -> Vec<(ActionId, usize)> {
+        let _ = (action, mb);
+        Vec::new()
+    }
+
+    /// Fingerprint of the kernel's quality sensitivity: two qualities
+    /// with equal fingerprints must make `kernel(action, mb, ·)` produce
+    /// identical outputs (state writes and work units). Quality-blind
+    /// kernels return a constant — their speculation never misses.
+    fn kernel_class(&self, action: ActionId, mb: usize, q: Quality) -> u64 {
+        let _ = (action, mb, q);
+        0
+    }
+
+    /// The pure computation of `action` for macroblock `mb` at quality
     /// `q`; returns work units for work-driven timing (`None` when the
     /// app does not measure work).
-    fn run_action(&mut self, action: ActionId, mb: usize, q: fgqos_time::Quality) -> Option<u64>;
+    fn kernel(&self, action: ActionId, mb: usize, q: Quality) -> Option<u64>;
+
+    /// Applies the sequential side effects of a completed kernel (bit
+    /// accounting, reconstruction writes, ...). Called in static schedule
+    /// order with `&mut self`.
+    fn apply(&mut self, action: ActionId, mb: usize);
 
     /// PSNR (dB) of the encoded frame `f` against its source.
     ///
@@ -68,8 +223,24 @@ pub trait VideoApp {
     /// frame `f`.
     fn skipped_psnr(&mut self, frame: usize) -> f64;
 
-    /// Total frames available from the camera.
-    fn stream_len(&self) -> usize;
+    /// Takes the most recently committed frame's encoded payload for
+    /// zero-copy distribution, or `None` when the app produces no
+    /// bitstream (timing-only table apps) or the frame was already
+    /// taken.
+    ///
+    /// Called by the serving layer after each frame commit, *only* when
+    /// someone subscribed to the stream's output — apps without
+    /// consumers pay nothing. `timestamp` is the frame's completion
+    /// time on the caller's clock and `mean_quality` the mean committed
+    /// quality; the app supplies the content (index, keyframe flag,
+    /// payload) from its own state. Implementations must *move* their
+    /// finished buffers into the returned [`EncodedFrame`] (and return
+    /// `None` on a second call for the same frame) so publishing stays
+    /// copy-free.
+    fn encoded_output(&mut self, timestamp: Cycles, mean_quality: f64) -> Option<EncodedFrame> {
+        let _ = (timestamp, mean_quality);
+        None
+    }
 }
 
 /// Builds the paper's Fig. 2 macroblock pipeline as a precedence graph.
@@ -138,8 +309,11 @@ pub fn fig2_profile() -> QualityProfile {
 }
 
 /// Timing-only application: the Fig. 2 pipeline shape with the Fig. 5
-/// profile, PSNR from the analytic model. `run_action` performs no real
-/// work (execution times come entirely from the [`crate::exec`] models).
+/// profile, PSNR from the analytic model. Its kernels perform no real
+/// work (execution times come entirely from the [`crate::exec`] models):
+/// they are quality-blind no-ops, so speculation never misses and every
+/// fig6/fig8 table run is also exercisable through
+/// [`crate::runner::Runner::run_parallel_on`].
 #[derive(Debug, Clone)]
 pub struct TableApp {
     body: PrecedenceGraph,
@@ -184,12 +358,6 @@ impl TableApp {
         })
     }
 
-    /// The scenario driving this app.
-    #[must_use]
-    pub fn scenario(&self) -> &LoadScenario {
-        &self.scenario
-    }
-
     /// Replaces the *declared* profile (what the controller believes)
     /// while keeping the Fig. 5 tables as the actual timing behaviour —
     /// the setup for the online-estimation ablation.
@@ -201,6 +369,8 @@ impl TableApp {
 }
 
 impl VideoApp for TableApp {
+    type Snapshot = ();
+
     fn body(&self) -> &PrecedenceGraph {
         &self.body
     }
@@ -217,28 +387,19 @@ impl VideoApp for TableApp {
         &self.profile
     }
 
-    fn activity(&self, frame: usize) -> f64 {
-        self.scenario.frame(frame).activity
-    }
-
-    fn is_iframe(&self, frame: usize) -> bool {
-        self.scenario.frame(frame).is_iframe
-    }
-
-    fn budget_cycles(&self, frame: usize) -> Option<fgqos_time::Cycles> {
-        self.scenario.frame(frame).budget_cycles
+    fn scenario(&self) -> &LoadScenario {
+        &self.scenario
     }
 
     fn begin_frame(&mut self, _frame: usize) {}
 
-    fn run_action(
-        &mut self,
-        _action: ActionId,
-        _mb: usize,
-        _q: fgqos_time::Quality,
-    ) -> Option<u64> {
+    fn snapshot(&self, _mb: usize) {}
+
+    fn kernel(&self, _action: ActionId, _mb: usize, _q: Quality) -> Option<u64> {
         None
     }
+
+    fn apply(&mut self, _action: ActionId, _mb: usize) {}
 
     fn encoded_psnr(&mut self, frame: usize, quality_index: f64, _report: &CycleReport) -> f64 {
         let info = self.scenario.frame(frame);
@@ -249,26 +410,6 @@ impl VideoApp for TableApp {
         let info = self.scenario.frame(frame);
         self.psnr.skipped_psnr(&info)
     }
-
-    fn stream_len(&self) -> usize {
-        self.scenario.frames()
-    }
-}
-
-/// Timing-only actions do no work, so they trivially satisfy the
-/// kernel/apply contract: kernels are no-ops (quality-blind, class 0) and
-/// speculation never misses. This makes every fig6/fig8 table run
-/// exercisable through [`crate::runner::Runner::run_parallel_on`].
-impl crate::runtime::ParallelApp for TableApp {
-    type Snapshot = ();
-
-    fn snapshot(&self, _mb: usize) {}
-
-    fn kernel(&self, _action: ActionId, _mb: usize, _q: fgqos_time::Quality) -> Option<u64> {
-        None
-    }
-
-    fn apply(&mut self, _action: ActionId, _mb: usize) {}
 }
 
 #[cfg(test)]
@@ -307,11 +448,11 @@ mod tests {
         let mut app = TableApp::with_macroblocks(scenario, 12).unwrap();
         assert_eq!(app.iterations(), 12);
         assert_eq!(app.body().len(), 9);
-        assert_eq!(app.stream_len(), 20);
-        assert!(app.is_iframe(0));
-        assert!(app.activity(3) > 0.0);
+        assert_eq!(app.scenario().frames(), 20);
+        assert!(app.scenario().frame(0).is_iframe);
+        assert!(app.scenario().frame(3).activity > 0.0);
         assert!(app
-            .run_action(ActionId::from_index(0), 0, fgqos_time::Quality::new(1))
+            .kernel(ActionId::from_index(0), 0, Quality::new(1))
             .is_none());
         let report = CycleReport::from_records(vec![], 0);
         let db = app.encoded_psnr(5, 3.0, &report);

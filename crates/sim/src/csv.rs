@@ -168,16 +168,6 @@ pub fn parse_csv(text: &str) -> Result<CsvDoc, SimError> {
     })
 }
 
-/// Renders two aligned series as a gnuplot-ready two-column block with a
-/// `# label` comment header.
-pub fn render_series(label: &str, series: &[(usize, f64)]) -> String {
-    let mut out = format!("# {label}\n");
-    for &(x, y) in series {
-        let _ = writeln!(out, "{x} {y:.4}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,12 +230,5 @@ mod tests {
         let doc = parse_csv("a,b\n1,\n").unwrap();
         assert!(doc.column("missing").is_err());
         assert!(doc.required(0, 1).is_err());
-    }
-
-    #[test]
-    fn series_block_has_comment_label() {
-        let s = render_series("controlled", &[(0, 1.0), (1, 2.0)]);
-        assert!(s.starts_with("# controlled\n"));
-        assert!(s.contains("1 2.0000"));
     }
 }

@@ -6,12 +6,12 @@
 //! frame's payload — per-macroblock bitstreams plus the metadata a
 //! decoder or archiver needs (frame index, virtual timestamp, quality,
 //! keyframe flag) — produced by
-//! [`crate::runtime::ParallelApp::encoded_output`] and shared downstream
+//! [`crate::app::VideoApp::encoded_output`] and shared downstream
 //! behind an `Arc` so fan-out to any number of subscribers never copies
 //! pixel data (see `fgqos_serve::distribute`).
 //!
 //! The type lives in `fgqos-sim` rather than `fgqos-encoder` because the
-//! producer hook sits on [`crate::runtime::ParallelApp`] (so timing-only
+//! producer hook sits on [`crate::app::VideoApp`] (so timing-only
 //! table apps can simply publish nothing), and `fgqos-encoder` depends
 //! on this crate, not vice versa. `fgqos-encoder` re-exports it.
 

@@ -10,12 +10,12 @@
 //! deterministic virtual-clock forms.
 //!
 //! Every run, solo, parallel or served, steps its frames through one
-//! lifecycle (prepare → commit → close, see [`stepper`]). For apps
-//! implementing the [`ParallelApp`] kernel/apply contract,
-//! [`Runner::run_parallel_on`] runs each frame's macroblock wavefront on
-//! a [`WorkStealingPool`] between prepare and commit while reproducing
-//! the sequential timeline and quality decisions byte-for-byte (see
-//! [`crate::runtime::parallel`]).
+//! lifecycle (prepare → commit → close, see [`stepper`]), and every
+//! action runs as the app's kernel then its apply (the [`VideoApp`]
+//! contract). [`Runner::run_parallel_on`] runs each frame's macroblock
+//! wavefront of kernels on a [`WorkStealingPool`] between prepare and
+//! commit while reproducing the sequential timeline and quality
+//! decisions byte-for-byte (see [`crate::runtime::parallel`]).
 
 pub mod stepper;
 
@@ -39,9 +39,7 @@ use crate::exec::{ExecTimeModel, StochasticLoad};
 use crate::intern::Interner;
 use crate::pipeline::InputPipeline;
 use crate::runtime::parallel::FramePlan;
-use crate::runtime::{
-    Clock, ExecBackend, ModelBackend, ParallelApp, VirtualClock, WorkStealingPool,
-};
+use crate::runtime::{Clock, ExecBackend, ModelBackend, VirtualClock, WorkStealingPool};
 use crate::SimError;
 
 pub use stepper::{ParallelStream, Phase1View};
@@ -510,7 +508,7 @@ impl<A: VideoApp> Runner<A> {
 
     /// Mutable access to the application, for output hooks that *move*
     /// finished buffers out of it (see
-    /// [`crate::runtime::ParallelApp::encoded_output`]).
+    /// [`VideoApp::encoded_output`]).
     pub fn app_mut(&mut self) -> &mut A {
         &mut self.app
     }
@@ -796,10 +794,82 @@ impl<A: VideoApp> Runner<A> {
                 backend,
                 policy,
                 &mut estimator,
-                &mut |app, d, body_action, mb| app.run_action(body_action, mb, d.quality),
+                &mut |app, d, body_action, mb| run_in_place(app, body_action, mb, d.quality),
             )?;
         }
         Ok(self.close(s, None, policy.name(), false))
+    }
+
+    /// Controlled parallel run on the deterministic virtual runtime —
+    /// [`Runner::run_controlled`] with `workers` threads executing each
+    /// frame's macroblock wavefront. Produces byte-identical results at
+    /// any worker count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates controller protocol and plan-validation errors.
+    pub fn run_parallel(
+        &mut self,
+        policy: &mut dyn QualityPolicy,
+        seed: u64,
+        workers: usize,
+    ) -> Result<StreamResult, SimError> {
+        let mut exec = StochasticLoad::new(seed);
+        let mut clock = VirtualClock::new();
+        let mut backend = ModelBackend::new(&mut exec);
+        self.run_parallel_on(
+            &mut clock,
+            &mut backend,
+            Mode::Controlled,
+            policy,
+            None,
+            workers,
+        )
+    }
+
+    /// Runs the full stream like [`Runner::run_on`], but executes each
+    /// frame's action kernels on a [`WorkStealingPool`] of `workers`
+    /// threads before replaying the controller loop sequentially.
+    ///
+    /// # Determinism contract
+    ///
+    /// On a [`VirtualClock`] with a [`ModelBackend`], the returned
+    /// [`StreamResult`] — every per-frame record, the safety monitor, the
+    /// quality decisions — is byte-identical to [`Runner::run_on`] for
+    /// *any* worker count, including 1. Speculatively computed kernels
+    /// are only consumed when their quality class matches the
+    /// controller's actual decision and all their data inputs were valid;
+    /// everything else is re-executed in schedule order (see
+    /// [`crate::runtime::parallel`]). On a wall clock the speedup is
+    /// real: the pixel math has already run concurrently, so the commit
+    /// loop is a cheap replay.
+    ///
+    /// # Errors
+    ///
+    /// Propagates controller protocol errors, and
+    /// [`SimError::InvalidConfig`] if the app declares inconsistent data
+    /// dependencies.
+    pub fn run_parallel_on(
+        &mut self,
+        clock: &mut dyn Clock,
+        backend: &mut dyn ExecBackend,
+        mode: Mode,
+        policy: &mut dyn QualityPolicy,
+        mut estimator: Option<&mut dyn AvgEstimator>,
+        workers: usize,
+    ) -> Result<StreamResult, SimError> {
+        let mut pool = WorkStealingPool::new(workers);
+        pool.set_telemetry(&self.telemetry);
+        let mut st = self.start_parallel(mode)?;
+        while self.next_parallel_frame(&mut st, clock, policy, &mut estimator)? {
+            // Phase 1: speculative wavefront execution. Kernels run as
+            // their data dependencies complete, at last frame's quality.
+            let view = self.parallel_kernels(&st).expect("frame just prepared");
+            pool.run_dag(view.indegree(), view.succs(), |i| view.run_kernel(i));
+            // Phase 2: sequential commit in static EDF order.
+            self.commit_parallel_frame(&mut st, clock, backend, policy, &mut estimator)?;
+        }
+        Ok(self.finish_parallel(st, policy.name()))
     }
 
     /// Advances the pipeline to the next encodable frame: admits arrivals
@@ -931,7 +1001,7 @@ impl<A: VideoApp> Runner<A> {
         FrameRecord {
             frame,
             skipped: true,
-            is_iframe: self.app.is_iframe(frame),
+            is_iframe: self.app.scenario().frame(frame).is_iframe,
             start: Cycles::ZERO,
             encode_cycles: Cycles::ZERO,
             budget: Cycles::ZERO,
@@ -945,80 +1015,6 @@ impl<A: VideoApp> Runner<A> {
     }
 }
 
-impl<A: ParallelApp> Runner<A> {
-    /// Controlled parallel run on the deterministic virtual runtime —
-    /// [`Runner::run_controlled`] with `workers` threads executing each
-    /// frame's macroblock wavefront. Produces byte-identical results at
-    /// any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller protocol and plan-validation errors.
-    pub fn run_parallel(
-        &mut self,
-        policy: &mut dyn QualityPolicy,
-        seed: u64,
-        workers: usize,
-    ) -> Result<StreamResult, SimError> {
-        let mut exec = StochasticLoad::new(seed);
-        let mut clock = VirtualClock::new();
-        let mut backend = ModelBackend::new(&mut exec);
-        self.run_parallel_on(
-            &mut clock,
-            &mut backend,
-            Mode::Controlled,
-            policy,
-            None,
-            workers,
-        )
-    }
-
-    /// Runs the full stream like [`Runner::run_on`], but executes each
-    /// frame's action kernels on a [`WorkStealingPool`] of `workers`
-    /// threads before replaying the controller loop sequentially.
-    ///
-    /// # Determinism contract
-    ///
-    /// On a [`VirtualClock`] with a [`ModelBackend`], the returned
-    /// [`StreamResult`] — every per-frame record, the safety monitor, the
-    /// quality decisions — is byte-identical to [`Runner::run_on`] for
-    /// *any* worker count, including 1. Speculatively computed kernels
-    /// are only consumed when their quality class matches the
-    /// controller's actual decision and all their data inputs were valid;
-    /// everything else is re-executed in schedule order (see
-    /// [`crate::runtime::parallel`]). On a wall clock the speedup is
-    /// real: the pixel math has already run concurrently, so the commit
-    /// loop is a cheap replay.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller protocol errors, and
-    /// [`SimError::InvalidConfig`] if the app declares inconsistent data
-    /// dependencies.
-    pub fn run_parallel_on(
-        &mut self,
-        clock: &mut dyn Clock,
-        backend: &mut dyn ExecBackend,
-        mode: Mode,
-        policy: &mut dyn QualityPolicy,
-        mut estimator: Option<&mut dyn AvgEstimator>,
-        workers: usize,
-    ) -> Result<StreamResult, SimError> {
-        let mut pool = WorkStealingPool::new(workers);
-        pool.set_telemetry(&self.telemetry);
-        let mut st = self.start_parallel(mode)?;
-        while self.next_parallel_frame(&mut st, clock, policy, &mut estimator)? {
-            // Phase 1: speculative wavefront execution. Kernels run as
-            // their data dependencies complete, at last frame's quality.
-            let view = self.parallel_kernels(&st).expect("frame just prepared");
-            pool.run_dag(view.indegree(), view.succs(), |i| view.run_kernel(i));
-            // Phase 2: sequential commit in static EDF order.
-            self.commit_parallel_frame(&mut st, clock, backend, policy, &mut estimator)?;
-        }
-        Ok(self.finish_parallel(st, policy.name()))
-    }
-}
-
 /// Whether the encoder is the controlled build or an uncontrolled
 /// constant-quality build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1029,6 +1025,16 @@ pub enum Mode {
     /// The uncontrolled baseline (no deadlines; skips emerge from buffer
     /// overflow).
     Constant,
+}
+
+/// Runs one action instance in place: its kernel, then its side
+/// effects. Every commit that does not consume a speculated result runs
+/// actions through here, so the in-place and the split (phase 1, then
+/// commit) paths perform the same state transitions by construction.
+fn run_in_place<A: VideoApp>(app: &mut A, action: ActionId, mb: usize, q: Quality) -> Option<u64> {
+    let work = app.kernel(action, mb, q);
+    app.apply(action, mb);
+    work
 }
 
 /// Applies the estimator's current estimates to `profile` and reports

@@ -17,9 +17,9 @@
 //! * **close** — fill never-encoded frames as skips (or truncate to the
 //!   delivered frames of a detached stream) and label the result.
 //!
-//! [`Runner::run_on`] is that loop with every action run in place. The
-//! stepped API below is the same loop with a speculative phase 1
-//! between prepare and commit:
+//! [`Runner::run_on`] is that loop with every action run in place
+//! (kernel, then apply). The stepped API below is the same loop with a
+//! speculative phase 1 between prepare and commit:
 //!
 //! 1. [`Runner::start_parallel`] opens a [`ParallelStream`]: the state
 //!    plus its speculation seed and kernel DAG;
@@ -57,13 +57,13 @@ use fgqos_core::{CycleController, Decision};
 use fgqos_graph::ActionId;
 use fgqos_time::{Cycles, Quality, QualityProfile, QualitySet};
 
-use super::{FrameRecord, Mode, Runner, StreamResult};
+use super::{run_in_place, FrameRecord, Mode, Runner, StreamResult};
 use crate::app::VideoApp;
 use crate::budget::BudgetSource;
 use crate::exec::ExecCtx;
 use crate::pipeline::InputPipeline;
 use crate::runtime::parallel::{FramePlan, SpecSlot};
-use crate::runtime::{Clock, ExecBackend, ParallelApp};
+use crate::runtime::{Clock, ExecBackend};
 use crate::SimError;
 
 /// One run's frame-loop state, carried from frame to frame by the
@@ -174,7 +174,7 @@ impl ParallelStream {
 /// [`super::WorkStealingPool`] does exactly that, but so does any other
 /// scheduler — including one interleaving the tasks of *several* views
 /// from different streams.
-pub struct Phase1View<'a, A: ParallelApp> {
+pub struct Phase1View<'a, A: VideoApp> {
     app: &'a A,
     iter: &'a fgqos_graph::iterate::IteratedGraph,
     plan: &'a FramePlan,
@@ -182,7 +182,7 @@ pub struct Phase1View<'a, A: ParallelApp> {
     slots: &'a [OnceLock<SpecSlot>],
 }
 
-impl<A: ParallelApp> Phase1View<'_, A> {
+impl<A: VideoApp> Phase1View<'_, A> {
     /// Number of kernel tasks (instances in the unrolled frame graph).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -229,10 +229,11 @@ impl<A: ParallelApp> Phase1View<'_, A> {
 
 impl<A: VideoApp> Runner<A> {
     /// Opens one run's state: a fresh pipeline, records, profiles and
-    /// budget source (`Trace` snapshots the app's recorded budgets,
-    /// [`VideoApp::budget_cycles`]).
+    /// budget source (`Trace` snapshots the recorded budgets of the app's
+    /// [`VideoApp::scenario`]).
     pub(super) fn open(&self, mode: Mode) -> Result<StreamState, SimError> {
-        let total = self.app.stream_len();
+        let scenario = self.app.scenario();
+        let total = scenario.frames();
         Ok(StreamState {
             mode,
             qs: self.app.profile().qualities().clone(),
@@ -240,10 +241,7 @@ impl<A: VideoApp> Runner<A> {
             records: vec![None; total],
             body_profile: self.app.profile().clone(),
             gen_profile: self.app.generative_profile().clone(),
-            source: BudgetSource::new(
-                self.config.budget,
-                (0..total).map(|f| self.app.budget_cycles(f)),
-            ),
+            source: BudgetSource::new(self.config.budget, scenario.iter().map(|f| f.budget_cycles)),
             prev_budget: None,
             pending: None,
         })
@@ -299,7 +297,7 @@ impl<A: VideoApp> Runner<A> {
             now,
             budget,
             ctl,
-            activity: self.app.activity(frame),
+            activity: self.app.scenario().frame(frame).activity,
         });
         Ok(true)
     }
@@ -363,7 +361,7 @@ impl<A: VideoApp> Runner<A> {
         s.records[frame] = Some(FrameRecord {
             frame,
             skipped: false,
-            is_iframe: self.app.is_iframe(frame),
+            is_iframe: self.app.scenario().frame(frame).is_iframe,
             start: now,
             encode_cycles: t,
             budget,
@@ -415,9 +413,7 @@ impl<A: VideoApp> Runner<A> {
             frames,
         }
     }
-}
 
-impl<A: ParallelApp> Runner<A> {
     /// Opens a steppable parallel run over this runner's stream.
     ///
     /// The caller then alternates [`Runner::next_parallel_frame`] /
@@ -555,7 +551,7 @@ impl<A: ParallelApp> Runner<A> {
                     // cascade stops here.
                     *misses += 1;
                     let before = app.snapshot(mb);
-                    let work = app.run_action(body_action, mb, d.quality);
+                    let work = run_in_place(app, body_action, mb, d.quality);
                     valid[i] = app.snapshot(mb) == before;
                     work
                 }

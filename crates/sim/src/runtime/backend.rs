@@ -36,7 +36,7 @@ pub trait ExecBackend {
 /// experiments deterministically; on a [`crate::runtime::WallClock`] it
 /// paces the same simulation at real time. Anchoring to `started` rather
 /// than the current instant keeps the wall clock locked to the modeled
-/// timeline: the real compute time of `run_action` is absorbed into the
+/// timeline: the real compute time of the action is absorbed into the
 /// modeled duration instead of accumulating as drift (when the model's
 /// duration has already elapsed, the clock is simply not slept).
 #[derive(Debug, Clone)]
@@ -68,8 +68,8 @@ impl<M: ExecTimeModel> ExecBackend for ModelBackend<M> {
     }
 }
 
-/// The live backend: the application's `run_action` already consumed real
-/// time; its cost is whatever the clock observed since `started`.
+/// The live backend: the application's action already consumed real time;
+/// its cost is whatever the clock observed since `started`.
 ///
 /// Only meaningful on a clock that moves by itself
 /// ([`crate::runtime::WallClock`]); on a virtual clock every action would

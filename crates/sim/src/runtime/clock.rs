@@ -152,14 +152,6 @@ impl WallClock {
         }
     }
 
-    /// A wall clock at the paper's native 8 GHz platform rate
-    /// ([`fgqos_time::fig5::CLOCK_HZ`]): 320 Mcycle periods last the real
-    /// 40 ms of a 25 frame/s camera.
-    #[must_use]
-    pub fn paper_rate() -> Self {
-        Self::new(fgqos_time::fig5::CLOCK_HZ)
-    }
-
     /// A wall clock calibrated so that `period` cycles span `wall_period`
     /// of real time — the scaled-down-period knob for running cycle-domain
     /// configurations on slower (or faster) real hardware.
@@ -283,7 +275,6 @@ mod tests {
         // Scaling the period down 1000x slows the clock 1000x.
         let slow = WallClock::scaled(Cycles::mega(320), Duration::from_secs(40));
         assert_eq!(slow.cycles_per_sec(), 8_000_000);
-        assert_eq!(WallClock::paper_rate().cycles_per_sec(), 8_000_000_000);
     }
 
     #[test]

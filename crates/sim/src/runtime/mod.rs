@@ -13,8 +13,9 @@
 //!   [`crate::exec::ExecTimeModel`] (simulation), [`MeasuredBackend`]
 //!   charges observed wall time (live runs);
 //! * [`parallel`] — the deterministic parallel frame executor: the
-//!   [`ParallelApp`] kernel/apply contract and the speculative wavefront
-//!   machinery behind [`crate::runner::Runner::run_parallel_on`], driven
+//!   speculative wavefront machinery behind
+//!   [`crate::runner::Runner::run_parallel_on`] over the
+//!   [`crate::app::VideoApp`] kernel/apply contract, driven
 //!   by the hand-rolled [`WorkStealingPool`] — an owner of *resident*
 //!   worker threads that park between jobs, so repeated per-frame DAG
 //!   submissions (a serving session's tick loop) pay thread creation
@@ -62,7 +63,11 @@ mod clock;
 pub mod parallel;
 mod pool;
 
+/// The application contract under its former name. The repository
+/// benchmark (`perfbench/`, a separate workspace) is the only reader: it
+/// imports this name to call `encoded_output`. New code names
+/// [`crate::app::VideoApp`].
+pub use crate::app::VideoApp as ParallelApp;
 pub use backend::{ExecBackend, MeasuredBackend, ModelBackend};
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use parallel::ParallelApp;
 pub use pool::WorkStealingPool;

@@ -1,4 +1,4 @@
-//! The deterministic parallel frame executor: app contract and kernel DAG.
+//! The deterministic parallel frame executor: the kernel DAG.
 //!
 //! # The determinism problem
 //!
@@ -14,17 +14,17 @@
 //! into two phases:
 //!
 //! 1. **Speculative execution** — every action instance's *pure
-//!    computation* (its [`ParallelApp::kernel`]) runs on a
+//!    computation* (its [`VideoApp::kernel`]) runs on a
 //!    [`WorkStealingPool`] as soon as its *data* dependencies are done,
 //!    at a speculated quality (the level the controller chose at the same
 //!    schedule position one frame earlier).
 //! 2. **Sequential commit** — the controller loop replays in the static
 //!    EDF order exactly as in [`Runner::run_on`]: each decision either
 //!    consumes the speculated kernel result (when the decided quality
-//!    falls in the same [`ParallelApp::kernel_class`] and every data
+//!    falls in the same [`VideoApp::kernel_class`] and every data
 //!    input was itself valid) and applies its side effects via
-//!    [`ParallelApp::apply`], or discards it and re-executes the action
-//!    in place via [`crate::app::VideoApp::run_action`].
+//!    [`VideoApp::apply`], or discards it and re-executes the action
+//!    in place, kernel then apply.
 //!
 //! Because phase 2 performs the *same* state transitions in the *same*
 //! order with the *same* inputs as the sequential runner — mis-speculated
@@ -41,12 +41,15 @@
 //! only pace the *timeline* (which phase 2 enforces exactly); they carry
 //! no data, so phase 1 drops them and schedules on the body's
 //! same-iteration edges plus the app's declared
-//! [`ParallelApp::data_preds`] — for the pixel encoder, the classic
+//! [`VideoApp::data_preds`] — for the pixel encoder, the classic
 //! macroblock wavefront (intra prediction reads the left and above
 //! reconstructions). Under [`IterationMode::Sequential`] the iteration
 //! barrier edges are kept, so parallelism stays inside one iteration —
 //! the conservative mode for apps whose cross-iteration data flow is
 //! undeclared.
+//!
+//! What an app must guarantee for all this — `&self` kernels, exact
+//! read sets, a single writer per field — is the [`VideoApp`] contract.
 //!
 //! [`Runner::run_parallel_on`]: crate::runner::Runner::run_parallel_on
 //! [`Runner::run_on`]: crate::runner::Runner::run_on
@@ -56,105 +59,9 @@
 
 use fgqos_graph::iterate::{IteratedGraph, IterationMode};
 use fgqos_graph::ActionId;
-use fgqos_time::{Cycles, Quality};
 
 use crate::app::VideoApp;
-use crate::output::EncodedFrame;
 use crate::SimError;
-
-/// A [`VideoApp`] whose per-action work can execute off-thread.
-///
-/// # Contract
-///
-/// `run_action(a, mb, q)` **must** be observationally equivalent to
-/// `let w = kernel(a, mb, q); apply(a, mb); w` — the runner uses the
-/// split form on cache hits and the fused form on mis-speculation, and
-/// determinism rests on both paths performing identical state
-/// transitions.
-///
-/// [`ParallelApp::kernel`] takes `&self` and may be called from several
-/// worker threads at once; per-macroblock working state must live behind
-/// interior locks keyed by `mb` (see `fgqos-encoder`'s `EncoderApp`). A
-/// kernel may read only
-///
-/// * shared state that is constant for the duration of the frame (the
-///   source image, the previous reference frame, the frame QP),
-/// * its own macroblock's working state, and
-/// * working state written by instances it declared in
-///   [`ParallelApp::data_preds`] (or by same-iteration predecessors in
-///   the body graph).
-///
-/// Two structural rules keep the commit phase sound:
-///
-/// * **exact read sets** — [`ParallelApp::data_preds`] must cover every
-///   working-state read that is not a *direct* body-graph edge. Relying
-///   on transitive graph coverage is incorrect: output re-validation can
-///   confirm an intermediary while an input that bypasses it changed;
-/// * **single writer per field** — within one iteration, each
-///   working-state field may be written by exactly one action. Otherwise
-///   a re-executed early action could clobber the speculated output of a
-///   later action that commits from cache without rewriting its fields.
-pub trait ParallelApp: VideoApp + Sync {
-    /// A comparable copy of one macroblock's working state, taken with
-    /// [`ParallelApp::snapshot`]. The runner uses it to *re-validate*
-    /// mis-speculated work: if re-executing an action reproduces exactly
-    /// the state the speculative phase left behind, every downstream
-    /// kernel read correct inputs and its cached result stays usable —
-    /// without this, one mis-speculated motion search would taint its
-    /// entire dependency cone and serialize the rest of the frame.
-    type Snapshot: PartialEq;
-
-    /// Copies macroblock `mb`'s working state for equality comparison
-    /// around a re-execution.
-    fn snapshot(&self, mb: usize) -> Self::Snapshot;
-
-    /// Direct *data* predecessors of the kernel for `(action, mb)` that
-    /// are not same-iteration body-graph edges: pairs of (producer body
-    /// action, producer iteration). Producer iterations must not exceed
-    /// `mb`, and same-iteration entries must precede `action` in the
-    /// body's EDF order.
-    fn data_preds(&self, action: ActionId, mb: usize) -> Vec<(ActionId, usize)> {
-        let _ = (action, mb);
-        Vec::new()
-    }
-
-    /// Fingerprint of the kernel's quality sensitivity: two qualities
-    /// with equal fingerprints must make `kernel(action, mb, ·)` produce
-    /// identical outputs (state writes and work units). Quality-blind
-    /// kernels return a constant — their speculation never misses.
-    fn kernel_class(&self, action: ActionId, mb: usize, q: Quality) -> u64 {
-        let _ = (action, mb, q);
-        0
-    }
-
-    /// The pure computation of one action instance; returns the work
-    /// units [`VideoApp::run_action`] would report.
-    fn kernel(&self, action: ActionId, mb: usize, q: Quality) -> Option<u64>;
-
-    /// Applies the sequential side effects of a completed kernel (bit
-    /// accounting, reconstruction writes, ...). Called in static schedule
-    /// order with `&mut self`.
-    fn apply(&mut self, action: ActionId, mb: usize);
-
-    /// Takes the most recently committed frame's encoded payload for
-    /// zero-copy distribution, or `None` when the app produces no
-    /// bitstream (timing-only table apps) or the frame was already
-    /// taken.
-    ///
-    /// Called by the serving layer after each frame commit, *only* when
-    /// someone subscribed to the stream's output — apps without
-    /// consumers pay nothing. `timestamp` is the frame's completion
-    /// time on the caller's clock and `mean_quality` the mean committed
-    /// quality; the app supplies the content (index, keyframe flag,
-    /// payload) from its own state. Implementations must *move* their
-    /// finished buffers into the returned [`EncodedFrame`] (and return
-    /// `None` on a second call for the same frame) so publishing stays
-    /// copy-free.
-    fn encoded_output(&mut self, timestamp: Cycles, mean_quality: f64) -> Option<EncodedFrame> {
-        let _ = (timestamp, mean_quality);
-        None
-    }
-}
 
 /// One speculated kernel result (filled during phase 1).
 #[derive(Debug, Clone, Copy)]
@@ -193,7 +100,7 @@ impl FramePlan {
     /// outside the graph or does not precede its consumer in the static
     /// schedule (which would break both phase-1 scheduling and phase-2
     /// re-execution).
-    pub fn build<A: ParallelApp>(
+    pub fn build<A: VideoApp>(
         app: &A,
         iter: &IteratedGraph,
         order_pos: &[usize],
@@ -264,6 +171,7 @@ mod tests {
     use super::*;
     use crate::app::TableApp;
     use crate::scenario::LoadScenario;
+    use fgqos_time::Quality;
 
     fn order_pos(iter: &IteratedGraph) -> Vec<usize> {
         // Iteration-major identity (instances are laid out that way).
@@ -350,6 +258,7 @@ mod tests {
     fn bad_data_deps_are_rejected() {
         struct BadApp(TableApp);
         impl VideoApp for BadApp {
+            type Snapshot = ();
             fn body(&self) -> &fgqos_graph::PrecedenceGraph {
                 self.0.body()
             }
@@ -359,35 +268,12 @@ mod tests {
             fn profile(&self) -> &fgqos_time::QualityProfile {
                 self.0.profile()
             }
-            fn activity(&self, frame: usize) -> f64 {
-                self.0.activity(frame)
-            }
-            fn is_iframe(&self, frame: usize) -> bool {
-                self.0.is_iframe(frame)
+            fn scenario(&self) -> &crate::scenario::LoadScenario {
+                self.0.scenario()
             }
             fn begin_frame(&mut self, frame: usize) {
                 self.0.begin_frame(frame);
             }
-            fn run_action(&mut self, a: ActionId, mb: usize, q: Quality) -> Option<u64> {
-                self.0.run_action(a, mb, q)
-            }
-            fn encoded_psnr(
-                &mut self,
-                frame: usize,
-                q: f64,
-                report: &fgqos_core::CycleReport,
-            ) -> f64 {
-                self.0.encoded_psnr(frame, q, report)
-            }
-            fn skipped_psnr(&mut self, frame: usize) -> f64 {
-                self.0.skipped_psnr(frame)
-            }
-            fn stream_len(&self) -> usize {
-                self.0.stream_len()
-            }
-        }
-        impl ParallelApp for BadApp {
-            type Snapshot = ();
             fn snapshot(&self, _mb: usize) {}
             fn data_preds(&self, action: ActionId, mb: usize) -> Vec<(ActionId, usize)> {
                 // Claims every action reads the *last* action of the
@@ -403,6 +289,17 @@ mod tests {
                 None
             }
             fn apply(&mut self, _a: ActionId, _mb: usize) {}
+            fn encoded_psnr(
+                &mut self,
+                frame: usize,
+                q: f64,
+                report: &fgqos_core::CycleReport,
+            ) -> f64 {
+                self.0.encoded_psnr(frame, q, report)
+            }
+            fn skipped_psnr(&mut self, frame: usize) -> f64 {
+                self.0.skipped_psnr(frame)
+            }
         }
         let app = BadApp(table_app(2));
         let iter = IteratedGraph::new(app.body(), 2, IterationMode::Sequential).unwrap();

@@ -346,13 +346,6 @@ impl WorkStealingPool {
         });
     }
 
-    /// A pool sized to the host's available parallelism.
-    #[must_use]
-    pub fn host_sized() -> Self {
-        let n = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self::new(n)
-    }
-
     /// Number of worker threads.
     #[must_use]
     pub fn workers(&self) -> usize {
@@ -1005,11 +998,6 @@ mod tests {
         );
         assert_eq!(ran.load(Ordering::Relaxed), 3);
         assert_eq!(counter(&t, "pool.forks"), 2);
-    }
-
-    #[test]
-    fn host_sized_pool_has_workers() {
-        assert!(WorkStealingPool::host_sized().workers() >= 1);
     }
 
     /// Alternating narrow/wide stages: during every narrow stage all but

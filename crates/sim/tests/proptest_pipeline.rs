@@ -142,7 +142,7 @@ proptest! {
         prop_assert_eq!(res.misses(), 0, "{}", res.summary());
         prop_assert_eq!(res.fallbacks(), 0);
         // Every frame record is accounted for.
-        prop_assert_eq!(res.frames().len(), runner.app().stream_len());
+        prop_assert_eq!(res.frames().len(), runner.app().scenario().frames());
     }
 }
 

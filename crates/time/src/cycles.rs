@@ -73,17 +73,6 @@ impl Cycles {
         !self.is_infinite()
     }
 
-    /// The value in megacycles (floating point, for reporting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is infinite.
-    #[must_use]
-    pub fn as_mega(self) -> f64 {
-        assert!(self.is_finite(), "cannot convert +inf to Mcycle");
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating multiplication by a scalar (infinity is absorbing).
     #[must_use]
     pub fn saturating_mul(self, k: u64) -> Self {
@@ -306,7 +295,6 @@ mod tests {
         assert_eq!(Cycles::mega(320).to_string(), "320Mcy");
         assert_eq!(Cycles::new(42).to_string(), "42cy");
         assert_eq!(Cycles::INFINITY.to_string(), "+inf");
-        assert!((Cycles::mega(2).as_mega() - 2.0).abs() < 1e-12);
     }
 
     #[test]

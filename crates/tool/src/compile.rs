@@ -6,10 +6,10 @@ use std::fmt;
 use fgqos_core::{CycleController, ParamSystem};
 use fgqos_graph::iterate::{IteratedGraph, IterationMode};
 use fgqos_graph::{ActionId, GraphBuilder, PrecedenceGraph};
-use fgqos_sched::{BestSched, ConstraintTables, EdfScheduler};
+use fgqos_sched::{budget_deadlines, BestSched, ConstraintTables, EdfScheduler};
 use fgqos_time::{Cycles, DeadlineMap, QualityProfile, QualitySet};
 
-use crate::spec::{DeadlineSpec, TimesSpec, ToolSpec};
+use crate::spec::{TimesSpec, ToolSpec};
 
 /// Errors produced during compilation.
 #[derive(Debug)]
@@ -158,26 +158,14 @@ pub fn compile(spec: &ToolSpec) -> Result<ControlledApp, CompileError> {
         IteratedGraph::new(&body, spec.iterations, IterationMode::Sequential).map_err(model_err)?;
     let tiled = body_profile.tile(spec.iterations);
 
-    // Deadlines from the budget.
-    let n = spec.iterations;
+    // Deadlines from the budget (the runner's exact u128 mapping).
     let body_len = body.len();
-    let budget = Cycles::new(spec.budget);
-    let mut deadline_vec = vec![Cycles::INFINITY; n * body_len];
-    match spec.deadline {
-        DeadlineSpec::PerIteration => {
-            for k in 0..n {
-                let d = Cycles::new(spec.budget * (k as u64 + 1) / n as u64);
-                for a in 0..body_len {
-                    deadline_vec[k * body_len + a] = d;
-                }
-            }
-        }
-        DeadlineSpec::FinalOnly => {
-            for a in 0..body_len {
-                deadline_vec[(n - 1) * body_len + a] = budget;
-            }
-        }
-    }
+    let deadline_vec = budget_deadlines(
+        spec.deadline,
+        spec.iterations,
+        body_len,
+        Cycles::new(spec.budget),
+    );
     let deadlines = DeadlineMap::uniform(qualities.clone(), deadline_vec);
     // The prototype tool requires the deadline order to be independent of
     // quality; uniform maps satisfy it, but check anyway (the API allows
@@ -191,21 +179,14 @@ pub fn compile(spec: &ToolSpec) -> Result<ControlledApp, CompileError> {
         .check_schedulable()
         .map_err(CompileError::Infeasible)?;
 
-    // Compositional EDF: schedule the body once, replay N times.
-    let qmin = qualities.min();
-    let body_deadlines: Vec<Cycles> = (0..body_len)
-        .map(|a| {
-            // Within one iteration all actions share the iteration
-            // deadline, so EDF order = precedence-compatible order.
-            let _ = a;
-            Cycles::INFINITY
-        })
-        .collect();
+    // Compositional EDF: schedule the body once, replay N times. Within
+    // one iteration all actions share the iteration deadline, so EDF
+    // order = precedence-compatible order.
+    let body_deadlines = vec![Cycles::INFINITY; body_len];
     let body_order = EdfScheduler
         .best_schedule(&body, &body_deadlines, &[])
         .map_err(model_err)?;
     let order = iter.replay_body_schedule(&body_order).map_err(model_err)?;
-    let _ = qmin;
 
     let tables = ConstraintTables::new(order.clone(), system.profile(), system.deadlines())
         .map_err(model_err)?;
@@ -285,12 +266,28 @@ mod tests {
     #[test]
     fn final_only_deadlines_compile() {
         let mut spec = ToolSpec::paper_encoder(4, 10_000_000);
-        spec.deadline = crate::spec::DeadlineSpec::FinalOnly;
+        spec.deadline = fgqos_sched::DeadlineShape::FinalOnly;
         let app = compile(&spec).unwrap();
         // All but the last iteration's deadlines are infinite.
         let d = app.system().deadlines();
         assert!(d.deadline_idx(0, 0).is_infinite());
         assert_eq!(d.deadline_idx(9 * 3 + 5, 0), Cycles::new(10_000_000));
+    }
+
+    #[test]
+    fn budgets_near_the_top_of_u64_get_exact_deadlines() {
+        // `budget * (k + 1)` overflows u64 here; the deadlines must not.
+        let spec = ToolSpec::parse(
+            "system x\nquality 0..0\naction a const 1 2\niterations 2\nbudget 10000000000000000000",
+        )
+        .unwrap();
+        let app = compile(&spec).unwrap();
+        let d = app.system().deadlines();
+        assert_eq!(d.deadline_idx(0, 0), Cycles::new(5_000_000_000_000_000_000));
+        assert_eq!(
+            d.deadline_idx(1, 0),
+            Cycles::new(10_000_000_000_000_000_000)
+        );
     }
 
     #[test]

@@ -22,6 +22,8 @@
 use std::error::Error;
 use std::fmt;
 
+use fgqos_sched::DeadlineShape;
+
 /// Execution-time declaration for one action.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TimesSpec {
@@ -29,15 +31,6 @@ pub enum TimesSpec {
     Constant(u64, u64),
     /// One `(avg, wc)` pair per quality level, ascending.
     Levels(Vec<(u64, u64)>),
-}
-
-/// Deadline decomposition named in the spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineSpec {
-    /// Uniform per-iteration pacing.
-    PerIteration,
-    /// Budget on the final iteration only.
-    FinalOnly,
 }
 
 /// A parsed application specification.
@@ -53,8 +46,8 @@ pub struct ToolSpec {
     pub edges: Vec<(String, String)>,
     /// Body iterations per cycle (`N`).
     pub iterations: usize,
-    /// Deadline decomposition.
-    pub deadline: DeadlineSpec,
+    /// Deadline decomposition (`deadline per-iteration | final-only`).
+    pub deadline: DeadlineShape,
     /// Cycle budget in cycles.
     pub budget: u64,
 }
@@ -87,6 +80,19 @@ fn err(line: usize, message: impl Into<String>) -> SpecError {
     }
 }
 
+/// Passes a parsed cycle count through unless it is `u64::MAX`, which
+/// [`fgqos_time::Cycles`] reserves for an unbounded time.
+fn finite(line: usize, cycles: u64) -> Result<u64, SpecError> {
+    if cycles == u64::MAX {
+        Err(err(
+            line,
+            format!("cycle count {cycles} is reserved for an unbounded time"),
+        ))
+    } else {
+        Ok(cycles)
+    }
+}
+
 impl ToolSpec {
     /// Parses a spec document.
     ///
@@ -99,7 +105,7 @@ impl ToolSpec {
         let mut actions: Vec<(String, TimesSpec)> = Vec::new();
         let mut edges = Vec::new();
         let mut iterations = 1usize;
-        let mut deadline = DeadlineSpec::PerIteration;
+        let mut deadline = DeadlineShape::PerIteration;
         let mut budget = None;
 
         for (idx, raw) in input.lines().enumerate() {
@@ -156,7 +162,7 @@ impl ToolSpec {
                                 .next()
                                 .and_then(|w| w.parse().ok())
                                 .ok_or_else(|| err(line_no, "const needs wc"))?;
-                            TimesSpec::Constant(avg, wc)
+                            TimesSpec::Constant(finite(line_no, avg)?, finite(line_no, wc)?)
                         }
                         "levels" => {
                             let mut pairs = Vec::new();
@@ -168,7 +174,7 @@ impl ToolSpec {
                                     a.parse().map_err(|_| err(line_no, "bad avg value"))?;
                                 let wc: u64 =
                                     c.parse().map_err(|_| err(line_no, "bad wc value"))?;
-                                pairs.push((avg, wc));
+                                pairs.push((finite(line_no, avg)?, finite(line_no, wc)?));
                             }
                             if pairs.is_empty() {
                                 return Err(err(line_no, "levels needs at least one pair"));
@@ -197,21 +203,20 @@ impl ToolSpec {
                 }
                 "deadline" => {
                     deadline = match words.next() {
-                        Some("per-iteration") => DeadlineSpec::PerIteration,
-                        Some("final-only") => DeadlineSpec::FinalOnly,
+                        Some("per-iteration") => DeadlineShape::PerIteration,
+                        Some("final-only") => DeadlineShape::FinalOnly,
                         other => {
                             return Err(err(line_no, format!("unknown deadline shape {other:?}")))
                         }
                     };
                 }
                 "budget" => {
-                    budget = Some(
-                        words
-                            .next()
-                            .and_then(|w| w.parse().ok())
-                            .filter(|&b| b > 0)
-                            .ok_or_else(|| err(line_no, "budget needs a positive integer"))?,
-                    );
+                    let cycles = words
+                        .next()
+                        .and_then(|w| w.parse().ok())
+                        .filter(|&b| b > 0)
+                        .ok_or_else(|| err(line_no, "budget needs a positive integer"))?;
+                    budget = Some(finite(line_no, cycles)?);
                 }
                 other => return Err(err(line_no, format!("unknown keyword {other}"))),
             }
@@ -285,8 +290,8 @@ impl ToolSpec {
         }
         let _ = writeln!(out, "iterations {}", self.iterations);
         let shape = match self.deadline {
-            DeadlineSpec::PerIteration => "per-iteration",
-            DeadlineSpec::FinalOnly => "final-only",
+            DeadlineShape::PerIteration => "per-iteration",
+            DeadlineShape::FinalOnly => "final-only",
         };
         let _ = writeln!(out, "deadline {shape}");
         let _ = writeln!(out, "budget {}", self.budget);
@@ -342,7 +347,7 @@ impl ToolSpec {
             actions,
             edges,
             iterations,
-            deadline: DeadlineSpec::PerIteration,
+            deadline: DeadlineShape::PerIteration,
             budget,
         }
     }
@@ -374,7 +379,7 @@ budget 1000
         assert_eq!(s.actions[1].1, TimesSpec::Levels(vec![(5, 9), (7, 14)]));
         assert_eq!(s.edges, vec![("a".to_owned(), "b".to_owned())]);
         assert_eq!(s.iterations, 3);
-        assert_eq!(s.deadline, DeadlineSpec::FinalOnly);
+        assert_eq!(s.deadline, DeadlineShape::FinalOnly);
         assert_eq!(s.budget, 1000);
     }
 
@@ -401,6 +406,35 @@ budget 1000
         let e = ToolSpec::parse(bad).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.to_string().contains("line 3"));
+    }
+
+    #[test]
+    fn the_unbounded_cycle_count_is_rejected_with_its_line() {
+        let max = u64::MAX;
+        for (line, bad) in [
+            (
+                4,
+                format!("system x\nquality 0..0\naction a const 1 2\nbudget {max}"),
+            ),
+            (
+                3,
+                format!("system x\nquality 0..0\naction a const 1 {max}\nbudget 5"),
+            ),
+            (
+                3,
+                format!("system x\nquality 0..1\naction a levels 1:2 {max}:{max}\nbudget 5"),
+            ),
+        ] {
+            let e = ToolSpec::parse(&bad).unwrap_err();
+            assert_eq!(e.line, line, "{bad}");
+            assert!(e.message.contains("unbounded"), "{e}");
+        }
+        // One below is an ordinary (huge) count.
+        let ok = format!(
+            "system x\nquality 0..0\naction a const 1 2\nbudget {}",
+            max - 1
+        );
+        assert_eq!(ToolSpec::parse(&ok).unwrap().budget, max - 1);
     }
 
     #[test]

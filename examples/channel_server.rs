@@ -36,8 +36,11 @@ fn channel_spec(name: &str, priority: u8, seed: u64, params: ChannelParams) -> S
     StreamSpec::builder(name)
         .priority(priority)
         .seed(seed)
-        .config(RunConfig::paper_defaults().scaled_to_macroblocks(MB))
-        .budget_source(BudgetSpec::Channel(params))
+        .config(
+            RunConfig::paper_defaults()
+                .scaled_to_macroblocks(MB)
+                .with_budget_source(BudgetSpec::Channel(params)),
+        )
         .source(PacedSource::new(
             LoadScenario::paper_benchmark(seed).truncated(80),
         ))

@@ -95,8 +95,7 @@ pub mod prelude {
     pub use fgqos_graph::iterate::IterationMode;
     pub use fgqos_graph::{ActionId, ExecutionSequence, GraphBuilder, PrecedenceGraph};
     pub use fgqos_sched::{
-        BestSched, BudgetTables, ConstraintTables, EdfScheduler, FifoScheduler, SharedTables,
-        TableQuery,
+        BestSched, BudgetTables, ConstraintTables, EdfScheduler, SharedTables, TableQuery,
     };
     pub use fgqos_serve::{
         stochastic_backends, table_apps, AdmissionController, AdmissionDecision, Broadcast,
@@ -111,7 +110,7 @@ pub mod prelude {
         DeadlineShape, Mode, ParallelStream, RunConfig, Runner, StreamResult,
     };
     pub use fgqos_sim::runtime::{
-        Clock, ExecBackend, MeasuredBackend, ModelBackend, ParallelApp, VirtualClock, WallClock,
+        Clock, ExecBackend, MeasuredBackend, ModelBackend, VirtualClock, WallClock,
         WorkStealingPool,
     };
     pub use fgqos_sim::scenario::LoadScenario;

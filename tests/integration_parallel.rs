@@ -55,7 +55,7 @@ fn assert_same_monitor<A: VideoApp, B: VideoApp>(seq: &Runner<A>, par: &Runner<B
 /// phase 1. Every kernel is then executed at commit, which
 /// `commit_parallel_frame` declares legal; the result must still equal
 /// the sequential run's.
-fn stepped_without_phase1<A: ParallelApp>(
+fn stepped_without_phase1<A: VideoApp>(
     runner: &mut Runner<A>,
     backend: &mut dyn ExecBackend,
 ) -> StreamResult {

@@ -389,8 +389,7 @@ fn budget_sourced_streams_serve_identically_to_solo() {
                 StreamSpec::builder(format!("s{i}"))
                     .priority((i % 3) as u8)
                     .seed(100 + i as u64)
-                    .config(config())
-                    .budget_source(BudgetSpec::Channel(params))
+                    .config(budget_config)
                     .source(PacedSource::new(s.clone()))
                     .build()
             })
