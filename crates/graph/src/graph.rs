@@ -246,16 +246,6 @@ impl PrecedenceGraph {
         &self.topo
     }
 
-    /// Position of `a` in the canonical topological order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` does not belong to this graph.
-    #[must_use]
-    pub fn topological_position(&self, a: ActionId) -> usize {
-        self.topo_pos[a.index()]
-    }
-
     /// Precomputes the full transitive closure for repeated
     /// [`Reachability::precedes`] queries.
     #[must_use]
@@ -526,9 +516,11 @@ mod tests {
         let (g, [s, l, r, t]) = diamond();
         assert_eq!(g.topological_order(), &[s, l, r, t]);
         g.validate_schedule(g.topological_order()).unwrap();
+        let order = g.topological_order();
+        let pos = |a: ActionId| order.iter().position(|&x| x == a).unwrap();
         for a in g.ids() {
             for &b in g.successors(a) {
-                assert!(g.topological_position(a) < g.topological_position(b));
+                assert!(pos(a) < pos(b));
             }
         }
     }

@@ -20,8 +20,12 @@
 //!   2. run the due frames' kernel DAGs (merged into ONE task graph
 //!      when several are due) on the shared pool   ◄── resident workers,
 //!   3. commit_parallel_frame()    (sequential)        the only shared
-//!                                                     resource
+//!      meanwhile: phase 1 of the next due frames      resource
+//!      on the pool, then their prepares
 //! ```
+//!
+//! Step 3 overlaps the next ticks' work only where it pays and changes
+//! nothing observable — see "Looking ahead" on [`StreamSession`].
 //!
 //! A [`StreamSession`] is a *running* server: streams
 //! [`StreamSession::attach`] and [`StreamSession::detach`] while it
@@ -60,7 +64,7 @@ use fgqos_core::policy::{Choice, MaxQuality, PolicyCtx, QualityPolicy};
 use fgqos_core::safety::SafetyMonitor;
 use fgqos_sim::app::{TableApp, VideoApp};
 use fgqos_sim::exec::StochasticLoad;
-use fgqos_sim::runner::{Mode, ParallelStream, RunConfig, Runner, StreamResult};
+use fgqos_sim::runner::{Mode, ParallelStream, Phase1View, RunConfig, Runner, StreamResult};
 use fgqos_sim::runtime::{Clock, ExecBackend, ModelBackend, VirtualClock, WorkStealingPool};
 use fgqos_sim::scenario::LoadScenario;
 use fgqos_sim::SimError;
@@ -634,13 +638,21 @@ impl StreamServer {
         FA: FnMut(LoadScenario, &StreamSpec) -> Result<A, SimError> + 'a,
         FB: FnMut(&StreamSpec) -> Box<dyn ExecBackend> + 'a,
     {
-        self.session_with_clocks(make_app, make_backend, |_| Box::new(VirtualClock::new()))
+        self.open_session(
+            make_app,
+            make_backend,
+            |_| Box::new(VirtualClock::new()),
+            true,
+        )
     }
 
     /// [`StreamServer::session`] with caller-supplied per-stream clocks —
     /// the seam for *live* serving on [`fgqos_sim::runtime::WallClock`]s
     /// (see `examples/live_server.rs`). Wall-clock sessions trade the
-    /// determinism contract for real-time behaviour.
+    /// determinism contract for real-time behaviour. Such a session
+    /// never runs frames ahead (see "Ticks" on [`StreamSession`]): a
+    /// clock that moves by itself would start a frame's real-time budget
+    /// before its tick.
     pub fn session_with_clocks<'a, A, FA, FB, FC>(
         &'a self,
         make_app: FA,
@@ -653,8 +665,27 @@ impl StreamServer {
         FB: FnMut(&StreamSpec) -> Box<dyn ExecBackend> + 'a,
         FC: FnMut(&StreamSpec) -> Box<dyn Clock> + 'a,
     {
+        self.open_session(make_app, make_backend, make_clock, false)
+    }
+
+    /// Opens a session; `virtual_clocks` says that `make_clock` hands
+    /// out fresh [`VirtualClock`]s, which lets the session look ahead.
+    fn open_session<'a, A, FA, FB, FC>(
+        &'a self,
+        make_app: FA,
+        make_backend: FB,
+        make_clock: FC,
+        virtual_clocks: bool,
+    ) -> StreamSession<'a, A>
+    where
+        A: VideoApp,
+        FA: FnMut(LoadScenario, &StreamSpec) -> Result<A, SimError> + 'a,
+        FB: FnMut(&StreamSpec) -> Box<dyn ExecBackend> + 'a,
+        FC: FnMut(&StreamSpec) -> Box<dyn Clock> + 'a,
+    {
         StreamSession {
             pool: &self.pool,
+            virtual_clocks,
             ring: self.ring,
             feedback: self.feedback,
             elastic: true,
@@ -668,7 +699,11 @@ impl StreamServer {
             server_now: Cycles::ZERO,
             ticks: 0,
             telemetry: self.telemetry.clone(),
-            metrics: SessionMetrics::new(&self.telemetry, self.pool.workers()),
+            metrics: SessionMetrics::new(
+                &self.telemetry,
+                self.pool.workers(),
+                A::HAS_KERNELS && virtual_clocks,
+            ),
         }
     }
 
@@ -801,6 +836,50 @@ struct Active<A: VideoApp> {
     /// The server-time ready time the stream is filed under in the
     /// session's [`ReadyIndex`]; `None` files it as exhausted.
     ready_at: Option<Cycles>,
+    /// How far the stream's next frame got ahead of its tick.
+    stage: Stage,
+}
+
+/// Where a running stream's next frame stands. A step moves a stream at
+/// most one stage forward and its commit returns it to `Idle`; streams
+/// of apps without kernels never leave `Idle` between ticks (see "Ticks"
+/// on [`StreamSession`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// No frame prepared.
+    Idle,
+    /// The next frame is prepared; its phase 1 has not run.
+    Prepared,
+    /// The next frame is prepared and its phase 1 ran.
+    Ran,
+}
+
+impl<A: VideoApp> Active<A> {
+    /// Prepares the stream's next frame; `false` when its source is
+    /// exhausted (nothing prepared).
+    fn prepare(&mut self) -> Result<bool, SimError> {
+        let mut est: Option<&mut dyn AvgEstimator> = None;
+        let more = self.runner.next_parallel_frame(
+            &mut self.st,
+            self.clock.as_mut(),
+            self.policy.as_mut(),
+            &mut est,
+        )?;
+        if more {
+            self.stage = Stage::Prepared;
+        }
+        Ok(more)
+    }
+
+    /// Installs the policy an admission decision grants. A frame already
+    /// prepared fired the old policy's cycle-start hook; the new policy
+    /// gets it too, so the frame commits as if prepared under it.
+    fn grant(&mut self, decision: AdmissionDecision) {
+        self.policy = policy_for(decision);
+        if self.stage != Stage::Idle {
+            self.policy.on_cycle_start();
+        }
+    }
 }
 
 /// Every running stream of a session, ordered by when it can next make
@@ -841,6 +920,28 @@ impl ReadyIndex {
             .collect()
     }
 
+    /// The slots filed at the first and at the second ready time among
+    /// the slots not in `due` (sorted), each in slot order.
+    fn next_two(&self, due: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let (mut next, mut after) = (Vec::new(), Vec::new());
+        let mut times: [Option<Cycles>; 2] = [None, None];
+        for &(t, slot) in &self.ready {
+            if due.binary_search(&slot).is_ok() {
+                continue;
+            }
+            if times[0].is_none_or(|t0| t0 == t) {
+                times[0] = Some(t);
+                next.push(slot);
+            } else if times[1].is_none_or(|t1| t1 == t) {
+                times[1] = Some(t);
+                after.push(slot);
+            } else {
+                break;
+            }
+        }
+        (next, after)
+    }
+
     /// The lowest exhausted slot at or above `from`.
     fn exhausted_from(&self, from: usize) -> Option<usize> {
         self.exhausted.range(from..).next().copied()
@@ -859,16 +960,91 @@ type BackendFactory<'a> = Box<dyn FnMut(&StreamSpec) -> Box<dyn ExecBackend> + '
 /// Factory supplying a stream's private clock at attach time.
 type ClockFactory<'a> = Box<dyn FnMut(&StreamSpec) -> Box<dyn Clock> + 'a>;
 
-/// The merged phase-1 task graph of a tick with several due streams — a
-/// pure function of *which* streams are due (each stream's kernel DAG is
-/// static across its frames), so it is cached and rebuilt only when the
-/// due set changes. A tick with one due stream (most ticks) runs that
-/// stream's own static plan and never touches it.
+/// The merged phase-1 task graph of several streams' frames — a pure
+/// function of *which* streams run (each stream's kernel DAG is static
+/// across its frames), so it is cached and rebuilt only when that set
+/// changes. A job of one stream (most jobs) runs that stream's own
+/// static plan and never touches it.
 struct MergedDag {
-    due: Vec<usize>,
+    slots: Vec<usize>,
     offsets: Vec<usize>,
     indegree: Vec<usize>,
     succs: Vec<Vec<usize>>,
+}
+
+/// One phase-1 job over some streams' pending frames: a lone view's own
+/// plan as is, several views merged into one task graph.
+struct Phase1Job<'j, 'v, A: VideoApp> {
+    indegree: &'j [usize],
+    succs: &'j [Vec<usize>],
+    offsets: &'j [usize],
+    views: &'j [Phase1View<'v, A>],
+}
+
+impl<'j, 'v, A: VideoApp> Phase1Job<'j, 'v, A> {
+    /// The job over `views`, the pending frames of `slots`; a merged
+    /// graph comes from (and refreshes) the `merged` cache.
+    fn new(
+        merged: &'j mut Option<MergedDag>,
+        slots: &[usize],
+        views: &'j [Phase1View<'v, A>],
+    ) -> Self {
+        match views {
+            [] => Phase1Job {
+                indegree: &[],
+                succs: &[],
+                offsets: &[],
+                views,
+            },
+            [view] => Phase1Job {
+                indegree: view.indegree(),
+                succs: view.succs(),
+                offsets: &[0],
+                views,
+            },
+            _ => {
+                if merged.as_ref().is_none_or(|m| m.slots != slots) {
+                    let mut offsets = Vec::with_capacity(views.len());
+                    let mut total = 0usize;
+                    for v in views {
+                        offsets.push(total);
+                        total += v.len();
+                    }
+                    let mut indegree = Vec::with_capacity(total);
+                    let mut succs: Vec<Vec<usize>> = Vec::with_capacity(total);
+                    for (v, &off) in views.iter().zip(&offsets) {
+                        indegree.extend_from_slice(v.indegree());
+                        for s in v.succs() {
+                            succs.push(s.iter().map(|&x| x + off).collect());
+                        }
+                    }
+                    *merged = Some(MergedDag {
+                        slots: slots.to_vec(),
+                        offsets,
+                        indegree,
+                        succs,
+                    });
+                }
+                let m = merged.as_ref().expect("merged DAG just ensured");
+                Phase1Job {
+                    indegree: &m.indegree,
+                    succs: &m.succs,
+                    offsets: &m.offsets,
+                    views,
+                }
+            }
+        }
+    }
+
+    /// Runs task `g` of the job.
+    fn run(&self, g: usize) {
+        if let [view] = self.views {
+            view.run_kernel(g);
+        } else {
+            let vi = self.offsets.partition_point(|&o| o <= g) - 1;
+            self.views[vi].run_kernel(g - self.offsets[vi]);
+        }
+    }
 }
 
 /// A *running* multi-stream server: streams attach and detach while it
@@ -896,10 +1072,53 @@ struct MergedDag {
 /// [`StreamSession::step`] advances the streams whose next frame is due
 /// at the *earliest pending frame deadline* (each stream has a private
 /// frame clock; see [`ParallelStream::next_ready_time`]). Streams with
-/// later deadlines are untouched, so frame rates stay decoupled. Due
+/// later deadlines are not committed, so frame rates stay decoupled. Due
 /// frames' kernel DAGs run on the shared resident pool — a lone due
 /// stream's own plan as is, several merged into one task graph; commits
 /// replay sequentially per stream.
+///
+/// # Looking ahead
+///
+/// A commit is serial (each decision reads the time the earlier actions
+/// took), so a tick that only ran its own frames would leave the
+/// resident workers idle through every commit and prepare. Sessions of
+/// apps with kernels ([`VideoApp::HAS_KERNELS`]) on the session's own
+/// virtual clocks ([`StreamServer::session`]) therefore pipeline their
+/// ticks. Each running stream is in one of three stages:
+///
+/// * **idle** — no frame prepared;
+/// * **prepared** — its next frame is prepared (budget, tables,
+///   controller, camera frame);
+/// * **ran** — that frame's phase 1 ran too.
+///
+/// While a tick commits and publishes its due set on the calling thread
+/// (`WorkStealingPool::run_dag_while`), the resident workers run phase 1
+/// of the prepared streams filed at the next ready time, and once the
+/// commits are done the calling thread prepares the idle streams filed
+/// at the next two ready times. A step moves a stream at most one stage
+/// forward, and its commit returns it to idle; in steady state a frame
+/// is prepared two ticks before its own and its phase 1 runs one tick
+/// before it. A due stream skips the steps already done. Several
+/// streams at one ready time merge into one DAG, as due sets do.
+///
+/// Looking ahead is invisible. Preparing a frame and running its phase
+/// 1 read and write only that stream's own state: its pipeline, runner,
+/// app and private clock, which no other stream's tick moves. A frame
+/// run ahead therefore holds exactly what its own tick would have
+/// computed, and a wrong guess about the next due set only makes the
+/// frame wait for its tick. The ready index stays exact: a prepared
+/// stream is ready at the arrival its prepare waited for, which is the
+/// time it was filed under. The other inputs are handled where they
+/// change: a grant that replaces the policy of a stream holding a
+/// prepared frame replays the cycle-start hook on the new policy, and a
+/// detach discards the frame together with the overflow skips its
+/// prepare recorded. Results, admission logs and output transcripts are
+/// therefore those of a session that steps one tick at a time, at every
+/// worker count; a single-worker pool runs the same stages, only
+/// serially. Table apps, whose kernels are no-ops, keep the one-tick
+/// step; so do sessions with caller-supplied clocks, where a clock that
+/// moves by itself would start a frame's real-time budget before its
+/// tick. `serve.frames_ahead` counts the frames whose phase 1 ran ahead.
 ///
 /// # Ready index
 ///
@@ -928,6 +1147,9 @@ struct MergedDag {
 /// only wall-clock speed.
 pub struct StreamSession<'a, A: VideoApp> {
     pool: &'a WorkStealingPool,
+    /// Whether every stream runs on a fresh [`VirtualClock`] of the
+    /// session's own, which lets the session run frames ahead.
+    virtual_clocks: bool,
     /// Retention policy for lazily created per-stream output rings.
     ring: RingConfig,
     /// Lag-driven ceiling feedback thresholds (`None` = off).
@@ -960,9 +1182,11 @@ pub struct StreamSession<'a, A: VideoApp> {
 /// | `serve.workers` | gauge | runtime | shared pool width |
 /// | `serve.tick_latency_us` | histogram | runtime | wall time per tick |
 /// | `budget.feedback_downgrades` | counter | stable | ceilings lowered by lag feedback |
+/// | `serve.frames_ahead` | counter | stable | frames whose phase 1 ran a tick ahead (sessions that look ahead only) |
 #[derive(Clone, Default)]
 struct SessionMetrics {
     ticks: Counter,
+    frames_ahead: Counter,
     workers: Gauge,
     tick_latency: Histogram,
     feedback_downgrades: Counter,
@@ -974,9 +1198,14 @@ struct SessionMetrics {
 }
 
 impl SessionMetrics {
-    fn new(telemetry: &Telemetry, workers: usize) -> Self {
+    fn new(telemetry: &Telemetry, workers: usize, lookahead: bool) -> Self {
         let m = SessionMetrics {
             ticks: telemetry.counter("serve.ticks"),
+            frames_ahead: if lookahead {
+                telemetry.counter("serve.frames_ahead")
+            } else {
+                Counter::default()
+            },
             workers: telemetry.runtime_gauge("serve.workers"),
             tick_latency: telemetry.runtime_histogram("serve.tick_latency_us"),
             feedback_downgrades: telemetry.counter("budget.feedback_downgrades"),
@@ -1069,9 +1298,18 @@ impl<A: VideoApp> StreamSession<'_, A> {
             backend,
             policy: policy_for(slot.decision),
             ready_at,
+            stage: Stage::Idle,
         }));
         self.index.insert(i, ready_at);
         Ok(())
+    }
+
+    /// Running slot `i`'s stream.
+    fn active_mut(&mut self, i: usize) -> &mut Active<A> {
+        let SlotState::Running(active) = &mut self.slots[i].state else {
+            unreachable!("slot {i} is not running");
+        };
+        active
     }
 
     /// Re-reads running slot `i`'s ready time after a commit and refiles
@@ -1194,7 +1432,7 @@ impl<A: VideoApp> StreamSession<'_, A> {
                 self.slots[j].decision = decision;
                 match &mut self.slots[j].state {
                     SlotState::Waiting(_) => self.start_running(j)?,
-                    SlotState::Running(active) => active.policy = policy_for(decision),
+                    SlotState::Running(active) => active.grant(decision),
                     SlotState::Done => unreachable!("done slots are not re-priced"),
                 }
             }
@@ -1237,7 +1475,7 @@ impl<A: VideoApp> StreamSession<'_, A> {
                 slot.decision = decision;
                 slot.feedback.capped = true;
                 if let SlotState::Running(active) = &mut slot.state {
-                    active.policy = policy_for(decision);
+                    active.grant(decision);
                 }
                 self.metrics.feedback_downgrades.incr();
             }
@@ -1254,7 +1492,7 @@ impl<A: VideoApp> StreamSession<'_, A> {
                     slot.feedback.capped = false;
                 }
                 if let SlotState::Running(active) = &mut slot.state {
-                    active.policy = policy_for(decision);
+                    active.grant(decision);
                 }
             }
         }
@@ -1308,6 +1546,14 @@ impl<A: VideoApp> StreamSession<'_, A> {
     /// result is truncated to the frames delivered while attached, its
     /// utilization returns to the pool, and the re-admission pass runs.
     /// Detaching a finished stream is a no-op.
+    ///
+    /// A frame the session prepared ahead of its tick (see "Looking
+    /// ahead" on [`StreamSession`]) is dropped, with any overflow skips
+    /// its prepare recorded, so the result is the one a session stepping
+    /// one tick at a time gives. The work that prepare did is not undone:
+    /// the stream's `envelope_builds`, `table_builds` and table-lookup
+    /// counters include the dropped frame. They are still identical at
+    /// every worker count.
     ///
     /// # Errors
     ///
@@ -1410,6 +1656,13 @@ impl<A: VideoApp> StreamSession<'_, A> {
     /// sequential. Returns `false` when no stream is running (idle
     /// session; attach more or [`StreamSession::finish`]).
     ///
+    /// A session that looks ahead (see "Looking ahead" on
+    /// [`StreamSession`]) skips the prepare and phase 1 of due frames
+    /// that were run ahead, and while it commits, it runs phase 1 of the
+    /// next prepared streams on the resident workers and then prepares
+    /// the idle streams due after them. None of that changes what any
+    /// stream serves.
+    ///
     /// Both the departures and the due set come from the session's ready
     /// index (see [`StreamSession`]), so a tick costs O(due · log live)
     /// plus the due streams' own work. Departures run in ascending slot
@@ -1444,22 +1697,15 @@ impl<A: VideoApp> StreamSession<'_, A> {
         let Some(t_min) = self.index.earliest() else {
             return Ok(false);
         };
+        let lookahead = A::HAS_KERNELS && self.virtual_clocks;
 
         // 1. Prepare the next frame of every due stream (sequential;
-        //    touches only per-stream state).
+        //    touches only per-stream state). A frame prepared ahead is
+        //    not prepared again.
         let mut due: Vec<usize> = Vec::new();
         for i in self.index.ready_at(t_min) {
-            let SlotState::Running(active) = &mut self.slots[i].state else {
-                unreachable!("the index only lists running slots");
-            };
-            let mut est: Option<&mut dyn AvgEstimator> = None;
-            let more = active.runner.next_parallel_frame(
-                &mut active.st,
-                active.clock.as_mut(),
-                active.policy.as_mut(),
-                &mut est,
-            )?;
-            if more {
+            let active = self.active_mut(i);
+            if active.stage != Stage::Idle || active.prepare()? {
                 due.push(i);
             } else {
                 self.finalize_running(i, false);
@@ -1467,11 +1713,18 @@ impl<A: VideoApp> StreamSession<'_, A> {
             }
         }
 
-        // 2. Run the due frames' kernel DAGs on the shared pool: this is
-        //    where the streams actually share the machine. One due stream
-        //    runs its own static plan; several are merged into one task
-        //    graph.
-        let views: Vec<_> = due
+        // 2. Run the kernel DAGs of the due frames whose phase 1 did not
+        //    run ahead on the shared pool: this is where the streams
+        //    actually share the machine.
+        let fresh: Vec<usize> = if lookahead {
+            let mut fresh = due.clone();
+            fresh.retain(|&i| self.active_mut(i).stage != Stage::Ran);
+            fresh
+        } else {
+            Vec::new()
+        };
+        let fresh = if lookahead { &fresh } else { &due };
+        let views: Vec<_> = fresh
             .iter()
             .map(|&i| {
                 let SlotState::Running(active) = &self.slots[i].state else {
@@ -1483,43 +1736,37 @@ impl<A: VideoApp> StreamSession<'_, A> {
                     .expect("frame just prepared")
             })
             .collect();
-        if let [view] = views.as_slice() {
-            self.pool
-                .run_dag(view.indegree(), view.succs(), |i| view.run_kernel(i));
-        } else if !views.is_empty() {
-            if self.merged.as_ref().is_none_or(|m| m.due != due) {
-                let mut offsets = Vec::with_capacity(views.len());
-                let mut total = 0usize;
-                for v in &views {
-                    offsets.push(total);
-                    total += v.len();
-                }
-                let mut indegree = Vec::with_capacity(total);
-                let mut succs: Vec<Vec<usize>> = Vec::with_capacity(total);
-                for (v, &off) in views.iter().zip(&offsets) {
-                    indegree.extend_from_slice(v.indegree());
-                    for s in v.succs() {
-                        succs.push(s.iter().map(|&x| x + off).collect());
-                    }
-                }
-                self.merged = Some(MergedDag {
-                    due: due.clone(),
-                    offsets,
-                    indegree,
-                    succs,
-                });
-            }
-            let m = self.merged.as_ref().expect("merged DAG just ensured");
-            self.pool.run_dag(&m.indegree, &m.succs, |g| {
-                let vi = m.offsets.partition_point(|&o| o <= g) - 1;
-                views[vi].run_kernel(g - m.offsets[vi]);
-            });
-        }
+        let job = Phase1Job::new(&mut self.merged, fresh, &views);
+        self.pool.run_dag(job.indegree, job.succs, |g| job.run(g));
         drop(views);
 
         // 3. Commit each due frame sequentially — the same state
-        //    transitions, in the same order, as a solo run.
-        for &i in &due {
+        //    transitions, in the same order, as a solo run — while the
+        //    pool runs the next due frames' phase 1.
+        if lookahead {
+            self.commit_ahead(&due)?;
+        } else {
+            self.commit(&due)?;
+        }
+
+        self.server_now = self.server_now.max(t_min);
+        self.ticks += 1;
+        self.metrics.ticks.incr();
+        if let Some(t0) = tick_t0 {
+            self.metrics
+                .tick_latency
+                .record(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        }
+        self.metrics
+            .spans
+            .record(self.metrics.coord_lane, "tick", "serve", tick_span);
+        Ok(true)
+    }
+
+    /// Commits and publishes the prepared frames of `due` in slot order,
+    /// then runs each stream's ceiling feedback window.
+    fn commit(&mut self, due: &[usize]) -> Result<(), ServeError> {
+        for &i in due {
             let commit_span = self.metrics.spans.start();
             let slot = &mut self.slots[i];
             let SlotState::Running(active) = &mut slot.state else {
@@ -1534,6 +1781,7 @@ impl<A: VideoApp> StreamSession<'_, A> {
                 active.policy.as_mut(),
                 &mut est,
             )?;
+            active.stage = Stage::Idle;
             // Publish the committed frame's encoded output. Gated on an
             // existing ring (nobody subscribed → no hook call, no cost)
             // and on the app producing bitstreams (table apps return
@@ -1556,27 +1804,80 @@ impl<A: VideoApp> StreamSession<'_, A> {
                 .record(self.metrics.coord_lane, "commit", "serve", commit_span);
         }
 
-        // 4. Ceiling feedback: each due stream's output-ring lag
-        //    statistics close the loop back into admission. Runs after
-        //    the commits so a window sees the lag its own frame caused.
+        // Ceiling feedback: each due stream's output-ring lag statistics
+        // close the loop back into admission. Runs after the commits so
+        // a window sees the lag its own frame caused.
         if let Some(cfg) = self.feedback {
-            for &i in &due {
+            for &i in due {
                 self.observe_feedback(i, cfg);
             }
         }
+        Ok(())
+    }
 
-        self.server_now = self.server_now.max(t_min);
-        self.ticks += 1;
-        self.metrics.ticks.incr();
-        if let Some(t0) = tick_t0 {
-            self.metrics
-                .tick_latency
-                .record(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+    /// [`Self::commit`] with the next due frames run ahead beside it: the
+    /// resident workers run phase 1 of the prepared streams filed at the
+    /// next ready time while this thread commits `due` and then prepares
+    /// the idle streams filed at the next two ready times. The streams
+    /// whose phase 1 runs leave their slots for the job and come back
+    /// after it, so the commit borrows nothing they hold.
+    fn commit_ahead(&mut self, due: &[usize]) -> Result<(), ServeError> {
+        let (next, after) = self.index.next_two(due);
+        let (mut slots, mut running, mut idle) = (Vec::new(), Vec::new(), Vec::new());
+        for &i in &next {
+            match self.active_mut(i).stage {
+                Stage::Idle => idle.push(i),
+                Stage::Prepared => {
+                    let SlotState::Running(active) =
+                        std::mem::replace(&mut self.slots[i].state, SlotState::Done)
+                    else {
+                        unreachable!("matched as running");
+                    };
+                    slots.push(i);
+                    running.push(active);
+                }
+                Stage::Ran => {}
+            }
         }
-        self.metrics
-            .spans
-            .record(self.metrics.coord_lane, "tick", "serve", tick_span);
-        Ok(true)
+        idle.extend(
+            after
+                .into_iter()
+                .filter(|&i| self.active_mut(i).stage == Stage::Idle),
+        );
+        let views: Vec<_> = running
+            .iter()
+            .map(|active| {
+                active
+                    .runner
+                    .parallel_kernels(&active.st)
+                    .expect("prepared ahead")
+            })
+            .collect();
+        let mut merged = self.merged.take();
+        let job = Phase1Job::new(&mut merged, &slots, &views);
+        let pool = self.pool;
+        let committed = pool.run_dag_while(
+            job.indegree,
+            job.succs,
+            |g| job.run(g),
+            || -> Result<(), ServeError> {
+                self.commit(due)?;
+                for &i in &idle {
+                    // An exhausted source stays idle: its own tick
+                    // prepares nothing again and departs it.
+                    self.active_mut(i).prepare()?;
+                }
+                Ok(())
+            },
+        );
+        drop(views);
+        self.merged = merged;
+        self.metrics.frames_ahead.add(running.len() as u64);
+        for (i, mut active) in slots.into_iter().zip(running) {
+            active.stage = Stage::Ran;
+            self.slots[i].state = SlotState::Running(active);
+        }
+        committed
     }
 
     /// Steps until no stream is running. Parked streams (rejected, no
@@ -2133,5 +2434,293 @@ mod tests {
         let report = session.finish();
         assert_eq!(report.outcome("parked").unwrap().readmissions, 1);
         assert!(report.summary().contains("readmitted x1"));
+    }
+
+    /// Frames run ahead are invisible: pixel-stream sessions, which
+    /// prepare and phase-1 the next due streams while a tick commits,
+    /// serve exactly what the same calls serve on a session that steps
+    /// one tick at a time.
+    mod lookahead {
+        use super::*;
+        use crate::distribute::Delivery;
+        use fgqos_encoder::app::EncoderApp;
+        use fgqos_sim::runner::FrameRecord;
+        use fgqos_time::fig5;
+        use std::fmt::Write as _;
+
+        const W: usize = 32;
+        const H: usize = 32;
+        const MB: usize = (W / 16) * (H / 16);
+        const FRAMES: usize = 24;
+
+        /// Stream `k`'s spec: a camera period of its own (`k` tenths
+        /// above the scaled paper period), so streams fall due at
+        /// different times and the next due sets keep changing.
+        fn pixel_spec(k: usize) -> StreamSpec {
+            let base = fig5::PERIOD_CYCLES * MB as u64 / fig5::MACROBLOCKS_PER_FRAME as u64;
+            let period = base + base * k as u64 / 10;
+            let seed = 50 + k as u64;
+            StreamSpec::builder(format!("p{k}"))
+                .priority(9 - k as u8)
+                .seed(seed)
+                .config(RunConfig::paper_defaults().with_period(Cycles::new(period)))
+                .source(PacedSource::new(
+                    LoadScenario::paper_benchmark(seed).truncated(FRAMES),
+                ))
+                .build()
+        }
+
+        fn app(scenario: LoadScenario, spec: &StreamSpec) -> Result<EncoderApp, SimError> {
+            EncoderApp::new(scenario, W, H, spec.seed)
+        }
+
+        fn backend(spec: &StreamSpec) -> Box<dyn ExecBackend> {
+            Box::new(EncoderApp::work_backend(spec.seed))
+        }
+
+        fn stage_of(session: &StreamSession<'_, EncoderApp>, name: &str) -> Option<Stage> {
+            session
+                .slots
+                .iter()
+                .find(|s| s.name == name)
+                .and_then(|s| match &s.state {
+                    SlotState::Running(a) => Some(a.stage),
+                    _ => None,
+                })
+        }
+
+        fn degraded(session: &StreamSession<'_, EncoderApp>, name: &str) -> bool {
+            session.slots.iter().any(|s| {
+                s.name == name
+                    && matches!(s.state, SlotState::Running(_))
+                    && matches!(s.decision, AdmissionDecision::Degrade(_))
+            })
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Step,
+            Attach(usize),
+            Detach(usize),
+        }
+
+        /// What a run shows: every outcome, the admission log, and what
+        /// the subscribers received.
+        #[derive(Debug, PartialEq)]
+        struct Seen {
+            results: Vec<(String, bool, Option<Vec<FrameRecord>>)>,
+            admission: Vec<(usize, AdmissionDecision)>,
+            transcript: String,
+        }
+
+        fn drain(subs: &mut [(usize, Subscriber)], log: &mut String) {
+            for (k, sub) in subs.iter_mut() {
+                for d in sub.drain() {
+                    match d {
+                        Delivery::Frame(f) => writeln!(
+                            log,
+                            "p{k} frame {} ts {:?} q {:.6} key {} qp {} mb {:?}",
+                            f.frame,
+                            f.timestamp,
+                            f.mean_quality,
+                            f.keyframe,
+                            f.qp,
+                            f.macroblock_streams
+                        ),
+                        Delivery::Lagged(n) => writeln!(log, "p{k} lagged {n}"),
+                        Delivery::Closed => writeln!(log, "p{k} closed"),
+                        Delivery::Empty => Ok(()),
+                    }
+                    .unwrap();
+                }
+            }
+        }
+
+        /// Applies `op` and logs what the subscribers received.
+        fn apply(
+            session: &mut StreamSession<'_, EncoderApp>,
+            op: Op,
+            subs: &mut Vec<(usize, Subscriber)>,
+            log: &mut String,
+        ) {
+            match op {
+                Op::Step => assert!(session.step().unwrap(), "ops step a live session"),
+                Op::Attach(k) => {
+                    let decision = session.attach(pixel_spec(k)).unwrap();
+                    writeln!(log, "attach p{k}: {decision:?}").unwrap();
+                    subs.push((k, session.subscribe(&format!("p{k}")).unwrap()));
+                }
+                Op::Detach(k) => session.detach(&format!("p{k}")).unwrap(),
+            }
+            drain(subs, log);
+        }
+
+        fn finish(
+            session: StreamSession<'_, EncoderApp>,
+            mut subs: Vec<(usize, Subscriber)>,
+            mut log: String,
+        ) -> (Seen, TelemetrySnapshot) {
+            let report = session.finish();
+            drain(&mut subs, &mut log);
+            let seen = Seen {
+                results: report
+                    .outcomes()
+                    .iter()
+                    .map(|o| {
+                        let frames = o.result.as_ref().map(|r| r.frames().to_vec());
+                        (o.name.clone(), o.detached, frames)
+                    })
+                    .collect(),
+                admission: report.admission().sequence(),
+                transcript: log,
+            };
+            (seen, report.snapshot().stable_view())
+        }
+
+        /// Capacity that admits the first two streams at full quality
+        /// and degrades the third until the first leaves; the fourth then
+        /// fits at full quality.
+        const CAPACITY: f64 = 3.5;
+
+        /// Replays `ops` on a session, looking ahead or not.
+        fn replay(workers: usize, ahead: bool, ops: &[Op]) -> (Seen, TelemetrySnapshot) {
+            let server = ServerConfig::new(workers)
+                .capacity(CAPACITY)
+                .telemetry(true)
+                .build();
+            let mut session = if ahead {
+                server.session(app, backend)
+            } else {
+                server.session_with_clocks(app, backend, |_: &StreamSpec| {
+                    Box::new(VirtualClock::new()) as Box<dyn Clock>
+                })
+            };
+            let (mut subs, mut log) = (Vec::new(), String::new());
+            for &op in ops {
+                apply(&mut session, op, &mut subs, &mut log);
+            }
+            finish(session, subs, log)
+        }
+
+        /// Steps a lookahead session until `when` holds (bounded),
+        /// recording the steps.
+        fn step_until(
+            session: &mut StreamSession<'_, EncoderApp>,
+            ops: &mut Vec<Op>,
+            subs: &mut Vec<(usize, Subscriber)>,
+            log: &mut String,
+            when: impl Fn(&StreamSession<'_, EncoderApp>) -> bool,
+        ) {
+            for _ in 0..200 {
+                if when(session) {
+                    return;
+                }
+                ops.push(Op::Step);
+                apply(session, Op::Step, subs, log);
+            }
+            panic!("the condition never held");
+        }
+
+        /// Builds the call sequence on a lookahead session, choosing each
+        /// detach where it meets a frame run ahead: a stream in the
+        /// prepared stage, one whose phase 1 ran, and a departure that
+        /// regrants a degraded stream holding a prepared frame. Ends with
+        /// frames still ahead.
+        fn script() -> Vec<Op> {
+            let server = ServerConfig::new(2).capacity(CAPACITY).build();
+            let mut session = server.session(app, backend);
+            let (mut ops, mut subs, mut log) = (Vec::new(), Vec::new(), String::new());
+            for k in 0..3 {
+                ops.push(Op::Attach(k));
+                apply(&mut session, Op::Attach(k), &mut subs, &mut log);
+            }
+            assert!(degraded(&session, "p2"), "the third stream is degraded");
+            // p0 leaves holding a prepared frame while the degraded p2
+            // holds one too: the release regrants p2's ceiling.
+            step_until(&mut session, &mut ops, &mut subs, &mut log, |s| {
+                stage_of(s, "p0") == Some(Stage::Prepared)
+                    && stage_of(s, "p2").is_some_and(|st| st != Stage::Idle)
+            });
+            ops.push(Op::Detach(0));
+            apply(&mut session, Op::Detach(0), &mut subs, &mut log);
+            assert!(!degraded(&session, "p2"), "the release regranted p2");
+            // A latecomer joins, then p1 leaves with its phase 1 done.
+            for _ in 0..3 {
+                ops.push(Op::Step);
+                apply(&mut session, Op::Step, &mut subs, &mut log);
+            }
+            ops.push(Op::Attach(3));
+            apply(&mut session, Op::Attach(3), &mut subs, &mut log);
+            assert!(session.slots[3].decision == AdmissionDecision::Admit);
+            step_until(&mut session, &mut ops, &mut subs, &mut log, |s| {
+                stage_of(s, "p1") == Some(Stage::Ran)
+            });
+            ops.push(Op::Detach(1));
+            apply(&mut session, Op::Detach(1), &mut subs, &mut log);
+            // A third stream again, so phase 1 runs ahead; finish while
+            // one stream's phase 1 ran and another's frame is prepared.
+            ops.push(Op::Attach(4));
+            apply(&mut session, Op::Attach(4), &mut subs, &mut log);
+            assert!(session.slots[4].decision == AdmissionDecision::Admit);
+            step_until(&mut session, &mut ops, &mut subs, &mut log, |s| {
+                let stages = ["p2", "p3", "p4"].map(|n| stage_of(s, n));
+                stages.contains(&Some(Stage::Ran)) && stages.contains(&Some(Stage::Prepared))
+            });
+            ops
+        }
+
+        /// The solo run of stream `k`, as a served stream with a fixed
+        /// full grant would run.
+        fn solo(k: usize) -> StreamResult {
+            let spec = pixel_spec(k);
+            let scenario = LoadScenario::paper_benchmark(spec.seed).truncated(FRAMES);
+            let mut runner = Runner::new(app(scenario, &spec).unwrap(), spec.config).unwrap();
+            runner
+                .run_parallel_on(
+                    &mut VirtualClock::new(),
+                    backend(&spec).as_mut(),
+                    Mode::Controlled,
+                    &mut MaxQuality::new(),
+                    None,
+                    1,
+                )
+                .unwrap()
+        }
+
+        #[test]
+        fn frames_run_ahead_serve_what_one_tick_at_a_time_serves() {
+            let ops = script();
+            let (reference, _) = replay(1, false, &ops);
+            let (_, stable) = replay(1, true, &ops);
+            assert!(
+                stable.counter("serve.frames_ahead").unwrap_or(0) > 0,
+                "the session ran frames ahead"
+            );
+            for workers in [1usize, 2, 8] {
+                let (plain, _) = replay(workers, false, &ops);
+                assert_eq!(plain, reference, "one tick at a time, {workers} workers");
+                let (ahead, view) = replay(workers, true, &ops);
+                assert_eq!(ahead, reference, "looking ahead, {workers} workers");
+                assert_eq!(
+                    view.to_json(),
+                    stable.to_json(),
+                    "stable telemetry, {workers} workers"
+                );
+            }
+            // Streams that kept one grant equal their solo runs, a
+            // detached one up to its detach.
+            for (name, k) in [("p0", 0usize), ("p1", 1), ("p3", 3), ("p4", 4)] {
+                let (_, detached, result) = reference
+                    .results
+                    .iter()
+                    .find(|(n, _, _)| n == name)
+                    .unwrap();
+                let served = result.as_ref().unwrap();
+                let n = served.len();
+                assert!(n > 0 && n < FRAMES, "{name} served {n} frames");
+                assert!(*detached, "{name} left before its end");
+                assert_eq!(served, &solo(k).frames()[..n], "{name}");
+            }
+        }
     }
 }

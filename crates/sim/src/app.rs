@@ -150,6 +150,13 @@ pub trait VideoApp: Sync {
     /// entire dependency cone and serialize the rest of the frame.
     type Snapshot: PartialEq;
 
+    /// Whether [`VideoApp::kernel`] does work worth running ahead of the
+    /// commit. A static property of the app, `true` unless its kernels
+    /// are no-ops: a server prepares such streams' next frames and runs
+    /// their phase 1 on the pool while it commits other streams, and
+    /// steps apps without kernels one tick at a time.
+    const HAS_KERNELS: bool = true;
+
     /// The per-macroblock body graph (the paper's Fig. 2).
     fn body(&self) -> &PrecedenceGraph;
 
@@ -370,6 +377,10 @@ impl TableApp {
 
 impl VideoApp for TableApp {
     type Snapshot = ();
+
+    /// Table kernels do nothing: a frame's whole DAG costs less than
+    /// handing it to another thread.
+    const HAS_KERNELS: bool = false;
 
     fn body(&self) -> &PrecedenceGraph {
         &self.body

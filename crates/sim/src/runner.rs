@@ -880,18 +880,22 @@ impl<A: VideoApp> Runner<A> {
         clock: &mut dyn Clock,
         pipe: &mut InputPipeline,
         records: &mut [Option<FrameRecord>],
+        delivered: &mut usize,
     ) -> Option<(usize, Cycles, Cycles)> {
         loop {
             let now = clock.now();
             // Equal-timestamp ordering: arrivals strictly before `now`,
             // then the pop (an encoder finishing exactly at its budget
             // deadline frees the slot first), then boundary arrivals.
+            // Overflow drops the arriving frame, the newest so far.
             for f in pipe.admit_before(now) {
                 records[f] = Some(self.skipped_record(f));
+                *delivered = f + 1;
             }
             let popped = pipe.pop();
             for f in pipe.admit_through(now) {
                 records[f] = Some(self.skipped_record(f));
+                *delivered = f + 1;
             }
             match popped {
                 Some((frame, arrival)) => return Some((frame, arrival, now)),
@@ -1072,6 +1076,45 @@ mod tests {
             .scaled_to_macroblocks(mb)
             .with_capacity(k);
         Runner::new(app, config).unwrap()
+    }
+
+    /// Discarding a prepared frame on a detach also discards the
+    /// overflow skips its prepare recorded: the truncated result is the
+    /// one a detach just before that prepare gives.
+    #[test]
+    fn a_discarded_frame_takes_its_overflow_skips_with_it() {
+        use crate::exec::StochasticLoad;
+        use crate::runtime::{ModelBackend, VirtualClock};
+        let run = |prepare_late: bool| {
+            let mut r = small_runner(30, 8, 1);
+            let mut st = r.start_parallel(Mode::Controlled).unwrap();
+            let (mut clock, mut policy) = (VirtualClock::new(), MaxQuality::new());
+            let mut backend = ModelBackend::new(StochasticLoad::new(3));
+            for _ in 0..5 {
+                assert!(r
+                    .next_parallel_frame(&mut st, &mut clock, &mut policy, &mut None)
+                    .unwrap());
+                r.commit_parallel_frame(&mut st, &mut clock, &mut backend, &mut policy, &mut None)
+                    .unwrap();
+            }
+            if prepare_late {
+                // The camera ran on for four periods: arrivals overflow
+                // the one-frame buffer and the prepare records skips.
+                clock.advance(Cycles::new(r.config.period.get() * 4));
+                assert!(r
+                    .next_parallel_frame(&mut st, &mut clock, &mut policy, &mut None)
+                    .unwrap());
+                let pending = st.pending_frame().unwrap();
+                assert!(
+                    (pending..30).any(|f| st.record(f).is_some_and(|rec| rec.skipped)),
+                    "the late prepare recorded overflow skips"
+                );
+            }
+            r.finish_parallel_truncated(st, "detached")
+        };
+        let (late, on_time) = (run(true), run(false));
+        assert_eq!(on_time.frames().len(), 5);
+        assert_eq!(late.frames(), on_time.frames());
     }
 
     #[test]

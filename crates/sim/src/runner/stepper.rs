@@ -73,6 +73,9 @@ pub(super) struct StreamState {
     qs: QualitySet,
     pipe: InputPipeline,
     records: Vec<Option<FrameRecord>>,
+    /// One past the highest frame recorded so far: the length a detached
+    /// run's records truncate to.
+    delivered: usize,
     /// Declared profile: drives the controller's tables (and learns from
     /// the estimator).
     body_profile: QualityProfile,
@@ -90,6 +93,9 @@ pub(super) struct StreamState {
 /// A frame that has been prepared but not yet committed.
 struct PendingFrame {
     frame: usize,
+    /// The stream's `delivered` mark before this frame was prepared, so
+    /// discarding the frame also discards the skips its prepare recorded.
+    delivered_before: usize,
     arrival: Cycles,
     now: Cycles,
     budget: Cycles,
@@ -239,6 +245,7 @@ impl<A: VideoApp> Runner<A> {
             qs: self.app.profile().qualities().clone(),
             pipe: InputPipeline::new(self.config.period, self.config.input_capacity, total)?,
             records: vec![None; total],
+            delivered: 0,
             body_profile: self.app.profile().clone(),
             gen_profile: self.app.generative_profile().clone(),
             source: BudgetSource::new(self.config.budget, scenario.iter().map(|f| f.budget_cycles)),
@@ -268,7 +275,9 @@ impl<A: VideoApp> Runner<A> {
                 "previous frame not committed before preparing the next",
             ));
         }
-        let Some((frame, arrival, now)) = self.next_frame(clock, &mut s.pipe, &mut s.records)
+        let delivered_before = s.delivered;
+        let Some((frame, arrival, now)) =
+            self.next_frame(clock, &mut s.pipe, &mut s.records, &mut s.delivered)
         else {
             return Ok(false);
         };
@@ -293,6 +302,7 @@ impl<A: VideoApp> Runner<A> {
         policy.on_cycle_start();
         s.pending = Some(PendingFrame {
             frame,
+            delivered_before,
             arrival,
             now,
             budget,
@@ -325,6 +335,7 @@ impl<A: VideoApp> Runner<A> {
             frame,
             arrival,
             now,
+            delivered_before: _,
             budget,
             mut ctl,
             activity,
@@ -358,6 +369,7 @@ impl<A: VideoApp> Runner<A> {
         self.metrics.controller.observe(&report);
         let (mean_q, switches) = self.sensitive_quality_stats(&report, &s.body_profile);
         let psnr_db = self.app.encoded_psnr(frame, mean_q, &report);
+        s.delivered = s.delivered.max(frame + 1);
         s.records[frame] = Some(FrameRecord {
             frame,
             skipped: false,
@@ -377,9 +389,9 @@ impl<A: VideoApp> Runner<A> {
 
     /// Closes a run: fills never-encoded frames as skips — or, with
     /// `truncate` (a stream detached mid-run), keeps only the frames
-    /// delivered so far and discards a pending frame — stores a
-    /// speculative run's seed and diagnostics back on the runner, and
-    /// labels the result.
+    /// delivered so far and discards a pending frame together with the
+    /// skips its prepare recorded — stores a speculative run's seed and
+    /// diagnostics back on the runner, and labels the result.
     pub(super) fn close(
         &mut self,
         mut s: StreamState,
@@ -388,8 +400,11 @@ impl<A: VideoApp> Runner<A> {
         truncate: bool,
     ) -> StreamResult {
         if truncate {
-            let delivered = s.records.iter().rposition(Option::is_some);
-            s.records.truncate(delivered.map_or(0, |i| i + 1));
+            let delivered = s
+                .pending
+                .as_ref()
+                .map_or(s.delivered, |p| p.delivered_before);
+            s.records.truncate(delivered);
         }
         if let Some(spec) = spec {
             self.last_spec = Some(spec.q);
@@ -570,7 +585,9 @@ impl<A: VideoApp> Runner<A> {
     /// result covers only the frames delivered while the stream was
     /// attached (encoded or genuinely skipped), instead of marking the
     /// entire undelivered tail as skips the way [`Runner::finish_parallel`]
-    /// would. A pending (prepared but uncommitted) frame is discarded.
+    /// would. A pending (prepared but uncommitted) frame is discarded,
+    /// and so are the overflow skips its prepare recorded: the result is
+    /// the one a detach just before that prepare would have produced.
     pub fn finish_parallel_truncated(
         &mut self,
         st: ParallelStream,

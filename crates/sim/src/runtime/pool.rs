@@ -37,6 +37,15 @@
 //! check. Published jobs are counted ([`WorkStealingPool::forks`], and
 //! the `pool.forks` runtime counter when telemetry is installed).
 //!
+//! [`WorkStealingPool::run_dag_while`] is the other way in: it publishes
+//! its job at once, runs a closure on the calling thread while the
+//! residents run the DAG, then joins the DAG as worker 0 and meets the
+//! residents at the same rendezvous. A server uses it to commit one
+//! tick's frames while the residents run the next frames' kernels. When
+//! there are no residents to publish to (a single-worker pool, a
+//! one-task DAG, residents busy with another caller's job) the closure
+//! runs first and the DAG after it, caller first as in `run_dag`.
+//!
 //! Keeping the workers resident removes the dominant fixed cost of the
 //! serving hot path: a multi-stream server executes one kernel DAG per
 //! tick, and spawning `workers − 1` OS threads for every tick costs tens
@@ -64,7 +73,7 @@
 //! kernel span is taken only while the worker's span lane has room.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
@@ -201,11 +210,13 @@ struct Job {
 }
 
 // SAFETY: `data` points at the submitting thread's `DagRun`, which that
-// thread keeps alive for the whole job: `fork` publishes the job, runs
-// as worker 0, then clears the job slot and blocks until `active == 0` —
-// i.e. until every worker that dereferenced `data` has returned from
-// `enter`. No access can outlive the pointee, so moving the pointer to
-// the worker threads is sound.
+// thread keeps alive for the whole job: every path that `publish`es the
+// job reaches `join`, which runs as worker 0, then clears the job slot
+// and blocks until `active == 0` — i.e. until every worker that
+// dereferenced `data` has returned from `enter`. `run_dag_while` catches
+// a panic of its closure and resumes it only after `join`, so not even
+// an unwind leaves the pointee early. No access can outlive it, so
+// moving the pointer to the worker threads is sound.
 #[allow(unsafe_code)]
 unsafe impl Send for Job {}
 
@@ -216,7 +227,7 @@ unsafe impl Send for Job {}
 ///
 /// `data` must point to a live `DagRun<'_, F>` of exactly this `F`, and
 /// must remain valid until this call returns (guaranteed by the
-/// `fork` rendezvous described on [`Job`]).
+/// `join` rendezvous described on [`Job`]).
 #[allow(unsafe_code)]
 unsafe fn enter_job<F: Fn(usize) + Sync>(data: *const (), w: usize) {
     // SAFETY: the caller guarantees `data` is a live `DagRun<'_, F>` for
@@ -383,6 +394,74 @@ impl WorkStealingPool {
     /// panic inside `run` is propagated to the caller after the other
     /// workers have drained; the resident workers survive it.
     pub fn run_dag<F: Fn(usize) + Sync>(&self, indegree: &[usize], succs: &[Vec<usize>], run: F) {
+        if let Some(dag) = self.dag_run(indegree, succs, &run) {
+            self.run_caller_first(&dag);
+        }
+    }
+
+    /// Runs `meanwhile` on the calling thread while the resident workers
+    /// run the DAG, then joins the DAG as worker 0; returns what
+    /// `meanwhile` returned once every task ran. The job is published at
+    /// once, with no caller-first phase: the caller has its own work.
+    ///
+    /// With nobody to publish to — a single-worker pool, a DAG of one
+    /// task, or residents serving another caller's job — `meanwhile`
+    /// runs first and the DAG after it, as [`WorkStealingPool::run_dag`]
+    /// runs it. Either way `meanwhile` and the tasks see the same
+    /// inputs, so which of them runs first changes no output of pure
+    /// tasks. `meanwhile` must not wait on a task of this DAG.
+    ///
+    /// # Panics
+    ///
+    /// As [`WorkStealingPool::run_dag`] for the DAG. A panic in
+    /// `meanwhile` is caught until the job is drained and every resident
+    /// has left it, then resumed; it takes precedence over a task panic.
+    pub fn run_dag_while<F, G, R>(
+        &self,
+        indegree: &[usize],
+        succs: &[Vec<usize>],
+        run: F,
+        meanwhile: G,
+    ) -> R
+    where
+        F: Fn(usize) + Sync,
+        G: FnOnce() -> R,
+    {
+        let Some(dag) = self.dag_run(indegree, succs, &run) else {
+            return meanwhile();
+        };
+        let residents = (self.resident.as_ref())
+            .filter(|_| dag.deques.len() > 1)
+            .and_then(|res| try_submit(res).map(|guard| (res, guard)));
+        let Some((res, _submit)) = residents else {
+            let out = meanwhile();
+            self.run_caller_first(&dag);
+            return out;
+        };
+        publish(res, &dag);
+        // The residents read `dag` until `join` returns: a panic must not
+        // unwind past it.
+        let out = catch_unwind(AssertUnwindSafe(meanwhile));
+        let mut tally = Tally::enter(dag.metrics);
+        join(res, &dag, &mut tally);
+        tally.flush(dag.metrics, 0);
+        match out {
+            Ok(out) => {
+                dag.check();
+                out
+            }
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+
+    /// Validates a DAG and sets up its run with every root on worker 0's
+    /// deque; `None` for an empty DAG.
+    fn dag_run<'a, F: Fn(usize) + Sync>(
+        &'a self,
+        indegree: &[usize],
+        succs: &'a [Vec<usize>],
+        run: &'a F,
+    ) -> Option<DagRun<'a, F>> {
         let n = indegree.len();
         assert_eq!(n, succs.len(), "indegree/succs length mismatch");
         let edge_sum: usize = succs.iter().map(Vec::len).sum();
@@ -392,7 +471,7 @@ impl WorkStealingPool {
             "edge counts inconsistent"
         );
         if n == 0 {
-            return;
+            return None;
         }
         // Reject cyclic graphs up front (Kahn peel over a scratch copy):
         // workers park until `done == total`, so a cycle discovered
@@ -428,17 +507,19 @@ impl WorkStealingPool {
             sleepers: AtomicUsize::new(0),
             park_epoch: Mutex::new(0),
             park_cv: Condvar::new(),
-            run: &run,
+            run,
             metrics: self.metrics.as_ref(),
         };
         dag.deque(0).extend((0..n).filter(|&i| indegree[i] == 0));
+        Some(dag)
+    }
+
+    /// Runs `dag` caller first, then re-raises a task panic.
+    fn run_caller_first<F: Fn(usize) + Sync>(&self, dag: &DagRun<'_, F>) {
         let mut tally = Tally::enter(dag.metrics);
-        self.run_caller_first(&dag, &mut tally);
+        self.run_alone(dag, &mut tally);
         tally.flush(dag.metrics, 0);
-        if dag.poisoned.load(Ordering::Acquire) {
-            panic!("a task panicked inside WorkStealingPool::run_dag");
-        }
-        debug_assert_eq!(dag.done.load(Ordering::Acquire), n);
+        dag.check();
     }
 
     /// Runs `dag` on the calling thread alone. On a resident pool it
@@ -446,7 +527,7 @@ impl WorkStealingPool {
     /// `FORK_CHECK_EVERY` tasks; when [`worth_forking`] agrees,
     /// a ready task is waiting and the residents are free, it forks and
     /// finishes the job as worker 0.
-    fn run_caller_first<F: Fn(usize) + Sync>(&self, dag: &DagRun<'_, F>, tally: &mut Tally) {
+    fn run_alone<F: Fn(usize) + Sync>(&self, dag: &DagRun<'_, F>, tally: &mut Tally) {
         let fork_to = (self.resident.as_ref())
             .filter(|_| dag.deques.len() > 1)
             .map(|res| (res, Instant::now()));
@@ -468,57 +549,69 @@ impl WorkStealingPool {
                 continue;
             }
             if worth_forking(started.elapsed(), ran, dag.total - ran) && !dag.deque(0).is_empty() {
-                let submit = match res.shared.submit.try_lock() {
-                    Ok(guard) => Some(guard),
-                    Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-                    Err(TryLockError::WouldBlock) => None,
-                };
-                if let Some(_submit) = submit {
-                    self.fork(res, dag, tally);
+                if let Some(_submit) = try_submit(res) {
+                    // The fork: hand the rest of `dag` to the residents
+                    // and finish it as worker 0.
+                    publish(res, dag);
+                    join(res, dag, tally);
                     return;
                 }
             }
         }
     }
+}
 
-    /// Hands the rest of `dag` to the resident workers and finishes it
-    /// as worker 0. The caller holds the submit lock. Returns only after
-    /// the job slot is cleared and every entered worker has left — the
-    /// rendezvous that makes the borrowed `DagRun` outlive all accesses
-    /// (see [`Job`]).
-    fn fork<F: Fn(usize) + Sync>(&self, res: &Resident, dag: &DagRun<'_, F>, tally: &mut Tally) {
-        let participants = dag.deques.len();
-        // Deal the waiting tasks as a fresh job's roots would be dealt.
-        let ready = std::mem::take(&mut *dag.deque(0));
-        for (j, task) in ready.into_iter().enumerate() {
-            dag.deque(j % participants).push_back(task);
-        }
-        {
-            let mut s = lock(&res.shared.state);
-            s.epoch += 1;
-            s.job = Some(Job {
-                data: std::ptr::from_ref(dag).cast(),
-                enter: enter_job::<F>,
-                participants,
-            });
-            res.shared.job_cv.notify_all();
-        }
-        res.shared.forks.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = dag.metrics {
-            m.forks.incr();
-        }
-        dag.worker(0, tally);
-        // The DAG is finished (or poisoned): entered workers are on their
-        // way out, workers that never woke must no longer enter.
+/// Takes the residents for one job, or `None` while another caller's
+/// job holds them. Callers never wait here.
+fn try_submit(res: &Resident) -> Option<MutexGuard<'_, ()>> {
+    match res.shared.submit.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// Hands `dag` to the resident workers: deals the waiting tasks onto the
+/// participants' deques and publishes the job. The caller holds the
+/// submit lock and must [`join`] before `dag` goes out of scope.
+fn publish<F: Fn(usize) + Sync>(res: &Resident, dag: &DagRun<'_, F>) {
+    let participants = dag.deques.len();
+    // Deal the waiting tasks as a fresh job's roots would be dealt.
+    let ready = std::mem::take(&mut *dag.deque(0));
+    for (j, task) in ready.into_iter().enumerate() {
+        dag.deque(j % participants).push_back(task);
+    }
+    {
         let mut s = lock(&res.shared.state);
-        s.job = None;
-        while s.active > 0 {
-            s = res
-                .shared
-                .idle_cv
-                .wait(s)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        s.epoch += 1;
+        s.job = Some(Job {
+            data: std::ptr::from_ref(dag).cast(),
+            enter: enter_job::<F>,
+            participants,
+        });
+        res.shared.job_cv.notify_all();
+    }
+    res.shared.forks.fetch_add(1, Ordering::Relaxed);
+    if let Some(m) = dag.metrics {
+        m.forks.incr();
+    }
+}
+
+/// Finishes a published `dag` as worker 0. Returns only after the job
+/// slot is cleared and every entered worker has left — the rendezvous
+/// that makes the borrowed `DagRun` outlive all accesses (see [`Job`]).
+fn join<F: Fn(usize) + Sync>(res: &Resident, dag: &DagRun<'_, F>, tally: &mut Tally) {
+    dag.worker(0, tally);
+    // The DAG is finished (or poisoned): entered workers are on their
+    // way out, workers that never woke must no longer enter.
+    let mut s = lock(&res.shared.state);
+    s.job = None;
+    while s.active > 0 {
+        s = res
+            .shared
+            .idle_cv
+            .wait(s)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
 }
 
@@ -610,6 +703,14 @@ const FORK_CHECK_EVERY: usize = 4;
 const SPINS_BEFORE_PARK: u32 = 32;
 
 impl<F: Fn(usize) + Sync> DagRun<'_, F> {
+    /// Re-raises a task panic once the run is over.
+    fn check(&self) {
+        if self.poisoned.load(Ordering::Acquire) {
+            panic!("a task panicked inside WorkStealingPool::run_dag");
+        }
+        debug_assert_eq!(self.done.load(Ordering::Acquire), self.total);
+    }
+
     fn deque(&self, w: usize) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
         // Poisoning cannot occur: nothing panics while a deque is held.
         self.deques[w]
@@ -1324,6 +1425,161 @@ mod tests {
         });
         assert_eq!(counter(&t, "pool.forks"), 1);
         assert_eq!(counter(&t, "pool.tasks"), 16);
+    }
+
+    /// Waits (bounded) until `flag` is set.
+    fn wait_for(flag: &AtomicBool) {
+        let t0 = Instant::now();
+        while !flag.load(Ordering::Acquire) {
+            assert!(t0.elapsed() < Duration::from_secs(10), "flag never set");
+            std::thread::yield_now();
+        }
+    }
+
+    /// On a resident pool, `run_dag_while` publishes its DAG at once: a
+    /// task runs on a resident while the closure is still running.
+    #[test]
+    fn run_dag_while_runs_tasks_on_a_resident_during_the_closure() {
+        let (pool, t) = observed_pool(2);
+        let caller = std::thread::current().id();
+        let on_resident = AtomicBool::new(false);
+        let ran = AtomicUsize::new(0);
+        let n = 16;
+        let seen_inside = pool.run_dag_while(
+            &vec![0; n],
+            &vec![Vec::new(); n],
+            |_| {
+                if std::thread::current().id() != caller {
+                    on_resident.store(true, Ordering::Release);
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+            },
+            || {
+                // Returns only once a resident ran a task.
+                wait_for(&on_resident);
+                std::thread::current().id() == caller
+            },
+        );
+        assert!(seen_inside, "the closure runs on the caller");
+        assert_eq!(ran.load(Ordering::Relaxed), n);
+        assert_eq!(counter(&t, "pool.forks"), 1);
+        assert_eq!(counter(&t, "pool.tasks"), n as u64);
+    }
+
+    /// A single-worker pool runs the closure first, then the whole DAG,
+    /// both on the calling thread.
+    #[test]
+    fn run_dag_while_on_one_worker_runs_the_closure_then_the_dag() {
+        let pool = WorkStealingPool::new(1);
+        let caller = std::thread::current().id();
+        let log = Mutex::new(Vec::new());
+        let succs = vec![vec![1, 2], vec![3], vec![3], vec![]];
+        let out = pool.run_dag_while(
+            &[0, 1, 1, 2],
+            &succs,
+            |i| {
+                assert_eq!(std::thread::current().id(), caller);
+                log.lock().unwrap().push(Some(i));
+            },
+            || {
+                assert_eq!(std::thread::current().id(), caller);
+                log.lock().unwrap().push(None);
+                7
+            },
+        );
+        assert_eq!(out, 7);
+        let log = log.into_inner().unwrap();
+        assert_eq!(log.len(), 5);
+        assert_eq!(log[0], None, "the closure runs first");
+        assert_eq!(log[1], Some(0));
+        assert_eq!(log[4], Some(3));
+        assert_eq!(pool.forks(), 0);
+    }
+
+    /// A panic in the closure waits for the published job: every task
+    /// still runs, the residents leave, and then the closure's panic
+    /// resumes. The pool survives it.
+    #[test]
+    fn run_dag_while_drains_the_job_before_resuming_a_closure_panic() {
+        let (pool, t) = observed_pool(2);
+        let caller = std::thread::current().id();
+        let started = AtomicBool::new(false);
+        let ran = AtomicUsize::new(0);
+        let n = 32;
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_dag_while(
+                &vec![0; n],
+                &vec![Vec::new(); n],
+                |_| {
+                    if std::thread::current().id() != caller {
+                        started.store(true, Ordering::Release);
+                    }
+                    let t0 = Instant::now();
+                    while t0.elapsed() < Duration::from_micros(50) {
+                        std::hint::spin_loop();
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                },
+                || {
+                    wait_for(&started);
+                    panic!("meanwhile");
+                },
+            )
+        }))
+        .expect_err("the closure's panic resumes");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"meanwhile"));
+        assert_eq!(ran.load(Ordering::Relaxed), n, "the job was drained");
+        assert_eq!(counter(&t, "pool.forks"), 1);
+        let again = AtomicUsize::new(0);
+        pool.run_dag(&[0; 4], &vec![Vec::new(); 4], |_| {
+            again.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(again.load(Ordering::Relaxed), 4);
+    }
+
+    /// A task that panics on a resident while the closure runs: the
+    /// closure still completes, then the task panic propagates, and the
+    /// pool survives it.
+    #[test]
+    fn run_dag_while_propagates_a_task_panic_after_the_closure() {
+        let (pool, t) = observed_pool(2);
+        let caller = std::thread::current().id();
+        let panicked = AtomicBool::new(false);
+        let finished = AtomicBool::new(false);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_dag_while(
+                &[0; 8],
+                &vec![Vec::new(); 8],
+                |_| {
+                    if std::thread::current().id() != caller
+                        && !panicked.swap(true, Ordering::AcqRel)
+                    {
+                        panic!("task");
+                    }
+                },
+                || {
+                    wait_for(&panicked);
+                    finished.store(true, Ordering::Release);
+                },
+            );
+        }))
+        .expect_err("the task panic propagates");
+        assert!(finished.load(Ordering::Acquire), "the closure completed");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"a task panicked inside WorkStealingPool::run_dag")
+        );
+        assert_eq!(counter(&t, "pool.forks"), 1);
+        let seen = Mutex::new(HashSet::new());
+        let ran = AtomicUsize::new(0);
+        pool.run_dag(
+            &[0; 4],
+            &vec![Vec::new(); 4],
+            forcing_fork_onto_residents(&seen, |_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }),
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
     }
 
     /// The fork rule wants both a job that ran for `FORK_AFTER` and

@@ -10,8 +10,6 @@
 
 use std::fmt::Write as _;
 
-use fgqos_time::Slack;
-
 use crate::compile::ControlledApp;
 
 /// Renders a generated-module header plus tables for `app`.
@@ -42,19 +40,20 @@ pub fn generate_rust(app: &ControlledApp) -> String {
     let _ = writeln!(out, "\n];");
     let _ = writeln!(out);
 
-    // Average budgets per quality (i64::MIN/MAX encode ±infinity).
+    // Average budgets per quality, exact in i128 (i128::MIN/MAX encode
+    // ±infinity, as in `Slack`): a budget may exceed `i64::MAX`.
     let _ = writeln!(
         out,
         "/// `AV_BUDGET[q][i]`: max elapsed time admitting the all-q suffix at i."
     );
-    let _ = write!(out, "pub static AV_BUDGET: [[i64; {}]; {nq}] = [", n + 1);
+    let _ = write!(out, "pub static AV_BUDGET: [[i128; {}]; {nq}] = [", n + 1);
     for qi in 0..nq {
         let _ = write!(out, "\n    [");
         for i in 0..=n {
             if i % 8 == 0 {
                 let _ = write!(out, "\n        ");
             }
-            let _ = write!(out, "{}, ", slack_to_i64(tables.av_budget_at(qi, i)));
+            let _ = write!(out, "{}, ", tables.av_budget_at(qi, i).get());
         }
         let _ = write!(out, "\n    ],");
     }
@@ -66,12 +65,12 @@ pub fn generate_rust(app: &ControlledApp) -> String {
         out,
         "/// `WCMIN_BUDGET[i]`: max elapsed time admitting the all-qmin worst-case suffix."
     );
-    let _ = write!(out, "pub static WCMIN_BUDGET: [i64; {}] = [", n + 1);
+    let _ = write!(out, "pub static WCMIN_BUDGET: [i128; {}] = [", n + 1);
     for i in 0..=n {
         if i % 8 == 0 {
             let _ = write!(out, "\n    ");
         }
-        let _ = write!(out, "{}, ", slack_to_i64(tables.wcmin_budget_at(i)));
+        let _ = write!(out, "{}, ", tables.wcmin_budget_at(i).get());
     }
     let _ = writeln!(out, "\n];");
     let _ = writeln!(out);
@@ -103,18 +102,20 @@ pub fn generate_rust(app: &ControlledApp) -> String {
     let _ = writeln!(out, "\n];");
     let _ = writeln!(out);
 
-    // The generic constraint evaluation, mirroring ConstraintTables.
+    // The generic constraint evaluation, mirroring ConstraintTables:
+    // slacks are i128 and `u64::MAX` is the infinite cycle count, so
+    // every comparison is exact for any cycle count.
     out.push_str(
         r#"/// `Qual_Const = Qual_Constav ∧ Qual_Constwc` at position `i`, elapsed `t`.
 pub fn qual_const(qi: usize, i: usize, t: u64) -> bool {
-    let av_ok = AV_BUDGET[qi][i] >= t as i64;
+    let av_ok = admits(AV_BUDGET[qi][i], t);
     let wc_ok = if i == N_ACTIONS {
         true
     } else {
-        let cwc = CWC_NEXT[qi][i] as i64;
-        let own = deadline_bound(D_NEXT[qi][i]) - cwc;
-        let rest = sat_sub(WCMIN_BUDGET[i + 1], cwc);
-        own.min(rest) >= t as i64
+        let cwc = CWC_NEXT[qi][i];
+        let own = minus(deadline_bound(D_NEXT[qi][i]), cwc);
+        let rest = minus(WCMIN_BUDGET[i + 1], cwc);
+        admits(own.min(rest), t)
     };
     av_ok && wc_ok
 }
@@ -124,12 +125,24 @@ pub fn max_feasible(i: usize, t: u64) -> Option<usize> {
     (0..N_QUALITIES).rev().find(|&qi| qual_const(qi, i, t))
 }
 
-fn deadline_bound(d: u64) -> i64 {
-    if d == u64::MAX { i64::MAX } else { d as i64 }
+fn deadline_bound(d: u64) -> i128 {
+    if d == u64::MAX { i128::MAX } else { i128::from(d) }
 }
 
-fn sat_sub(a: i64, b: i64) -> i64 {
-    if a == i64::MAX { a } else { a.saturating_sub(b) }
+/// Whether elapsed time `t` fits the slack `s` (`t <= s`).
+fn admits(s: i128, t: u64) -> bool {
+    s == i128::MAX || (t != u64::MAX && i128::from(t) <= s)
+}
+
+/// The slack `s` less the duration `c`; infinities absorb.
+fn minus(s: i128, c: u64) -> i128 {
+    if s == i128::MAX {
+        s
+    } else if s == i128::MIN || c == u64::MAX {
+        i128::MIN
+    } else {
+        s - i128::from(c)
+    }
 }
 "#,
     );
@@ -142,18 +155,8 @@ fn sat_sub(a: i64, b: i64) -> i64 {
 pub fn generated_table_bytes(app: &ControlledApp) -> usize {
     let n = app.tables().len();
     let nq = app.tables().quality_count();
-    // SCHEDULE u32 + AV_BUDGET i64 + WCMIN i64 + CWC/D u64 tables.
-    4 * n + 8 * nq * (n + 1) + 8 * (n + 1) + 2 * 8 * nq * n
-}
-
-fn slack_to_i64(s: Slack) -> i64 {
-    if s == Slack::INFINITY {
-        i64::MAX
-    } else if s == Slack::NEG_INFINITY {
-        i64::MIN
-    } else {
-        i64::try_from(s.get()).unwrap_or(if s.get() > 0 { i64::MAX } else { i64::MIN })
-    }
+    // SCHEDULE u32 + AV_BUDGET i128 + WCMIN i128 + CWC/D u64 tables.
+    4 * n + 16 * nq * (n + 1) + 16 * (n + 1) + 2 * 8 * nq * n
 }
 
 #[cfg(test)]
@@ -161,7 +164,6 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::spec::ToolSpec;
-    use fgqos_time::Cycles;
 
     fn small_app() -> ControlledApp {
         let spec = ToolSpec::paper_encoder(3, 2_000_000);
@@ -175,8 +177,8 @@ mod tests {
         assert!(src.contains("pub const N_ACTIONS: usize = 27;"));
         assert!(src.contains("pub const N_QUALITIES: usize = 8;"));
         assert!(src.contains("pub static SCHEDULE: [u32; 27]"));
-        assert!(src.contains("pub static AV_BUDGET: [[i64; 28]; 8]"));
-        assert!(src.contains("pub static WCMIN_BUDGET: [i64; 28]"));
+        assert!(src.contains("pub static AV_BUDGET: [[i128; 28]; 8]"));
+        assert!(src.contains("pub static WCMIN_BUDGET: [i128; 28]"));
         assert!(src.contains("pub fn qual_const"));
         // Balanced braces (cheap syntactic sanity).
         assert_eq!(
@@ -192,10 +194,10 @@ mod tests {
         let src = generate_rust(&app);
         // Spot-check: the first WCMIN_BUDGET entry appears verbatim.
         let expected = app.tables().wcmin_budget_at(0);
-        let as_i64 = i64::try_from(expected.get()).unwrap();
+        let value = expected.get();
         assert!(
-            src.contains(&format!("{as_i64}, ")),
-            "missing wcmin value {as_i64}"
+            src.contains(&format!("{value}, ")),
+            "missing wcmin value {value}"
         );
     }
 
@@ -211,13 +213,9 @@ mod tests {
         let bytes = generated_table_bytes(&app);
         let n = 27;
         let nq = 8;
-        assert_eq!(bytes, 4 * n + 8 * nq * (n + 1) + 8 * (n + 1) + 16 * nq * n);
-    }
-
-    #[test]
-    fn slack_conversion_handles_infinities() {
-        assert_eq!(slack_to_i64(Slack::INFINITY), i64::MAX);
-        assert_eq!(slack_to_i64(Slack::NEG_INFINITY), i64::MIN);
-        assert_eq!(slack_to_i64(Cycles::new(7).slack_from(Cycles::new(3))), 4);
+        assert_eq!(
+            bytes,
+            4 * n + 16 * nq * (n + 1) + 16 * (n + 1) + 16 * nq * n
+        );
     }
 }

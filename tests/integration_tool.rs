@@ -17,6 +17,13 @@ mod generated {
     include!("golden/generated_controller.rs");
 }
 
+/// The second golden module: a budget above `i64::MAX` over two
+/// iterations, so deadlines and slacks exceed the `i64` range.
+#[allow(dead_code, clippy::all)]
+mod generated_huge {
+    include!("golden/generated_controller_huge_budget.rs");
+}
+
 const GOLDEN_MACROBLOCKS: usize = 2;
 const GOLDEN_BUDGET: u64 = 1_000_000;
 
@@ -24,19 +31,93 @@ fn golden_app() -> fine_grain_qos::tool::compile::ControlledApp {
     compile(&ToolSpec::paper_encoder(GOLDEN_MACROBLOCKS, GOLDEN_BUDGET)).expect("compiles")
 }
 
-#[test]
-fn golden_generated_module_is_current() {
-    let src = codegen::generate_rust(&golden_app());
+/// A spec the parser accepts whose budget, 10^19 cycles, is above
+/// `i64::MAX`.
+const HUGE_BUDGET_SPEC: &str = "\
+system huge
+quality 0..0
+action a const 1 2
+iterations 2
+budget 10000000000000000000
+";
+
+fn huge_budget_app() -> fine_grain_qos::tool::compile::ControlledApp {
+    compile(&ToolSpec::parse(HUGE_BUDGET_SPEC).expect("parses")).expect("compiles")
+}
+
+/// Fails when `src` differs from the golden file `name` (or rewrites the
+/// file under `UPDATE_GOLDEN`).
+fn assert_golden(src: &str, name: &str, golden: &str) {
+    let path = format!("tests/golden/{name}");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write("tests/golden/generated_controller.rs", &src).expect("update golden");
+        std::fs::write(&path, src).expect("update golden");
         return;
     }
-    let golden = include_str!("golden/generated_controller.rs");
     assert_eq!(
         src, golden,
-        "codegen output drifted from tests/golden/generated_controller.rs;\n\
+        "codegen output drifted from {path};\n\
          run `UPDATE_GOLDEN=1 cargo test --test integration_tool` and commit the result"
     );
+}
+
+#[test]
+fn golden_generated_module_is_current() {
+    assert_golden(
+        &codegen::generate_rust(&golden_app()),
+        "generated_controller.rs",
+        include_str!("golden/generated_controller.rs"),
+    );
+    assert_golden(
+        &codegen::generate_rust(&huge_budget_app()),
+        "generated_controller_huge_budget.rs",
+        include_str!("golden/generated_controller_huge_budget.rs"),
+    );
+}
+
+/// The generated comparisons are exact beyond `i64::MAX`: on the huge
+/// budget spec the compiled module admits exactly what the live tables
+/// admit, at elapsed times on both sides of every deadline.
+#[test]
+fn huge_budget_module_agrees_with_live_tables() {
+    let app = huge_budget_app();
+    let tables = app.tables();
+    assert_eq!(generated_huge::N_ACTIONS, tables.len());
+    assert_eq!(generated_huge::N_QUALITIES, tables.quality_count());
+    let budget = 10_000_000_000_000_000_000u64;
+    assert!(budget > i64::MAX as u64);
+    let times = [
+        0u64,
+        1,
+        3,
+        i64::MAX as u64 - 1,
+        i64::MAX as u64,
+        i64::MAX as u64 + 1,
+        budget - 3,
+        budget - 2,
+        budget - 1,
+        budget,
+        budget + 1,
+        u64::MAX - 1,
+    ];
+    for i in 0..=tables.len() {
+        for &t in &times {
+            let tc = Cycles::new(t);
+            for qi in 0..tables.quality_count() {
+                assert_eq!(
+                    generated_huge::qual_const(qi, i, t),
+                    tables.qual_const(qi, i, tc),
+                    "qual_const diverges at q{qi}, position {i}, t={t}"
+                );
+            }
+            assert_eq!(
+                generated_huge::max_feasible(i, t),
+                tables.max_feasible(i, tc),
+                "max_feasible diverges at position {i}, t={t}"
+            );
+        }
+    }
+    // The case that wrapped negative in an i64 module.
+    assert_eq!(generated_huge::max_feasible(1, 3), Some(0));
 }
 
 #[test]
@@ -113,14 +194,10 @@ fn codegen_matches_live_tables_on_sampled_points() {
     let src = codegen::generate_rust(&app);
     let tables = app.tables();
 
-    // Every wcmin budget value appears in the generated source.
+    // Every wcmin budget value appears in the generated source, as the
+    // raw i128 slack (`i128::MAX` for +infinity).
     for i in 0..=tables.len() {
-        let v = tables.wcmin_budget_at(i);
-        let encoded = if v == Slack::INFINITY {
-            i64::MAX
-        } else {
-            i64::try_from(v.get()).unwrap()
-        };
+        let encoded = tables.wcmin_budget_at(i).get();
         assert!(
             src.contains(&format!("{encoded}, ")),
             "missing WCMIN value {encoded} (position {i})"
