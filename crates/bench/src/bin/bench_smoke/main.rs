@@ -28,8 +28,8 @@
 //!
 //! One module per section, each returning [`harness::Section`]s.
 //!
-//! Usage: `bench_smoke [out_dir]` (default `.`). Exit code 1 on gate
-//! failure or determinism violation.
+//! Usage: `bench_smoke [out_dir]` (default `.`, created if missing).
+//! Exit code 1 on gate failure or determinism violation.
 
 mod channel;
 mod distribute;
@@ -42,6 +42,9 @@ mod telemetry;
 
 fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".into());
+    // Made before any section runs, so a bad path fails in the first
+    // second rather than after every section's results are in.
+    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("create {out_dir}: {e}"));
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let sections = [

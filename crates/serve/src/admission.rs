@@ -22,11 +22,12 @@
 //!
 //! Degradation composes with the per-stream controllers rather than
 //! replacing them: a degraded stream runs with a quality *ceiling*
-//! ([`crate::server::CeilingPolicy`]), and its fine-grain controller
+//! ([`CeilingPolicy`]), and its fine-grain controller
 //! still adapts frame by frame below that ceiling. The admission layer
 //! hands out long-term budget shares; the controllers handle the
 //! fine-grain, per-action adaptation the paper is about.
 
+use fgqos_core::policy::{Choice, MaxQuality, PolicyCtx, QualityPolicy};
 use fgqos_telemetry::{Stability, TelemetrySnapshot};
 use fgqos_time::Quality;
 
@@ -111,7 +112,7 @@ pub struct LifecycleCounts {
     pub upgraded: usize,
     /// Running streams whose grant was *lowered* mid-run
     /// ([`AdmissionLedger::restrict`]) — the lag-driven ceiling
-    /// feedback of [`crate::server::FeedbackConfig`].
+    /// feedback of [`crate::FeedbackConfig`].
     pub downgraded: usize,
 }
 
@@ -246,7 +247,7 @@ fn millicores(cores: f64) -> u64 {
 /// Renders the `admission.*` / `lifecycle.*` values of a snapshot as the
 /// canonical one-line summary — the single formatter behind both
 /// [`AdmissionReport::summary`] and
-/// [`crate::server::ServeReport::summary`].
+/// [`crate::ServeReport::summary`].
 pub(crate) fn summary_from_snapshot(snap: &TelemetrySnapshot) -> String {
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     let g = |name: &str| snap.gauge(name).unwrap_or(0) as f64 / 1000.0;
@@ -471,7 +472,7 @@ impl AdmissionLedger {
     /// freed utilization returns to the pool, where a later
     /// [`Self::regrant`] pass can hand it back. The inverse of
     /// `regrant` — lag-driven ceiling feedback
-    /// ([`crate::server::FeedbackConfig`]) calls this when a stream's
+    /// ([`crate::FeedbackConfig`]) calls this when a stream's
     /// fan-out ring lags chronically. Returns `None` and changes
     /// nothing unless the stream is admitted, `cap` is a declared
     /// level, and the move strictly shrinks the grant.
@@ -522,6 +523,73 @@ impl AdmissionLedger {
             lifecycle: self.lifecycle,
         }
     }
+}
+
+/// [`MaxQuality`] under an admission ceiling: picks the maximal
+/// *feasible* level, clamped to the granted ceiling. The fine-grain
+/// controller still degrades below the ceiling whenever the constraints
+/// require it — admission only caps the top.
+#[derive(Debug, Clone, Copy)]
+pub struct CeilingPolicy {
+    inner: MaxQuality,
+    cap: Quality,
+}
+
+impl CeilingPolicy {
+    /// A max-quality policy capped at `cap`.
+    #[must_use]
+    pub fn new(cap: Quality) -> Self {
+        CeilingPolicy {
+            inner: MaxQuality::new(),
+            cap,
+        }
+    }
+
+    /// The ceiling.
+    #[must_use]
+    pub fn cap(&self) -> Quality {
+        self.cap
+    }
+}
+
+impl QualityPolicy for CeilingPolicy {
+    fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Choice {
+        let mut c = self.inner.choose(ctx);
+        if !c.fallback && c.quality > self.cap {
+            // Feasibility is monotone in the level: the ceiling is below
+            // a feasible level, so it is feasible too.
+            c.quality = self.cap;
+        }
+        c
+    }
+
+    fn name(&self) -> &'static str {
+        "controlled-capped"
+    }
+}
+
+/// The policy an admission decision grants a running stream.
+pub(crate) fn policy_for(decision: AdmissionDecision) -> Box<dyn QualityPolicy> {
+    match decision {
+        AdmissionDecision::Degrade(cap) => Box::new(CeilingPolicy::new(cap)),
+        _ => Box::new(MaxQuality::new()),
+    }
+}
+
+/// The declared quality level one below a stream's current grant —
+/// where lag feedback sends its ceiling next. `None` when the stream is
+/// already at its lowest level (or not granted at all).
+pub(crate) fn next_lower_cap(
+    demand: &StreamDemand,
+    decision: AdmissionDecision,
+) -> Option<Quality> {
+    let levels = &demand.utilization;
+    let pos = match decision {
+        AdmissionDecision::Admit => levels.len().checked_sub(1)?,
+        AdmissionDecision::Degrade(cap) => levels.iter().position(|&(q, _)| q == cap)?,
+        AdmissionDecision::Reject => return None,
+    };
+    (pos > 0).then(|| levels[pos - 1].0)
 }
 
 #[cfg(test)]
@@ -745,5 +813,12 @@ mod tests {
         assert_eq!(ledger.restrict(0, &d, Quality::new(0)), None);
         assert_eq!(ledger.restrict(9, &d, Quality::new(0)), None);
         assert_eq!(ledger.report().lifecycle().downgraded, 0);
+    }
+
+    #[test]
+    fn ceiling_policy_caps_without_breaking_fallback() {
+        let p = CeilingPolicy::new(Quality::new(2));
+        assert_eq!(p.cap(), Quality::new(2));
+        assert_eq!(p.name(), "controlled-capped");
     }
 }

@@ -29,8 +29,8 @@ use fgqos_sim::runner::RunConfig;
 use fgqos_sim::scenario::LoadScenario;
 use fgqos_time::Cycles;
 
-use crate::server::StreamSpec;
 use crate::source::PacedSource;
+use crate::StreamSpec;
 
 /// What a churn script does at one instant.
 pub enum ChurnAction {

@@ -38,7 +38,7 @@
 //!   prefix-gap-suffix pattern, with exact `Lagged(n)` counts
 //!   (proptest-gated).
 //!
-//! Wiring: [`crate::server::StreamSession::subscribe`] attaches a
+//! Wiring: [`crate::StreamSession::subscribe`] attaches a
 //! subscriber to a named running stream; the session publishes after
 //! each frame commit via
 //! [`fgqos_sim::app::VideoApp::encoded_output`] (table apps
@@ -101,7 +101,7 @@ impl Default for RingConfig {
 }
 
 /// Publication counters of one ring, surfaced per stream in
-/// [`crate::server::ServeReport::summary`].
+/// [`crate::ServeReport::summary`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PublishStats {
     /// Frames ever published into the ring.

@@ -152,9 +152,11 @@ pub trait VideoApp: Sync {
 
     /// Whether [`VideoApp::kernel`] does work worth running ahead of the
     /// commit. A static property of the app, `true` unless its kernels
-    /// are no-ops: a server prepares such streams' next frames and runs
-    /// their phase 1 on the pool while it commits other streams, and
-    /// steps apps without kernels one tick at a time.
+    /// are no-ops. A serving session fixes its lookahead depth from it
+    /// when it is opened: depth 1 (prepare the next due streams' frames
+    /// and run their phase 1 on the pool while other streams commit)
+    /// for an app with kernels on the session's own virtual clocks,
+    /// depth 0 (one tick at a time) otherwise.
     const HAS_KERNELS: bool = true;
 
     /// The per-macroblock body graph (the paper's Fig. 2).
