@@ -24,7 +24,7 @@
 //!   or the pool's fork rule is broken (table-app ticks fork, or
 //!   99-macroblock pixel ticks stay on the caller);
 //! * `telemetry` — full telemetry costs more than 1.05× serving without
-//!   it (on ≥ 4-core hosts), or changes the serve report at all.
+//!   it (enforced on ≥ 4 cores, reported below), or changes the report.
 //!
 //! One module per section, each returning [`harness::Section`]s.
 //!

@@ -308,57 +308,6 @@ impl ConstraintTables {
         })
     }
 
-    /// Recomputes only the average-time budgets after the online estimator
-    /// updated `Cav` (the worst-case side is unaffected). `O(|Q|·n)`.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::DimensionMismatch`] /
-    /// [`SchedError::QualitySetMismatch`] if `profile`/`deadlines` no
-    /// longer match the order the tables were built for.
-    pub fn rebuild_av(
-        &mut self,
-        profile: &QualityProfile,
-        deadlines: &DeadlineMap,
-    ) -> Result<(), SchedError> {
-        // Mirror `new`'s validation exactly: a reshaped or shrunken
-        // profile must surface as an error here, not as a panic inside
-        // `DeadlineMap::deadline` below.
-        if profile.n_actions() != deadlines.n_actions() {
-            return Err(SchedError::DimensionMismatch {
-                expected: profile.n_actions(),
-                actual: deadlines.n_actions(),
-            });
-        }
-        if profile.qualities() != deadlines.qualities() {
-            return Err(SchedError::QualitySetMismatch);
-        }
-        if profile.qualities().len() != self.nq {
-            return Err(SchedError::DimensionMismatch {
-                expected: self.nq,
-                actual: profile.qualities().len(),
-            });
-        }
-        if let Some(bad) = self.order.iter().find(|a| a.index() >= profile.n_actions()) {
-            return Err(SchedError::DimensionMismatch {
-                expected: profile.n_actions(),
-                actual: bad.index() + 1,
-            });
-        }
-        let mut av_budget = Vec::with_capacity(self.nq * (self.n + 1));
-        for q in profile.qualities().iter() {
-            let d: Vec<Cycles> = self
-                .order
-                .iter()
-                .map(|a| deadlines.deadline(*a, q))
-                .collect();
-            let cav: Vec<Cycles> = self.order.iter().map(|a| profile.avg(*a, q)).collect();
-            av_budget.extend(suffix_budgets(&d, &cav));
-        }
-        self.av_budget = av_budget;
-        Ok(())
-    }
-
     /// The schedule the tables were computed for.
     #[must_use]
     pub fn order(&self) -> &[ActionId] {
@@ -613,20 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_av_tracks_profile_updates() {
-        let (order, mut profile, deadlines) = setup();
-        let mut t = ConstraintTables::new(order, &profile, &deadlines).unwrap();
-        assert!(t.av_admits(0, 0, c(90)));
-        // Estimator learns x is slower on average at q0: avg 10 -> 20.
-        profile
-            .update_avg(0, fgqos_time::Quality::new(0), c(20))
-            .unwrap();
-        t.rebuild_av(&profile, &deadlines).unwrap();
-        assert!(t.av_admits(0, 0, c(80)));
-        assert!(!t.av_admits(0, 0, c(81)));
-    }
-
-    #[test]
     fn equality_is_exact() {
         let (order, profile, deadlines) = setup();
         let t = ConstraintTables::new(order.clone(), &profile, &deadlines).unwrap();
@@ -646,36 +581,6 @@ mod tests {
         // One deadline, one cycle later.
         let later = DeadlineMap::uniform(profile.qualities().clone(), vec![c(100), c(201)]);
         assert_ne!(t, ConstraintTables::new(order, &profile, &later).unwrap());
-    }
-
-    #[test]
-    fn rebuild_av_rejects_reshaped_profiles() {
-        let (order, profile, deadlines) = setup();
-        let mut t = ConstraintTables::new(order, &profile, &deadlines).unwrap();
-        // Shrunken profile (1 action) with a matching deadline map used to
-        // panic inside DeadlineMap::deadline; now it is a clean error.
-        let qs = profile.qualities().clone();
-        let mut pb = QualityProfile::builder(qs.clone(), 1);
-        pb.set_levels(0, &[(10, 20), (40, 80)]).unwrap();
-        let small = pb.build().unwrap();
-        let small_dm = DeadlineMap::uniform(qs, vec![c(100)]);
-        assert!(matches!(
-            t.rebuild_av(&small, &small_dm),
-            Err(SchedError::DimensionMismatch { .. })
-        ));
-        // Quality-set identity (not just cardinality) is validated too.
-        let other_qs = QualitySet::new(vec![3, 9]).unwrap();
-        let mut pb = QualityProfile::builder(other_qs.clone(), 2);
-        pb.set_levels(0, &[(10, 20), (40, 80)]).unwrap();
-        pb.set_levels(1, &[(10, 20), (40, 80)]).unwrap();
-        let shifted = pb.build().unwrap();
-        assert!(matches!(
-            t.rebuild_av(&shifted, &deadlines),
-            Err(SchedError::QualitySetMismatch)
-        ));
-        // The tables are untouched by rejected rebuilds.
-        assert!(t.av_admits(0, 0, c(90)));
-        assert!(!t.av_admits(0, 0, c(91)));
     }
 
     /// Implements only the six primitive accessors, so every derived

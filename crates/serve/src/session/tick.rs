@@ -149,13 +149,13 @@ impl<A: VideoApp> StreamSession<'_, A> {
     /// Propagated per-stream simulation errors.
     pub fn step(&mut self) -> Result<bool, ServeError> {
         // Observe-only tick timing: a single branch when telemetry is
-        // off, one clock read when on.
+        // off; when on, one clock read starts both the latency sample and
+        // the `tick` span.
         let tick_t0 = self
             .metrics
             .tick_latency
             .is_enabled()
             .then(std::time::Instant::now);
-        let tick_span = self.metrics.spans.start();
         // Departures first: a stream whose source is exhausted finalizes
         // and releases, which may start parked streams in this same tick.
         let mut from = 0;
@@ -210,14 +210,12 @@ impl<A: VideoApp> StreamSession<'_, A> {
         self.server_now = self.server_now.max(t_min);
         self.ticks += 1;
         self.metrics.ticks.incr();
-        if let Some(t0) = tick_t0 {
+        let lane = self.metrics.coord_lane;
+        if let Some(tick) = self.metrics.spans.record(lane, "tick", "serve", tick_t0) {
             self.metrics
                 .tick_latency
-                .record(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+                .record(tick.as_micros().min(u128::from(u64::MAX)) as u64);
         }
-        self.metrics
-            .spans
-            .record(self.metrics.coord_lane, "tick", "serve", tick_span);
         Ok(true)
     }
 

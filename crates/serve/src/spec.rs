@@ -227,7 +227,7 @@ impl ServerConfig {
 
     /// Turns the telemetry plane on or off (default off). When on, the
     /// server carries a live [`fgqos_telemetry::Telemetry`] registry: the
-    /// pool records steal/park/busy counters and per-worker kernel spans,
+    /// pool records steal/park/busy counters and one span per worker per job,
     /// every served stream's runner records `sched.*` and `controller.*`
     /// metrics, sessions record tick counters/latency, and
     /// [`crate::ServeReport::snapshot`] exports it all.

@@ -68,9 +68,9 @@
 //!
 //! Instrumentation is paid per job, not per task: each worker counts its
 //! tasks, steals and parks locally and adds them once when it leaves the
-//! job, and its busy time is the time it spent inside the job minus the
-//! time it was parked (two clock reads per job, plus two per park). A
-//! kernel span is taken only while the worker's span lane has room.
+//! job, and files one `job` span on its own lane covering its time inside
+//! the job. Its busy time is that span minus the time it was parked (two
+//! clock reads per job, plus two per park).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -135,7 +135,8 @@ impl PoolMetrics {
 }
 
 /// One worker's instrumentation for one job, kept in locals and added to
-/// the shared counters once, when the worker leaves the job.
+/// the shared counters, with its `job` span, once when the worker leaves
+/// the job.
 #[derive(Default)]
 struct Tally {
     tasks: u64,
@@ -155,13 +156,14 @@ impl Tally {
     }
 
     fn flush(self, metrics: Option<&PoolMetrics>, worker: usize) {
-        let (Some(m), Some(entered)) = (metrics, self.entered) else {
+        let Some(m) = metrics else {
             return;
         };
         m.tasks.add(self.tasks);
         m.steals.add(self.steals);
         m.parks.add(self.parks);
-        let busy = entered.elapsed().saturating_sub(self.parked);
+        let inside = m.spans.record(worker, "job", "pool", self.entered);
+        let busy = inside.unwrap_or_default().saturating_sub(self.parked);
         m.add_busy(worker, busy.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 }
@@ -798,14 +800,10 @@ impl<F: Fn(usize) + Sync> DagRun<'_, F> {
     /// `me`'s deque. Returns `false` if the task panicked, which poisons
     /// the run.
     fn execute(&self, me: usize, task: usize, tally: &mut Tally) -> bool {
-        let started = self.metrics.and_then(|m| m.spans.start_in(me));
         if catch_unwind(AssertUnwindSafe(|| (self.run)(task))).is_err() {
             self.poisoned.store(true, Ordering::SeqCst);
             self.wake();
             return false;
-        }
-        if let Some(m) = self.metrics {
-            m.spans.record(me, "kernel", "pool", started);
         }
         tally.tasks += 1;
         for &s in &self.succs[task] {
@@ -1242,34 +1240,62 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 2);
     }
 
-    /// Telemetry counts every task, files spans per worker lane, and
-    /// registers everything as runtime-class (excluded from the
-    /// deterministic stable view).
+    /// Telemetry counts every task, files one `job` span per worker per
+    /// job on that worker's lane, and registers everything as
+    /// runtime-class (excluded from the deterministic stable view).
     #[test]
     fn telemetry_counts_tasks_and_exports_spans() {
-        let t = Telemetry::new();
-        let mut pool = WorkStealingPool::new(2);
-        pool.set_telemetry(&t);
-        let succs = vec![vec![1, 2], vec![3], vec![3], vec![]];
-        let indegree = vec![0, 1, 1, 2];
-        pool.run_dag(&indegree, &succs, |_| {});
-        let snap = t.snapshot();
-        assert_eq!(snap.counter("pool.tasks"), Some(4));
-        assert_eq!(snap.counter("pool.forks"), Some(0));
-        assert!(snap.counter("pool.steals").is_some());
-        assert!(snap.counter("pool.parks").is_some());
-        assert!(
-            snap.stable_view().is_empty(),
-            "pool metrics are runtime-class"
-        );
-        assert_eq!(t.spans().events().len(), 4);
-        assert_eq!(t.spans().dropped(), 0);
+        let diamond = (vec![0, 1, 1, 2], vec![vec![1, 2], vec![3], vec![3], vec![]]);
+        let flat = (vec![0; 400], vec![Vec::new(); 400]);
+        for (indegree, succs) in [&diamond, &flat] {
+            let n = indegree.len() as u64;
+            let (mut pool, t) = observed_pool(2);
+            // Holding the residents keeps the job on the caller even where
+            // 400 no-op tasks outlast `FORK_AFTER` (a debug build).
+            let res = pool.resident.as_ref().expect("two workers have residents");
+            let held = try_submit(res).expect("no other job holds them");
+            pool.run_dag(indegree, succs, |_| {});
+            drop(held);
+            let snap = t.snapshot();
+            assert_eq!(snap.counter("pool.tasks"), Some(n));
+            assert_eq!(snap.counter("pool.forks"), Some(0));
+            assert!(snap.counter("pool.steals").is_some());
+            assert!(snap.counter("pool.parks").is_some());
+            assert!(
+                snap.stable_view().is_empty(),
+                "pool metrics are runtime-class"
+            );
+            let spans = t.spans().events();
+            assert_eq!(spans.len(), 1, "one span for {n} tasks");
+            assert_eq!(
+                (spans[0].name, spans[0].cat, spans[0].tid),
+                ("job", "pool", 0)
+            );
+            assert_eq!(t.spans().dropped(), 0);
 
-        // Disabling clears the instrumentation.
-        pool.set_telemetry(&Telemetry::disabled());
-        pool.run_dag(&indegree, &succs, |_| {});
-        assert_eq!(snap.counter("pool.tasks"), Some(4), "snapshot is a copy");
-        assert_eq!(t.snapshot().counter("pool.tasks"), Some(4));
+            // Disabling clears the instrumentation.
+            pool.set_telemetry(&Telemetry::disabled());
+            pool.run_dag(indegree, succs, |_| {});
+            assert_eq!(snap.counter("pool.tasks"), Some(n), "snapshot is a copy");
+            assert_eq!(t.snapshot().counter("pool.tasks"), Some(n));
+        }
+
+        // A job that forks: each participating worker files its one span
+        // on its own lane.
+        let (pool, t) = observed_pool(2);
+        let seen = Mutex::new(HashSet::new());
+        let n = 32;
+        pool.run_dag(
+            &vec![0; n],
+            &vec![Vec::new(); n],
+            forcing_fork_onto_residents(&seen, |_| {}),
+        );
+        assert_eq!(pool.forks(), 1);
+        assert_eq!(counter(&t, "pool.tasks"), n as u64);
+        let spans = t.spans().events();
+        assert!(spans.iter().all(|s| (s.name, s.cat) == ("job", "pool")));
+        let lanes: Vec<u32> = spans.iter().map(|s| s.tid).collect();
+        assert_eq!(lanes, [0, 1], "one span per participating worker");
     }
 
     /// A DAG of cheap tasks never outlasts `FORK_AFTER`: it runs wholly

@@ -6,18 +6,16 @@
 //! each worker writes only its own lane) and a `Vec::push` within
 //! reserved capacity, so the hot path never allocates; when a lane
 //! fills up further spans are counted in [`SpanRecorder::dropped`]
-//! instead of growing the buffer. A hot loop that records into a known
-//! lane begins its spans with [`SpanRecorder::start_in`], which skips
-//! the clock read once that lane is full.
+//! instead of growing the buffer.
 //!
 //! The export format is the Chrome Trace Event JSON that
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) open
 //! directly: complete (`"ph": "X"`) events with microsecond
 //! timestamps relative to the recorder's creation.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::json::JsonObj;
 
@@ -27,7 +25,7 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 /// One recorded span: a named interval on a lane (worker thread).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// What ran (e.g. `"kernel"`, `"commit"`, `"tick"`).
+    /// What ran (e.g. `"job"`, `"commit"`, `"tick"`).
     pub name: &'static str,
     /// Trace category (e.g. `"pool"`, `"serve"`).
     pub cat: &'static str,
@@ -42,10 +40,6 @@ pub struct SpanEvent {
 struct SpanInner {
     epoch: Instant,
     lanes: Vec<Mutex<Vec<SpanEvent>>>,
-    /// Per lane: set once the lane's buffer is full, so
-    /// [`SpanRecorder::start_in`] can drop a span without a lock or a
-    /// clock read.
-    full: Vec<AtomicBool>,
     dropped: AtomicU64,
 }
 
@@ -72,15 +66,12 @@ impl SpanRecorder {
     /// `capacity` spans each.
     #[must_use]
     pub fn new(lanes: usize, capacity: usize) -> Self {
-        let epoch = Instant::now();
-        let lanes = lanes.max(1);
         SpanRecorder {
             inner: Some(Arc::new(SpanInner {
-                epoch,
-                lanes: (0..lanes)
+                epoch: Instant::now(),
+                lanes: (0..lanes.max(1))
                     .map(|_| Mutex::new(Vec::with_capacity(capacity)))
                     .collect(),
-                full: (0..lanes).map(|_| AtomicBool::new(capacity == 0)).collect(),
                 dropped: AtomicU64::new(0),
             })),
         }
@@ -113,25 +104,11 @@ impl SpanRecorder {
         self.inner.as_ref().map(|_| Instant::now())
     }
 
-    /// Begin a span that will be filed under `lane`, but only while
-    /// that lane has room: on a full lane the span is counted in
-    /// [`SpanRecorder::dropped`] at once (one relaxed add, no clock
-    /// read) and `None` comes back, which makes the matching
-    /// [`SpanRecorder::record`] a no-op.
-    #[inline]
-    #[must_use]
-    pub fn start_in(&self, lane: usize) -> Option<Instant> {
-        let inner = self.inner.as_deref()?;
-        if inner.full[lane % inner.full.len()].load(Ordering::Relaxed) {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        Some(Instant::now())
-    }
-
-    /// Finish a span begun with [`SpanRecorder::start`] and file it
-    /// under `lane`. No-op when the recorder is disabled or `started`
-    /// is `None`.
+    /// Finish a span begun at `started` (from [`SpanRecorder::start`])
+    /// and file it under `lane`; returns its duration, so a caller that
+    /// also times the interval reads the clock once. Files nothing when
+    /// the recorder is disabled, and returns `None` when `started` is
+    /// `None`.
     #[inline]
     pub fn record(
         &self,
@@ -139,11 +116,13 @@ impl SpanRecorder {
         name: &'static str,
         cat: &'static str,
         started: Option<Instant>,
-    ) {
-        let (Some(inner), Some(t0)) = (self.inner.as_deref(), started) else {
-            return;
+    ) -> Option<Duration> {
+        let t0 = started?;
+        let dur = t0.elapsed();
+        let Some(inner) = self.inner.as_deref() else {
+            return Some(dur);
         };
-        let dur_ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let dur_ns = dur.as_nanos().min(u128::from(u64::MAX)) as u64;
         let start_ns = t0
             .checked_duration_since(inner.epoch)
             .map_or(0, |d| d.as_nanos().min(u128::from(u64::MAX)) as u64);
@@ -157,12 +136,10 @@ impl SpanRecorder {
                 start_ns,
                 dur_ns,
             });
-            if buf.len() == buf.capacity() {
-                inner.full[lane].store(true, Ordering::Relaxed);
-            }
         } else {
             inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        Some(dur)
     }
 
     /// Spans dropped because a lane buffer filled up.
@@ -223,7 +200,7 @@ mod tests {
     fn records_spans_per_lane() {
         let rec = SpanRecorder::new(2, 8);
         let t0 = rec.start();
-        rec.record(1, "kernel", "pool", t0);
+        let dur = rec.record(1, "kernel", "pool", t0).expect("timed");
         let t1 = rec.start();
         rec.record(0, "commit", "serve", t1);
         let events = rec.events();
@@ -231,6 +208,7 @@ mod tests {
         assert_eq!(events[0].tid, 0);
         assert_eq!(events[0].name, "commit");
         assert_eq!(events[1].tid, 1);
+        assert_eq!(events[1].dur_ns, dur.as_nanos() as u64, "one clock read");
         assert_eq!(rec.dropped(), 0);
     }
 
@@ -246,26 +224,12 @@ mod tests {
     }
 
     #[test]
-    fn start_in_drops_without_a_clock_read_once_the_lane_is_full() {
-        let rec = SpanRecorder::new(2, 2);
-        for _ in 0..5 {
-            let t = rec.start_in(1);
-            rec.record(1, "k", "pool", t);
-        }
-        assert!(rec.start_in(1).is_none(), "full lane hands out no clock");
-        assert!(rec.start_in(0).is_some(), "other lanes keep recording");
-        assert_eq!(rec.events().len(), 2);
-        // 3 drops inside the loop plus the probe above: each counted once.
-        assert_eq!(rec.dropped(), 4);
-        assert!(SpanRecorder::new(1, 0).start_in(0).is_none());
-        assert!(SpanRecorder::disabled().start_in(0).is_none());
-    }
-
-    #[test]
     fn disabled_recorder_is_inert() {
         let rec = SpanRecorder::disabled();
         assert!(rec.start().is_none());
-        rec.record(0, "k", "pool", None);
+        assert_eq!(rec.record(0, "k", "pool", None), None);
+        let timed = rec.record(0, "k", "pool", Some(Instant::now()));
+        assert!(timed.is_some(), "a started span is still timed");
         assert!(rec.events().is_empty());
         assert_eq!(rec.lanes(), 0);
     }
