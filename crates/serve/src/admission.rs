@@ -26,22 +26,31 @@
 //! still adapts frame by frame below that ceiling. The admission layer
 //! hands out long-term budget shares; the controllers handle the
 //! fine-grain, per-action adaptation the paper is about.
+//!
+//! One [`AdmissionLedger`] per session owns every stream's admission
+//! facts, by stream index (the attach order); the session's slots keep
+//! none of them.
+
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
 use fgqos_core::policy::{Choice, MaxQuality, PolicyCtx, QualityPolicy};
 use fgqos_telemetry::{Stability, TelemetrySnapshot};
 use fgqos_time::Quality;
 
-/// What the admission layer granted one stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What the admission layer granted one stream. Ordered from the worst
+/// grant to the best: `Reject < Degrade(q) < Degrade(q') < Admit` for
+/// `q < q'`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AdmissionDecision {
-    /// Admitted at full quality range.
-    Admit,
-    /// Admitted with a quality ceiling: the stream's policy may never
-    /// pick a level above it.
-    Degrade(Quality),
     /// Not admitted: even the minimum level does not fit the remaining
     /// capacity.
     Reject,
+    /// Admitted with a quality ceiling: the stream's policy may never
+    /// pick a level above it.
+    Degrade(Quality),
+    /// Admitted at full quality range.
+    Admit,
 }
 
 impl AdmissionDecision {
@@ -55,8 +64,6 @@ impl AdmissionDecision {
 /// One candidate stream's declared demand.
 #[derive(Debug, Clone)]
 pub struct StreamDemand {
-    /// Submission index (position in the spec list).
-    pub index: usize,
     /// Priority; higher is served first.
     pub priority: u8,
     /// `(quality, utilization)` per level, ascending by quality.
@@ -267,15 +274,46 @@ pub(crate) fn summary_from_snapshot(snap: &TelemetrySnapshot) -> String {
     )
 }
 
-/// The deterministic greedy admission controller described in the module
-/// docs.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionController {
+/// The one owner of every stream's admission facts — demand, priority,
+/// decision, grant, re-admission count and feedback hold — stored by
+/// stream index, which is the attach order (submission order for a
+/// batch opening).
+///
+/// Every transition is priced by one pure rule, [`Self::grant`], so
+/// every decision is a deterministic function of (priorities, declared
+/// utilizations, attach order) — worker counts and host scheduling
+/// never enter. [`Self::attach`] (or [`Self::attach_batch`]) prices an
+/// arriving stream; [`Self::release`] returns a departed stream's grant
+/// to the pool; [`Self::readmit`] then re-prices the waiting and
+/// degraded streams in (priority desc, index asc) order, read from an
+/// ordered set kept up to date at every transition; lag feedback lowers
+/// one ceiling with [`Self::restrict`] and raises it with
+/// [`Self::regrant`].
+#[derive(Debug, Clone)]
+pub struct AdmissionLedger {
     capacity: f64,
+    used: f64,
+    /// Every stream's facts, by stream index.
+    streams: Vec<Stream>,
+    /// Stream indices in decision order, for [`Self::report`].
+    order: Vec<usize>,
+    /// What [`Self::readmit`] re-prices, keyed (priority desc, index asc):
+    /// the waiting and degraded streams not released or feedback-capped.
+    improvable: BTreeSet<(Reverse<u8>, usize)>,
+    lifecycle: LifecycleCounts,
 }
 
-impl AdmissionController {
-    /// A controller over `capacity` cores' worth of sustained demand.
+/// One stream's admission facts. `capped` marks a ceiling imposed by
+/// [`AdmissionLedger::restrict`], which only a regrant lifts.
+#[derive(Debug, Clone)]
+struct Stream {
+    record: AdmissionRecord,
+    demand: StreamDemand,
+    capped: bool,
+}
+
+impl AdmissionLedger {
+    /// An empty ledger over `capacity` cores' worth of sustained demand.
     ///
     /// # Panics
     ///
@@ -286,26 +324,33 @@ impl AdmissionController {
             capacity.is_finite() && capacity > 0.0,
             "capacity must be positive and finite"
         );
-        AdmissionController { capacity }
+        AdmissionLedger {
+            capacity,
+            used: 0.0,
+            streams: Vec::new(),
+            order: Vec::new(),
+            improvable: BTreeSet::new(),
+            lifecycle: LifecycleCounts::default(),
+        }
     }
 
-    /// The natural capacity of a `workers`-wide pool: one core each.
-    #[must_use]
-    pub fn for_workers(workers: usize) -> Self {
-        Self::new(workers.max(1) as f64)
-    }
-
-    /// The capacity in cores.
+    /// Capacity in cores.
     #[must_use]
     pub fn capacity(&self) -> f64 {
         self.capacity
+    }
+
+    /// Utilization currently charged, in cores.
+    #[must_use]
+    pub fn used(&self) -> f64 {
+        self.used
     }
 
     /// The grant for one demand against `used` cores already committed:
     /// admit at full quality if it fits, else the highest quality ceiling
     /// that fits, else reject. Returns the decision and the utilization
     /// to charge. Pure — the single pricing rule behind every
-    /// [`AdmissionLedger`] transition.
+    /// transition.
     #[must_use]
     pub fn grant(&self, used: f64, d: &StreamDemand) -> (AdmissionDecision, f64) {
         let demand_at_max = d.at_max();
@@ -328,131 +373,110 @@ impl AdmissionController {
             }
         }
     }
-}
-
-/// The stateful side of admission for a *churn* session: a running
-/// account of granted capacity that streams join and leave while the
-/// server runs.
-///
-/// The ledger prices every transition with the same pure
-/// [`AdmissionController::grant`] rule, so every decision remains a
-/// deterministic function of (priorities, declared utilizations, attach
-/// order) — worker counts and host scheduling never enter. Three
-/// transitions exist:
-///
-/// * [`AdmissionLedger::attach`] — price one stream against the current
-///   residual capacity (a batch [`AdmissionLedger::attach_batch`] prices
-///   a whole population the same way, rank-ordered);
-/// * [`AdmissionLedger::release`] — a stream finished or detached: its
-///   granted utilization returns to the pool;
-/// * [`AdmissionLedger::regrant`] — after a release, try to improve a
-///   waiting or degraded stream's grant (re-admission). Callers drive the
-///   pass in (priority desc, attach index asc) order so higher-priority
-///   streams always see freed capacity first.
-#[derive(Debug, Clone)]
-pub struct AdmissionLedger {
-    controller: AdmissionController,
-    used: f64,
-    records: Vec<AdmissionRecord>,
-    lifecycle: LifecycleCounts,
-}
-
-impl AdmissionLedger {
-    /// An empty ledger over `controller`'s capacity.
-    #[must_use]
-    pub fn new(controller: AdmissionController) -> Self {
-        AdmissionLedger {
-            controller,
-            used: 0.0,
-            records: Vec::new(),
-            lifecycle: LifecycleCounts::default(),
-        }
-    }
-
-    /// Capacity in cores.
-    #[must_use]
-    pub fn capacity(&self) -> f64 {
-        self.controller.capacity()
-    }
-
-    /// Utilization currently charged, in cores.
-    #[must_use]
-    pub fn used(&self) -> f64 {
-        self.used
-    }
 
     /// Prices one arriving stream against the current residual capacity,
-    /// charges its grant and records it. Deterministic given the call
-    /// sequence.
-    pub fn attach(&mut self, d: &StreamDemand) -> AdmissionDecision {
-        let (decision, granted) = self.controller.grant(self.used, d);
-        self.used += granted;
-        self.lifecycle.attached += 1;
-        self.records.push(AdmissionRecord {
-            index: d.index,
-            priority: d.priority,
-            decision,
-            demand_at_max: d.at_max(),
-            granted_utilization: granted,
-            readmissions: 0,
-        });
-        decision
+    /// charges its grant and records it at the next stream index.
+    /// Deterministic given the call sequence.
+    pub fn attach(&mut self, d: StreamDemand) -> AdmissionDecision {
+        self.push(d);
+        self.price(self.streams.len() - 1)
     }
 
-    /// Prices a whole population at once: [`AdmissionLedger::attach`] on
-    /// each demand in rank order, (priority desc, index asc), so the
-    /// outcome is a pure function of the demands — never of thread
-    /// timing, worker counts or map iteration order. Returns the
+    /// Prices a whole population at once: the stream at position `i` of
+    /// `demands` gets index `i`, and each is priced as by
+    /// [`AdmissionLedger::attach`] in rank order, (priority desc, index
+    /// asc), so the outcome is a pure function of the demands — never of
+    /// thread timing, worker counts or map iteration order. Returns the
     /// decisions in that order.
     ///
     /// # Panics
     ///
     /// Panics if the ledger already holds streams (batch pricing is an
     /// opening move, not a merge rule).
-    pub fn attach_batch(&mut self, demands: &[StreamDemand]) -> Vec<(usize, AdmissionDecision)> {
+    pub fn attach_batch(&mut self, demands: Vec<StreamDemand>) -> Vec<(usize, AdmissionDecision)> {
         assert!(
-            self.records.is_empty(),
+            self.streams.is_empty(),
             "attach_batch on a non-empty ledger"
         );
-        let mut rank: Vec<&StreamDemand> = demands.iter().collect();
-        rank.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.index.cmp(&b.index)));
-        rank.into_iter()
-            .map(|d| (d.index, self.attach(d)))
-            .collect()
+        let mut rank: Vec<usize> = (0..demands.len()).collect();
+        rank.sort_by_key(|&i| (Reverse(demands[i].priority), i));
+        demands.into_iter().for_each(|d| self.push(d));
+        rank.into_iter().map(|i| (i, self.price(i))).collect()
+    }
+
+    /// Records a not-yet-priced stream at the next index.
+    fn push(&mut self, demand: StreamDemand) {
+        let record = AdmissionRecord {
+            index: self.streams.len(),
+            priority: demand.priority,
+            decision: AdmissionDecision::Reject,
+            demand_at_max: demand.at_max(),
+            granted_utilization: 0.0,
+            readmissions: 0,
+        };
+        self.streams.push(Stream {
+            record,
+            demand,
+            capped: false,
+        });
+    }
+
+    /// Prices stream `i` for the first time.
+    fn price(&mut self, i: usize) -> AdmissionDecision {
+        let (decision, granted) = self.grant(self.used, &self.streams[i].demand);
+        self.used += granted;
+        self.lifecycle.attached += 1;
+        self.order.push(i);
+        let r = &mut self.streams[i].record;
+        r.decision = decision;
+        r.granted_utilization = granted;
+        if decision != AdmissionDecision::Admit {
+            self.improvable.insert((Reverse(r.priority), i));
+        }
+        decision
     }
 
     /// Returns a finished or detached stream's granted utilization to the
     /// pool. `detached` distinguishes a caller-driven departure (counted
     /// in the lifecycle) from natural stream exhaustion.
     pub fn release(&mut self, index: usize, detached: bool) {
-        if let Some(r) = self.records.iter_mut().find(|r| r.index == index) {
-            self.used -= r.granted_utilization;
-            r.granted_utilization = 0.0;
+        if let Some(s) = self.streams.get_mut(index) {
+            self.used -= s.record.granted_utilization;
+            s.record.granted_utilization = 0.0;
+            self.improvable.remove(&(Reverse(s.record.priority), index));
         }
         if detached {
             self.lifecycle.detached += 1;
         }
     }
 
-    /// Attempts to improve stream `index`'s grant after a release:
-    /// re-prices its demand against the residual capacity (its own
-    /// current charge excluded) and returns the new decision when it is a
-    /// strict improvement — a waiting stream admitted (possibly with a
-    /// ceiling), or a degraded stream's ceiling raised. Returns `None`
-    /// and changes nothing otherwise.
-    pub fn regrant(&mut self, index: usize, d: &StreamDemand) -> Option<AdmissionDecision> {
-        let pos = self.records.iter().position(|r| r.index == index)?;
-        let current = self.records[pos].granted_utilization;
-        let was = self.records[pos].decision;
-        let (decision, granted) = self.controller.grant(self.used - current, d);
-        let improves = match (was, decision) {
-            (_, AdmissionDecision::Reject) => false,
-            (AdmissionDecision::Reject, _) => true,
-            (AdmissionDecision::Degrade(old), AdmissionDecision::Degrade(new)) => new > old,
-            (AdmissionDecision::Degrade(_), AdmissionDecision::Admit) => true,
-            (AdmissionDecision::Admit, _) => false,
-        };
-        if !improves {
+    /// The re-admission pass after a release: [`Self::regrant`] on each
+    /// waiting stream and each stream degraded by admission (not by lag
+    /// feedback), in [`Self::readmission_order`]. Returns the improved
+    /// streams with their new decisions, in that order.
+    pub fn readmit(&mut self) -> Vec<(usize, AdmissionDecision)> {
+        let order: Vec<usize> = self.readmission_order().collect();
+        (order.into_iter())
+            .filter_map(|i| Some((i, self.regrant(i)?)))
+            .collect()
+    }
+
+    /// The streams [`Self::readmit`] re-prices: (priority desc, index asc).
+    pub fn readmission_order(&self) -> impl Iterator<Item = usize> + '_ {
+        self.improvable.iter().map(|&(_, i)| i)
+    }
+
+    /// Attempts to improve stream `index`'s grant: re-prices its demand
+    /// against the residual capacity (its own current charge excluded)
+    /// and returns the new decision when it is a strict improvement — a
+    /// waiting stream admitted (possibly with a ceiling), or a degraded
+    /// stream's ceiling raised. A full admit lifts a feedback-imposed
+    /// ceiling's hold. Returns `None` and changes nothing otherwise.
+    pub fn regrant(&mut self, index: usize) -> Option<AdmissionDecision> {
+        let s = self.streams.get(index)?;
+        let (current, was) = (s.record.granted_utilization, s.record.decision);
+        let (decision, granted) = self.grant(self.used - current, &s.demand);
+        if decision <= was {
             return None;
         }
         match was {
@@ -460,55 +484,63 @@ impl AdmissionLedger {
             _ => self.lifecycle.upgraded += 1,
         }
         self.used += granted - current;
-        let r = &mut self.records[pos];
-        r.decision = decision;
-        r.granted_utilization = granted;
-        r.readmissions += 1;
+        let s = &mut self.streams[index];
+        s.record.decision = decision;
+        s.record.granted_utilization = granted;
+        s.record.readmissions += 1;
+        if decision == AdmissionDecision::Admit {
+            s.capped = false;
+            self.improvable.remove(&(Reverse(s.record.priority), index));
+        }
         Some(decision)
     }
 
-    /// Lowers stream `index`'s grant to the quality ceiling `cap`: the
-    /// decision becomes [`AdmissionDecision::Degrade`]`(cap)` and the
-    /// freed utilization returns to the pool, where a later
-    /// [`Self::regrant`] pass can hand it back. The inverse of
-    /// `regrant` — lag-driven ceiling feedback
-    /// ([`crate::FeedbackConfig`]) calls this when a stream's
-    /// fan-out ring lags chronically. Returns `None` and changes
-    /// nothing unless the stream is admitted, `cap` is a declared
-    /// level, and the move strictly shrinks the grant.
-    pub fn restrict(
-        &mut self,
-        index: usize,
-        d: &StreamDemand,
-        cap: Quality,
-    ) -> Option<AdmissionDecision> {
-        let pos = self.records.iter().position(|r| r.index == index)?;
-        let granted = d
-            .utilization
-            .iter()
-            .find(|&&(q, _)| q == cap)
-            .map(|&(_, u)| u)?;
-        let current = self.records[pos].granted_utilization;
-        if granted >= current || !self.records[pos].decision.is_admitted() {
+    /// Lowers stream `index`'s quality ceiling one declared level: the
+    /// decision becomes [`AdmissionDecision::Degrade`] at the level below
+    /// the current grant, the freed utilization returns to the pool, and
+    /// the ceiling counts as feedback-imposed: only [`Self::regrant`]
+    /// raises it again, never a release's [`Self::readmit`] pass. The
+    /// inverse of `regrant` — lag-driven ceiling feedback
+    /// ([`crate::FeedbackConfig`]) calls this when a stream's fan-out
+    /// ring lags chronically. Returns `None` and changes nothing unless
+    /// the stream is admitted above its lowest level and the move
+    /// strictly shrinks the grant.
+    pub fn restrict(&mut self, index: usize) -> Option<AdmissionDecision> {
+        let s = self.streams.get_mut(index)?;
+        let levels = &s.demand.utilization;
+        let at = match s.record.decision {
+            AdmissionDecision::Admit => levels.len().checked_sub(1)?,
+            AdmissionDecision::Degrade(cap) => {
+                levels.binary_search_by_key(&cap, |&(q, _)| q).ok()?
+            }
+            AdmissionDecision::Reject => return None,
+        };
+        let (cap, granted) = levels[at.checked_sub(1)?];
+        let current = s.record.granted_utilization;
+        if granted >= current {
             return None;
         }
         self.lifecycle.downgraded += 1;
         self.used += granted - current;
-        let r = &mut self.records[pos];
-        r.decision = AdmissionDecision::Degrade(cap);
-        r.granted_utilization = granted;
-        Some(r.decision)
+        s.record.decision = AdmissionDecision::Degrade(cap);
+        s.record.granted_utilization = granted;
+        s.capped = true;
+        self.improvable.remove(&(Reverse(s.record.priority), index));
+        Some(s.record.decision)
     }
 
-    /// Times stream `index`'s grant was improved by a re-admission pass.
-    /// Records outlive their streams, so this is exact even for streams
-    /// that detached before the session finished.
+    /// Whether lag feedback imposed stream `index`'s current ceiling
+    /// (see [`Self::restrict`]).
     #[must_use]
-    pub fn readmissions(&self, index: usize) -> u32 {
-        self.records
-            .iter()
-            .find(|r| r.index == index)
-            .map_or(0, |r| r.readmissions)
+    pub fn is_capped(&self, index: usize) -> bool {
+        self.streams.get(index).is_some_and(|s| s.capped)
+    }
+
+    /// Stream `index`'s record (it outlives the stream). Panics if no
+    /// stream has that index.
+    #[must_use]
+    pub fn record(&self, index: usize) -> &AdmissionRecord {
+        &self.streams[index].record
     }
 
     /// The ledger's state as an [`AdmissionReport`]: records in decision
@@ -517,8 +549,10 @@ impl AdmissionLedger {
     #[must_use]
     pub fn report(&self) -> AdmissionReport {
         AdmissionReport {
-            records: self.records.clone(),
-            capacity: self.controller.capacity(),
+            records: (self.order.iter())
+                .map(|&i| self.streams[i].record.clone())
+                .collect(),
+            capacity: self.capacity,
             used: self.used,
             lifecycle: self.lifecycle,
         }
@@ -576,29 +610,12 @@ pub(crate) fn policy_for(decision: AdmissionDecision) -> Box<dyn QualityPolicy> 
     }
 }
 
-/// The declared quality level one below a stream's current grant —
-/// where lag feedback sends its ceiling next. `None` when the stream is
-/// already at its lowest level (or not granted at all).
-pub(crate) fn next_lower_cap(
-    demand: &StreamDemand,
-    decision: AdmissionDecision,
-) -> Option<Quality> {
-    let levels = &demand.utilization;
-    let pos = match decision {
-        AdmissionDecision::Admit => levels.len().checked_sub(1)?,
-        AdmissionDecision::Degrade(cap) => levels.iter().position(|&(q, _)| q == cap)?,
-        AdmissionDecision::Reject => return None,
-    };
-    (pos > 0).then(|| levels[pos - 1].0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn demand(index: usize, priority: u8, levels: &[f64]) -> StreamDemand {
+    fn demand(priority: u8, levels: &[f64]) -> StreamDemand {
         StreamDemand {
-            index,
             priority,
             utilization: levels
                 .iter()
@@ -608,22 +625,21 @@ mod tests {
         }
     }
 
-    /// Prices `demands` as a batch on a fresh ledger over `ctl`.
-    fn batch(ctl: AdmissionController, demands: &[StreamDemand]) -> AdmissionReport {
-        let mut ledger = AdmissionLedger::new(ctl);
-        ledger.attach_batch(demands);
+    /// Prices `demands` as a batch on a fresh ledger over `capacity`.
+    fn batch(capacity: f64, demands: &[StreamDemand]) -> AdmissionReport {
+        let mut ledger = AdmissionLedger::new(capacity);
+        ledger.attach_batch(demands.to_vec());
         ledger.report()
     }
 
     #[test]
     fn under_capacity_everyone_is_admitted() {
-        let ctl = AdmissionController::for_workers(4);
         let report = batch(
-            ctl,
+            4.0,
             &[
-                demand(0, 1, &[0.2, 0.5, 1.0]),
-                demand(1, 5, &[0.2, 0.5, 1.0]),
-                demand(2, 3, &[0.2, 0.5, 1.0]),
+                demand(1, &[0.2, 0.5, 1.0]),
+                demand(5, &[0.2, 0.5, 1.0]),
+                demand(3, &[0.2, 0.5, 1.0]),
             ],
         );
         assert_eq!(report.admitted(), 3);
@@ -642,14 +658,13 @@ mod tests {
     fn overload_degrades_then_rejects_lowest_priority_first() {
         // Capacity 2.0; three streams wanting 1.0 each at max, 0.4 at
         // q1, 0.2 at q0.
-        let ctl = AdmissionController::new(2.0);
         let report = batch(
-            ctl,
+            2.0,
             &[
-                demand(0, 9, &[0.2, 0.4, 1.0]),
-                demand(1, 9, &[0.2, 0.4, 1.0]),
-                demand(2, 1, &[0.2, 0.4, 1.0]),
-                demand(3, 0, &[1.5, 1.7, 2.0]),
+                demand(9, &[0.2, 0.4, 1.0]),
+                demand(9, &[0.2, 0.4, 1.0]),
+                demand(1, &[0.2, 0.4, 1.0]),
+                demand(0, &[1.5, 1.7, 2.0]),
             ],
         );
         // 0 and 1 admit (2.0 used); 2 degrades to q1 (0.4 doesn't fit —
@@ -674,13 +689,9 @@ mod tests {
 
     #[test]
     fn degradation_grants_the_highest_fitting_ceiling() {
-        let ctl = AdmissionController::new(1.5);
         let report = batch(
-            ctl,
-            &[
-                demand(0, 2, &[0.2, 0.5, 1.0]),
-                demand(1, 1, &[0.1, 0.4, 0.9]),
-            ],
+            1.5,
+            &[demand(2, &[0.2, 0.5, 1.0]), demand(1, &[0.1, 0.4, 0.9])],
         );
         assert_eq!(
             report.for_stream(0).unwrap().decision,
@@ -695,25 +706,22 @@ mod tests {
     #[test]
     fn decisions_are_a_pure_function_of_the_demands() {
         let demands = vec![
-            demand(0, 3, &[0.3, 0.8, 1.4]),
-            demand(1, 3, &[0.3, 0.8, 1.4]),
-            demand(2, 7, &[0.2, 0.6, 1.2]),
-            demand(3, 1, &[0.1, 0.2, 0.3]),
+            demand(3, &[0.3, 0.8, 1.4]),
+            demand(3, &[0.3, 0.8, 1.4]),
+            demand(7, &[0.2, 0.6, 1.2]),
+            demand(1, &[0.1, 0.2, 0.3]),
         ];
-        let ctl = AdmissionController::new(2.5);
-        let a = batch(ctl, &demands).sequence();
+        let a = batch(2.5, &demands).sequence();
         for _ in 0..10 {
-            assert_eq!(batch(ctl, &demands).sequence(), a);
+            assert_eq!(batch(2.5, &demands).sequence(), a);
         }
     }
 
     #[test]
     fn empty_demand_is_rejected() {
-        let ctl = AdmissionController::new(1.0);
         let report = batch(
-            ctl,
+            1.0,
             &[StreamDemand {
-                index: 0,
                 priority: 0,
                 utilization: Vec::new(),
             }],
@@ -723,95 +731,120 @@ mod tests {
 
     #[test]
     fn bad_capacity_panics() {
-        assert!(std::panic::catch_unwind(|| AdmissionController::new(0.0)).is_err());
-        assert!(std::panic::catch_unwind(|| AdmissionController::new(f64::NAN)).is_err());
+        assert!(std::panic::catch_unwind(|| AdmissionLedger::new(0.0)).is_err());
+        assert!(std::panic::catch_unwind(|| AdmissionLedger::new(f64::NAN)).is_err());
     }
 
     #[test]
     fn release_frees_capacity_and_regrant_improves_in_order() {
         // Capacity 2.0: a p9 hog takes 1.8; a p5 stream degrades to q0
         // (0.2); a p3 stream is rejected outright.
-        let ctl = AdmissionController::new(2.0);
-        let mut ledger = AdmissionLedger::new(ctl);
-        let hog = demand(0, 9, &[1.0, 1.4, 1.8]);
-        let mid = demand(1, 5, &[0.2, 0.5, 1.0]);
-        let low = demand(2, 3, &[0.3, 0.6, 1.2]);
-        assert_eq!(ledger.attach(&hog), AdmissionDecision::Admit);
+        let mut ledger = AdmissionLedger::new(2.0);
+        let low = demand(3, &[0.3, 0.6, 1.2]);
+        let mid = demand(5, &[0.2, 0.5, 1.0]);
+        let hog = demand(9, &[1.0, 1.4, 1.8]);
+        assert_eq!(ledger.attach(hog), AdmissionDecision::Admit);
+        assert_eq!(ledger.attach(low), AdmissionDecision::Reject);
         assert_eq!(
-            ledger.attach(&mid),
+            ledger.attach(mid),
             AdmissionDecision::Degrade(Quality::new(0))
         );
-        assert_eq!(ledger.attach(&low), AdmissionDecision::Reject);
+        assert!(ledger.readmission_order().eq([2, 1]));
 
         // The hog departs: 1.8 cores return to the pool.
         ledger.release(0, true);
         assert!((ledger.used() - 0.2).abs() < 1e-12);
 
-        // Re-admission in priority order: mid upgrades to full (1.0),
-        // then low is re-admitted with a q1 ceiling (0.6 fits, 0.9 not).
-        assert_eq!(ledger.regrant(1, &mid), Some(AdmissionDecision::Admit));
+        // Re-admission in priority order: mid upgrades to full (1.0) and
+        // leaves the order, then low is re-admitted with a q1 ceiling
+        // (0.6 fits, 0.9 not).
         assert_eq!(
-            ledger.regrant(2, &low),
-            Some(AdmissionDecision::Degrade(Quality::new(1)))
+            ledger.readmit(),
+            vec![
+                (2, AdmissionDecision::Admit),
+                (1, AdmissionDecision::Degrade(Quality::new(1))),
+            ]
         );
+        assert!(ledger.readmission_order().eq([1]));
         // No further improvement available.
-        assert_eq!(ledger.regrant(2, &low), None);
+        assert_eq!(ledger.readmit(), vec![]);
 
         let report = ledger.report();
         assert_eq!(report.lifecycle().detached, 1);
         assert_eq!(report.lifecycle().readmitted, 1);
         assert_eq!(report.lifecycle().upgraded, 1);
-        assert_eq!(report.for_stream(1).unwrap().readmissions, 1);
+        assert_eq!(report.for_stream(2).unwrap().readmissions, 1);
+        assert_eq!(ledger.record(1).readmissions, 1);
         assert!(report.summary().contains("1 re-admitted"));
         assert!((ledger.used() - 1.6).abs() < 1e-12);
     }
 
     #[test]
     fn regrant_never_downgrades_a_full_admit() {
-        let ctl = AdmissionController::new(2.0);
-        let mut ledger = AdmissionLedger::new(ctl);
-        let d = demand(0, 5, &[0.2, 0.5, 1.0]);
-        assert_eq!(ledger.attach(&d), AdmissionDecision::Admit);
-        assert_eq!(ledger.regrant(0, &d), None);
+        let mut ledger = AdmissionLedger::new(2.0);
+        assert_eq!(
+            ledger.attach(demand(5, &[0.2, 0.5, 1.0])),
+            AdmissionDecision::Admit
+        );
+        assert_eq!(ledger.regrant(0), None);
         assert_eq!(ledger.report().lifecycle().upgraded, 0);
     }
 
     #[test]
     fn restrict_frees_capacity_and_regrant_hands_it_back() {
-        let ctl = AdmissionController::new(2.0);
-        let mut ledger = AdmissionLedger::new(ctl);
-        let d = demand(0, 5, &[0.2, 0.5, 1.0]);
-        assert_eq!(ledger.attach(&d), AdmissionDecision::Admit);
+        let mut ledger = AdmissionLedger::new(2.0);
+        let d = demand(5, &[0.2, 0.5, 1.0]);
+        assert_eq!(ledger.attach(d), AdmissionDecision::Admit);
 
-        // Lag feedback caps the stream at q1: 0.5 cores stay charged,
-        // 0.5 return to the pool.
+        // Lag feedback caps the stream one level down, at q1: 0.5 cores
+        // stay charged, 0.5 return to the pool.
         assert_eq!(
-            ledger.restrict(0, &d, Quality::new(1)),
+            ledger.restrict(0),
             Some(AdmissionDecision::Degrade(Quality::new(1)))
         );
+        assert!(ledger.is_capped(0));
         assert!((ledger.used() - 0.5).abs() < 1e-12);
         assert_eq!(ledger.report().lifecycle().downgraded, 1);
         assert!(ledger.report().summary().contains("1 downgraded"));
 
-        // Raising the ceiling is regrant's job, not restrict's.
-        assert_eq!(ledger.restrict(0, &d, Quality::new(2)), None);
-        // Undeclared level: no change.
-        assert_eq!(ledger.restrict(0, &d, Quality::new(7)), None);
+        // Then to q0, the lowest level, below which it cannot go.
+        assert_eq!(
+            ledger.restrict(0),
+            Some(AdmissionDecision::Degrade(Quality::new(0)))
+        );
+        assert_eq!(ledger.restrict(0), None);
+        assert_eq!(ledger.report().lifecycle().downgraded, 2);
 
         // Lag cleared: regrant restores the full admit.
-        assert_eq!(ledger.regrant(0, &d), Some(AdmissionDecision::Admit));
+        assert_eq!(ledger.regrant(0), Some(AdmissionDecision::Admit));
+        assert!(!ledger.is_capped(0));
         assert!((ledger.used() - 1.0).abs() < 1e-12);
         assert_eq!(ledger.report().lifecycle().upgraded, 1);
     }
 
+    /// A feedback-imposed ceiling leaves the re-admission order: a
+    /// release's pass does not raise it, only a regrant does.
+    #[test]
+    fn a_release_never_lifts_a_feedback_ceiling() {
+        let mut ledger = AdmissionLedger::new(2.0);
+        ledger.attach(demand(5, &[0.2, 0.5, 1.0]));
+        ledger.attach(demand(1, &[0.2, 0.5, 1.0]));
+        assert!(ledger.restrict(1).is_some());
+        ledger.release(0, false);
+        assert_eq!(ledger.readmission_order().count(), 0);
+        assert_eq!(ledger.readmit(), vec![]);
+        assert_eq!(ledger.regrant(1), Some(AdmissionDecision::Admit));
+    }
+
     #[test]
     fn restrict_ignores_rejected_and_unknown_streams() {
-        let ctl = AdmissionController::new(0.1);
-        let mut ledger = AdmissionLedger::new(ctl);
-        let d = demand(0, 5, &[0.2, 0.5, 1.0]);
-        assert_eq!(ledger.attach(&d), AdmissionDecision::Reject);
-        assert_eq!(ledger.restrict(0, &d, Quality::new(0)), None);
-        assert_eq!(ledger.restrict(9, &d, Quality::new(0)), None);
+        let mut ledger = AdmissionLedger::new(0.1);
+        assert_eq!(
+            ledger.attach(demand(5, &[0.2, 0.5, 1.0])),
+            AdmissionDecision::Reject
+        );
+        assert_eq!(ledger.restrict(0), None);
+        assert_eq!(ledger.restrict(9), None);
         assert_eq!(ledger.report().lifecycle().downgraded, 0);
     }
 

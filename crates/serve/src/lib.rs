@@ -112,9 +112,7 @@ mod session;
 pub mod source;
 mod spec;
 
-pub use admission::{
-    AdmissionController, AdmissionDecision, AdmissionReport, CeilingPolicy, LifecycleCounts,
-};
+pub use admission::{AdmissionDecision, AdmissionReport, CeilingPolicy, LifecycleCounts};
 pub use churn::{ChurnAction, ChurnEvent, ChurnStorm};
 pub use distribute::{
     record_publish_into, Broadcast, Delivery, EncodedFrame, FrameRing, PublishStats, RingConfig,

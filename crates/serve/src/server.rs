@@ -1,5 +1,5 @@
 //! The [`StreamServer`]: one shared pool of resident workers, the
-//! admission controller, and the sessions opened over them.
+//! admission capacity, and the sessions opened over them.
 
 use fgqos_sim::app::{TableApp, VideoApp};
 use fgqos_sim::exec::StochasticLoad;
@@ -8,7 +8,7 @@ use fgqos_sim::scenario::LoadScenario;
 use fgqos_sim::SimError;
 use fgqos_telemetry::Telemetry;
 
-use crate::admission::AdmissionController;
+use crate::admission::AdmissionLedger;
 use crate::distribute::RingConfig;
 use crate::error::ServeError;
 use crate::{FeedbackConfig, ServeReport, ServerConfig, StreamSession, StreamSpec};
@@ -18,7 +18,9 @@ use crate::{FeedbackConfig, ServeReport, ServerConfig, StreamSession, StreamSpec
 #[derive(Debug, Clone)]
 pub struct StreamServer {
     pub(crate) pool: WorkStealingPool,
-    pub(crate) admission: AdmissionController,
+    /// An empty ledger over the admission capacity: each session
+    /// starts its own from a clone.
+    pub(crate) admission: AdmissionLedger,
     /// Retention policy handed to each session's output rings.
     pub(crate) ring: RingConfig,
     /// Lag-driven ceiling feedback thresholds (`None` = off).
@@ -45,14 +47,12 @@ impl StreamServer {
         } else {
             Telemetry::disabled()
         };
+        let capacity = config.capacity.unwrap_or(config.workers.max(1) as f64);
         let mut pool = WorkStealingPool::new(config.workers);
         pool.set_telemetry(&telemetry);
         StreamServer {
             pool,
-            admission: match config.capacity {
-                Some(cores) => AdmissionController::new(cores),
-                None => AdmissionController::for_workers(config.workers),
-            },
+            admission: AdmissionLedger::new(capacity),
             ring: config.ring,
             feedback: config.feedback,
             telemetry,

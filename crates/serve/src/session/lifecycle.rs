@@ -7,7 +7,7 @@ use fgqos_sim::app::VideoApp;
 use fgqos_sim::runner::{Mode, Runner, StreamResult};
 
 use super::{Active, FeedbackState, Parked, Slot, SlotState, Stage, StreamSession};
-use crate::admission::{next_lower_cap, policy_for, AdmissionDecision, StreamDemand};
+use crate::admission::{policy_for, AdmissionDecision, AdmissionRecord, StreamDemand};
 use crate::distribute::{Broadcast, EncodedFrame, Subscriber};
 use crate::error::ServeError;
 use crate::{FeedbackConfig, ServeReport, StreamOutcome, StreamSpec};
@@ -25,21 +25,22 @@ impl<A: VideoApp> Active<A> {
 }
 
 impl<A: VideoApp> Slot<A> {
-    /// Records the slot's outcome, closes its output ring (subscribers
-    /// drain what remains, then see `Closed`) and marks it done. `ran`
-    /// holds the runner and result of a stream that ran.
+    /// Records the slot's outcome from its admission `record`, closes
+    /// its output ring (subscribers drain what remains, then see
+    /// `Closed`) and marks it done. `ran` holds the runner and result of
+    /// a stream that ran.
     fn finalize(
         &mut self,
+        record: &AdmissionRecord,
         detached: bool,
-        readmissions: u32,
         ran: Option<(&Runner<A>, StreamResult)>,
     ) {
         self.state = SlotState::Done;
         let runner = ran.as_ref().map(|&(runner, _)| runner);
         self.outcome = Some(StreamOutcome {
             name: self.name.clone(),
-            priority: self.priority,
-            decision: self.decision,
+            priority: record.priority,
+            decision: record.decision,
             source_kind: self.source_kind,
             frames: self.frames,
             monitor: runner.map(|r| r.monitor().clone()),
@@ -48,7 +49,7 @@ impl<A: VideoApp> Slot<A> {
             envelope_refreshes: runner.map_or(0, Runner::envelope_refreshes),
             result: ran.map(|(_, result)| result),
             detached,
-            readmissions,
+            readmissions: record.readmissions,
             publish: self.output.take().map(|b| {
                 b.close();
                 b.stats()
@@ -58,10 +59,10 @@ impl<A: VideoApp> Slot<A> {
 }
 
 impl<A: VideoApp> StreamSession<'_, A> {
-    /// Materializes a spec into a slot: source → scenario → runner →
-    /// declared demand. Does not price it.
-    fn materialize(&mut self, mut spec: StreamSpec) -> Result<Slot<A>, ServeError> {
-        let index = self.slots.len();
+    /// Materializes a spec into a slot (source → scenario → runner),
+    /// files it under the next index and its name, and returns the index
+    /// with the stream's declared demand. Does not price it.
+    fn materialize(&mut self, mut spec: StreamSpec) -> Result<(usize, StreamDemand), ServeError> {
         let scenario = spec.source.collect_scenario()?;
         let frames = scenario.frames();
         let app = (self.make_app)(scenario, &spec).map_err(ServeError::Sim)?;
@@ -77,17 +78,12 @@ impl<A: VideoApp> StreamSession<'_, A> {
             .iter()
             .map(|q| (q, profile.total_avg(q).get() as f64 * n / period))
             .collect();
-        Ok(Slot {
+        let i = self.slots.len();
+        self.names.entry(spec.name.clone()).or_insert(i);
+        self.slots.push(Slot {
             name: spec.name,
-            priority: spec.priority,
             source_kind: spec.source.kind(),
             frames,
-            demand: StreamDemand {
-                index,
-                priority: spec.priority,
-                utilization,
-            },
-            decision: AdmissionDecision::Reject,
             attach_at: self.server_now,
             state: SlotState::Waiting(Box::new(Parked {
                 runner,
@@ -97,26 +93,28 @@ impl<A: VideoApp> StreamSession<'_, A> {
             output: None,
             feedback: FeedbackState::default(),
             outcome: None,
-        })
+        });
+        let demand = StreamDemand {
+            priority: spec.priority,
+            utilization,
+        };
+        Ok((i, demand))
     }
 
     /// Applies an admission decision to a freshly materialized slot.
     fn apply_decision(&mut self, i: usize, decision: AdmissionDecision) -> Result<(), ServeError> {
-        self.slots[i].decision = decision;
-        match decision {
-            AdmissionDecision::Admit | AdmissionDecision::Degrade(_) => self.start_running(i),
-            AdmissionDecision::Reject => {
-                if !self.elastic {
-                    // Batch semantics: a rejection is final.
-                    self.finalize_never_ran(i, false);
-                }
-                Ok(())
-            }
+        if decision.is_admitted() {
+            return self.start_running(i, decision);
         }
+        if !self.elastic {
+            // Batch semantics: a rejection is final.
+            self.finalize_never_ran(i, false);
+        }
+        Ok(())
     }
 
-    /// Promotes a waiting slot to running under its current decision.
-    fn start_running(&mut self, i: usize) -> Result<(), ServeError> {
+    /// Promotes a waiting slot to running under `decision`.
+    fn start_running(&mut self, i: usize, decision: AdmissionDecision) -> Result<(), ServeError> {
         let slot = &mut self.slots[i];
         let SlotState::Waiting(parked) = std::mem::replace(&mut slot.state, SlotState::Done) else {
             unreachable!("start_running on a non-waiting slot");
@@ -133,7 +131,7 @@ impl<A: VideoApp> StreamSession<'_, A> {
             st,
             clock,
             backend,
-            policy: policy_for(slot.decision),
+            policy: policy_for(decision),
             ready_at: None,
             stage: Stage::Idle,
         }));
@@ -169,14 +167,12 @@ impl<A: VideoApp> StreamSession<'_, A> {
     /// Finalizes a slot that never produced frames (rejected in batch
     /// mode, or detached while waiting).
     fn finalize_never_ran(&mut self, i: usize, detached: bool) {
-        let readmissions = self.ledger.readmissions(i);
-        self.slots[i].finalize(detached, readmissions, None);
+        self.slots[i].finalize(self.ledger.record(i), detached, None);
     }
 
     /// Finalizes a running slot: `truncate` for detach (result covers
     /// only delivered frames), full collection for natural exhaustion.
     pub(super) fn finalize_running(&mut self, i: usize, truncate: bool) {
-        let readmissions = self.ledger.readmissions(i);
         let slot = &mut self.slots[i];
         let SlotState::Running(active) = std::mem::replace(&mut slot.state, SlotState::Done) else {
             unreachable!("finalize_running on a non-running slot");
@@ -194,12 +190,13 @@ impl<A: VideoApp> StreamSession<'_, A> {
         } else {
             runner.finish_parallel(st, policy.name())
         };
-        slot.finalize(truncate, readmissions, Some((&runner, result)));
+        slot.finalize(self.ledger.record(i), truncate, Some((&runner, result)));
     }
 
-    /// Releases a departed stream's utilization and re-prices the parked
-    /// and degraded population in (priority desc, attach index asc)
-    /// order — the deterministic re-admission pass.
+    /// Releases a departed stream's utilization and applies the ledger's
+    /// re-admission pass ([`crate::admission::AdmissionLedger::readmit`]):
+    /// the parked and admission-degraded streams, re-priced in
+    /// (priority desc, attach index asc) order.
     pub(super) fn release_and_readmit(
         &mut self,
         i: usize,
@@ -211,32 +208,11 @@ impl<A: VideoApp> StreamSession<'_, A> {
             return Ok(());
         }
         self.ledger.release(i, detached);
-        let mut candidates: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| match s.state {
-                SlotState::Waiting(_) => true,
-                SlotState::Running(_) => matches!(s.decision, AdmissionDecision::Degrade(_)),
-                SlotState::Done => false,
-            })
-            .map(|(j, _)| j)
-            .collect();
-        candidates.sort_by(|&a, &b| {
-            self.slots[b]
-                .priority
-                .cmp(&self.slots[a].priority)
-                .then(a.cmp(&b))
-        });
-        for j in candidates {
-            let demand = self.slots[j].demand.clone();
-            if let Some(decision) = self.ledger.regrant(j, &demand) {
-                self.slots[j].decision = decision;
-                match &mut self.slots[j].state {
-                    SlotState::Waiting(_) => self.start_running(j)?,
-                    SlotState::Running(active) => active.grant(decision),
-                    SlotState::Done => unreachable!("done slots are not re-priced"),
-                }
+        for (j, decision) in self.ledger.readmit() {
+            match &mut self.slots[j].state {
+                SlotState::Waiting(_) => self.start_running(j, decision)?,
+                SlotState::Running(active) => active.grant(decision),
+                SlotState::Done => unreachable!("released streams are not re-priced"),
             }
         }
         Ok(())
@@ -264,45 +240,29 @@ impl<A: VideoApp> StreamSession<'_, A> {
         }
 
         if slot.feedback.lagging >= cfg.lag_windows {
-            // Chronic lag: drop the ceiling one declared level. The
-            // freed capacity goes back to the pool for parked or
-            // degraded peers.
+            // Chronic lag: drop the ceiling one declared level, unless
+            // it is at the lowest. The freed capacity goes back to the
+            // pool for parked or degraded peers.
             slot.feedback.lagging = 0;
-            let Some(cap) = next_lower_cap(&slot.demand, slot.decision) else {
-                return; // already at the lowest level
-            };
-            let demand = slot.demand.clone();
-            if let Some(decision) = self.ledger.restrict(i, &demand, cap) {
-                let slot = &mut self.slots[i];
-                slot.decision = decision;
-                slot.feedback.capped = true;
-                if let SlotState::Running(active) = &mut slot.state {
-                    active.grant(decision);
-                }
+            if let Some(decision) = self.ledger.restrict(i) {
+                self.active_mut(i).grant(decision);
                 self.metrics.feedback_downgrades.incr();
             }
-        } else if slot.feedback.capped && slot.feedback.clear >= cfg.clear_windows {
+        } else if self.ledger.is_capped(i) && slot.feedback.clear >= cfg.clear_windows {
             // The lag cleared and stayed clear: offer the capacity
             // back. `regrant` raises the ceiling only as far as the
-            // residual capacity allows.
+            // residual capacity allows; a release never does while
+            // the ceiling is feedback-imposed.
             slot.feedback.clear = 0;
-            let demand = slot.demand.clone();
-            if let Some(decision) = self.ledger.regrant(i, &demand) {
-                let slot = &mut self.slots[i];
-                slot.decision = decision;
-                if matches!(decision, AdmissionDecision::Admit) {
-                    slot.feedback.capped = false;
-                }
-                if let SlotState::Running(active) = &mut slot.state {
-                    active.grant(decision);
-                }
+            if let Some(decision) = self.ledger.regrant(i) {
+                self.active_mut(i).grant(decision);
             }
         }
     }
 
     /// The slot of the stream named `name`.
-    fn position(&self, name: &str) -> Option<usize> {
-        self.slots.iter().position(|s| s.name == name)
+    pub(super) fn slot_of(&self, name: &str) -> Option<usize> {
+        self.names.get(name).copied()
     }
 
     /// Attaches one stream to the running session: prices it against the
@@ -316,14 +276,11 @@ impl<A: VideoApp> StreamSession<'_, A> {
     /// [`ServeError::Source`] on a malformed source, propagated
     /// simulation errors.
     pub fn attach(&mut self, spec: StreamSpec) -> Result<AdmissionDecision, ServeError> {
-        if self.position(&spec.name).is_some() {
+        if self.names.contains_key(&spec.name) {
             return Err(ServeError::InvalidConfig("duplicate stream name"));
         }
-        let slot = self.materialize(spec)?;
-        let i = self.slots.len();
-        let demand = slot.demand.clone();
-        self.slots.push(slot);
-        let decision = self.ledger.attach(&demand);
+        let (i, demand) = self.materialize(spec)?;
+        let decision = self.ledger.attach(demand);
         self.apply_decision(i, decision)?;
         Ok(decision)
     }
@@ -334,12 +291,11 @@ impl<A: VideoApp> StreamSession<'_, A> {
     /// the session's opening move (the batch wrapper's path).
     pub(crate) fn attach_batch(&mut self, specs: Vec<StreamSpec>) -> Result<(), ServeError> {
         assert!(self.slots.is_empty(), "attach_batch on a non-empty session");
+        let mut demands = Vec::with_capacity(specs.len());
         for spec in specs {
-            let slot = self.materialize(spec)?;
-            self.slots.push(slot);
+            demands.push(self.materialize(spec)?.1);
         }
-        let demands: Vec<StreamDemand> = self.slots.iter().map(|s| s.demand.clone()).collect();
-        for (index, decision) in self.ledger.attach_batch(&demands) {
+        for (index, decision) in self.ledger.attach_batch(demands) {
             self.apply_decision(index, decision)?;
         }
         Ok(())
@@ -362,7 +318,8 @@ impl<A: VideoApp> StreamSession<'_, A> {
     ///
     /// [`ServeError::InvalidConfig`] when no stream has that name.
     pub fn detach(&mut self, name: &str) -> Result<(), ServeError> {
-        let i = (self.position(name))
+        let i = self
+            .slot_of(name)
             .ok_or(ServeError::InvalidConfig("detach: unknown stream name"))?;
         match self.slots[i].state {
             SlotState::Running(_) => {
@@ -388,7 +345,8 @@ impl<A: VideoApp> StreamSession<'_, A> {
     /// [`ServeError::InvalidConfig`] for an unknown name or a stream
     /// that already finished (its ring, if any, is closed and dropped).
     pub fn broadcast(&mut self, name: &str) -> Result<Broadcast, ServeError> {
-        let i = (self.position(name))
+        let i = self
+            .slot_of(name)
             .ok_or(ServeError::InvalidConfig("subscribe: unknown stream name"))?;
         let slot = &mut self.slots[i];
         if matches!(slot.state, SlotState::Done) {
@@ -476,9 +434,16 @@ mod tests {
     use crate::admission::AdmissionDecision;
     use crate::distribute::Delivery;
     use crate::server::tests::spec;
-    use crate::{stochastic_backends, table_apps, ServeError, ServerConfig, StreamSpec};
+    use crate::source::PacedSource;
+    use crate::{
+        stochastic_backends, table_apps, FeedbackConfig, RingConfig, ServeError, ServerConfig,
+        StreamSpec,
+    };
+    use fgqos_encoder::app::EncoderApp;
     use fgqos_sim::exec::StochasticLoad;
+    use fgqos_sim::runner::RunConfig;
     use fgqos_sim::runtime::{ExecBackend, ModelBackend};
+    use fgqos_sim::scenario::{FrameInfo, LoadScenario};
 
     #[test]
     fn session_attach_detach_midstream_truncates_result() {
@@ -613,5 +578,76 @@ mod tests {
         let report = session.finish();
         assert_eq!(report.outcome("parked").unwrap().readmissions, 1);
         assert!(report.summary().contains("readmitted x1"));
+    }
+
+    /// A 32×32 pixel stream of `frames` frames in two-frame GOPs, so a
+    /// two-frame ring trims at almost every commit.
+    fn gop_spec(name: &str, priority: u8, seed: u64, frames: usize) -> StreamSpec {
+        let infos = (0..frames)
+            .map(|i| FrameInfo {
+                scene: i / 2,
+                index_in_scene: i % 2,
+                is_iframe: i.is_multiple_of(2),
+                activity: 0.9,
+                motion: 0.3,
+                texture: 0.5,
+                psnr_base: 36.0,
+                budget_cycles: None,
+            })
+            .collect();
+        StreamSpec::builder(name)
+            .priority(priority)
+            .seed(seed)
+            .config(RunConfig::paper_defaults().scaled_to_macroblocks(4))
+            .source(PacedSource::new(LoadScenario::from_frames(infos).unwrap()))
+            .build()
+    }
+
+    /// A departure leaves a feedback-imposed ceiling alone: a stream
+    /// whose lagging subscriber lowered its ceiling stays there when a
+    /// peer runs dry and frees capacity, since its lag never cleared
+    /// (`clear_windows` is out of reach). Only the clear-window regrant
+    /// may raise it.
+    #[test]
+    fn a_departure_keeps_a_feedback_ceiling() {
+        for workers in [1usize, 2] {
+            let server = ServerConfig::new(workers)
+                .capacity(1e6)
+                .ring(RingConfig::frames(2))
+                .feedback(FeedbackConfig {
+                    lag_frames: 1,
+                    lag_windows: 1,
+                    clear_windows: 1000,
+                })
+                .build();
+            let mut session = server.session(
+                |scenario, spec: &StreamSpec| EncoderApp::new(scenario, 32, 32, spec.seed),
+                |spec: &StreamSpec| {
+                    Box::new(EncoderApp::work_backend(spec.seed)) as Box<dyn ExecBackend>
+                },
+            );
+            session.attach(gop_spec("laggy", 5, 31, 40)).unwrap();
+            session.attach(gop_spec("short", 1, 32, 16)).unwrap();
+            let mut sub = session.subscribe("laggy").unwrap();
+            let (mut ticks, mut capped_at_departure) = (0, false);
+            while session.step().unwrap() {
+                ticks += 1;
+                if ticks % 4 == 0 {
+                    sub.drain();
+                }
+                let adm = session.admission();
+                if session.running() == 1 && !capped_at_departure {
+                    // The tick on which "short" ran dry and released.
+                    capped_at_departure = adm.lifecycle().downgraded > 0;
+                    assert!(capped_at_departure, "laggy must be capped by then");
+                }
+                assert_eq!(adm.lifecycle().upgraded, 0, "tick {ticks}: ceiling raised");
+            }
+            let report = session.finish();
+            assert!(capped_at_departure);
+            assert!(!report.outcome("short").unwrap().detached, "short ran dry");
+            let laggy = report.outcome("laggy").unwrap();
+            assert!(matches!(laggy.decision, AdmissionDecision::Degrade(_)));
+        }
     }
 }

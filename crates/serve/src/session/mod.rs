@@ -5,6 +5,8 @@ mod lifecycle;
 mod ready;
 mod tick;
 
+use std::collections::HashMap;
+
 use fgqos_core::policy::QualityPolicy;
 use fgqos_sim::app::VideoApp;
 use fgqos_sim::runner::{ParallelStream, Runner};
@@ -16,20 +18,17 @@ use fgqos_telemetry::{
 };
 use fgqos_time::Cycles;
 
-use crate::admission::{AdmissionDecision, AdmissionLedger, AdmissionReport, StreamDemand};
+use crate::admission::{AdmissionLedger, AdmissionReport};
 use crate::distribute::{record_publish_into, Broadcast, RingConfig};
 use crate::{FeedbackConfig, StreamOutcome, StreamServer, StreamSpec};
 use ready::ReadyIndex;
 use tick::MergedDag;
 
-/// One stream's place in a session, at a stable attach index.
+/// One stream's place in a session, at its index in the ledger.
 struct Slot<A: VideoApp> {
     name: String,
-    priority: u8,
     source_kind: &'static str,
     frames: usize,
-    demand: StreamDemand,
-    decision: AdmissionDecision,
     /// Server time the stream (re-)started running at; its private frame
     /// clock is relative to this origin.
     attach_at: Cycles,
@@ -53,10 +52,6 @@ struct FeedbackState {
     lagging: u32,
     /// Consecutive clear windows so far.
     clear: u32,
-    /// Whether the current ceiling was imposed by feedback — only such
-    /// streams are re-priced upward when their lag clears (ceilings
-    /// imposed by admission wait for a release, as always).
-    capped: bool,
 }
 
 enum SlotState<A: VideoApp> {
@@ -130,6 +125,12 @@ type ClockFactory<'a> = Box<dyn FnMut(&StreamSpec) -> Box<dyn Clock> + 'a>;
 ///              └── releases utilization → re-admission pass
 /// ```
 ///
+/// A stream's slot index is its attach order and its index in the
+/// session's [`crate::admission::AdmissionLedger`], the one owner of
+/// its admission facts; the slot holds what serving needs. A name →
+/// slot map finds every stream ever attached, and the re-admission
+/// pass reads the ledger's ordered set, so neither scans the slots.
+///
 /// # Ticks
 ///
 /// [`StreamSession::step`] advances the streams whose next frame is due
@@ -192,6 +193,8 @@ type ClockFactory<'a> = Box<dyn FnMut(&StreamSpec) -> Box<dyn Clock> + 'a>;
 /// [`fgqos_sim::runtime::WallClock`]) keeps the ready time last observed
 /// for it, so a tick serves the streams that became ready earliest, ties
 /// in slot order. Wall-clock sessions have no determinism contract.
+/// Beside the index, the ledger's re-admission set and the name map are
+/// kept up to date at each attach, grant and release, never rescanned.
 ///
 /// # Determinism
 ///
@@ -210,11 +213,14 @@ pub struct StreamSession<'a, A: VideoApp> {
     /// Whether departures re-price the parked/degraded population.
     /// Sessions default to `true`; the batch wrapper turns it off.
     pub(crate) elastic: bool,
+    /// Every stream's admission facts, by slot.
     ledger: AdmissionLedger,
     make_app: AppFactory<'a, A>,
     make_backend: BackendFactory<'a>,
     make_clock: ClockFactory<'a>,
     slots: Vec<Slot<A>>,
+    /// Every stream ever attached, by name.
+    names: HashMap<String, usize>,
     /// Every running slot by ready time — see "Ready index" above.
     index: ReadyIndex,
     merged: Option<MergedDag>,
@@ -287,11 +293,12 @@ impl<'a, A: VideoApp> StreamSession<'a, A> {
             ring: server.ring,
             feedback: server.feedback,
             elastic: true,
-            ledger: AdmissionLedger::new(server.admission),
+            ledger: server.admission.clone(),
             make_app: Box::new(make_app),
             make_backend: Box::new(make_backend),
             make_clock: Box::new(make_clock),
             slots: Vec::new(),
+            names: HashMap::new(),
             index: ReadyIndex::default(),
             merged: None,
             server_now: Cycles::ZERO,

@@ -140,7 +140,28 @@ mod tests {
         }
     }
 
-    /// Asserts that the session's ready index equals a rescan.
+    /// The streams a release may improve, by brute force: waiting, or
+    /// running degraded at a ceiling lag feedback did not impose, in
+    /// (priority desc, slot asc) order.
+    fn readmission_rescan<A: VideoApp>(session: &StreamSession<'_, A>) -> Vec<usize> {
+        let ledger = &session.ledger;
+        let mut want: Vec<usize> = (0..session.slots.len())
+            .filter(|&i| match session.slots[i].state {
+                SlotState::Waiting(_) => true,
+                SlotState::Running(_) => {
+                    matches!(ledger.record(i).decision, AdmissionDecision::Degrade(_))
+                        && !ledger.is_capped(i)
+                }
+                SlotState::Done => false,
+            })
+            .collect();
+        want.sort_by_key(|&i| (std::cmp::Reverse(ledger.record(i).priority), i));
+        want
+    }
+
+    /// Asserts that the session's ready index equals a rescan, that the
+    /// ledger's re-admission order equals one too, and that every name
+    /// resolves to its slot.
     fn assert_index_is_exact<A: VideoApp>(session: &mut StreamSession<'_, A>) {
         let tick = session.ticks();
         let want = rescan(session);
@@ -153,11 +174,18 @@ mod tests {
             .map_or_else(Vec::new, |t| index.ready_at(t));
         assert_eq!(due, want.due, "due set at tick {tick}");
         assert_eq!(session.running(), want.ready.len() + want.exhausted.len());
+        let order: Vec<usize> = session.ledger.readmission_order().collect();
+        assert_eq!(order, readmission_rescan(session), "re-admission at {tick}");
+        assert_eq!(session.names.len(), session.slots.len());
+        for (i, slot) in session.slots.iter().enumerate() {
+            assert_eq!(session.slot_of(&slot.name), Some(i), "{}", slot.name);
+        }
     }
 
-    /// The ready index equals a rescan of the slots before every tick of
-    /// an overloaded churn storm — streams park, re-admit, degrade,
-    /// detach and run dry — at one and two workers.
+    /// The ready index, the ledger's re-admission order and the name map
+    /// equal a rescan of the slots before every tick of an overloaded
+    /// churn storm — streams park, re-admit, degrade, detach and run
+    /// dry — at one and two workers.
     #[test]
     fn ready_index_equals_a_rescan_through_a_churn_storm() {
         for workers in [1usize, 2] {
@@ -168,9 +196,12 @@ mod tests {
                 loop {
                     assert_index_is_exact(&mut session);
                     parked = parked.max(session.waiting());
-                    degraded |= session.slots.iter().any(|s| {
-                        matches!(s.state, SlotState::Running(_))
-                            && matches!(s.decision, AdmissionDecision::Degrade(_))
+                    degraded |= (0..session.slots.len()).any(|i| {
+                        matches!(session.slots[i].state, SlotState::Running(_))
+                            && matches!(
+                                session.ledger.record(i).decision,
+                                AdmissionDecision::Degrade(_)
+                            )
                     });
                     match session.next_tick_time() {
                         Some(t) if t < event.at => assert!(session.step().unwrap()),

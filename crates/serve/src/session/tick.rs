@@ -550,21 +550,19 @@ mod tests {
     }
 
     fn stage_of(session: &StreamSession<'_, EncoderApp>, name: &str) -> Option<Stage> {
-        session
-            .slots
-            .iter()
-            .find(|s| s.name == name)
-            .and_then(|s| match &s.state {
-                SlotState::Running(a) => Some(a.stage),
-                _ => None,
-            })
+        match &session.slots[session.slot_of(name)?].state {
+            SlotState::Running(a) => Some(a.stage),
+            _ => None,
+        }
     }
 
     fn degraded(session: &StreamSession<'_, EncoderApp>, name: &str) -> bool {
-        session.slots.iter().any(|s| {
-            s.name == name
-                && matches!(s.state, SlotState::Running(_))
-                && matches!(s.decision, AdmissionDecision::Degrade(_))
+        session.slot_of(name).is_some_and(|i| {
+            matches!(session.slots[i].state, SlotState::Running(_))
+                && matches!(
+                    session.ledger.record(i).decision,
+                    AdmissionDecision::Degrade(_)
+                )
         })
     }
 
@@ -754,7 +752,7 @@ mod tests {
         }
         ops.push(Op::Attach(3));
         apply(&mut session, Op::Attach(3), &mut subs, &mut log);
-        assert!(session.slots[3].decision == AdmissionDecision::Admit);
+        assert!(session.ledger.record(3).decision == AdmissionDecision::Admit);
         step_until(&mut session, &mut ops, &mut subs, &mut log, |s| {
             stage_of(s, "p1") == Some(Stage::Ran)
         });
@@ -764,7 +762,7 @@ mod tests {
         // one stream's phase 1 ran and another's frame is prepared.
         ops.push(Op::Attach(4));
         apply(&mut session, Op::Attach(4), &mut subs, &mut log);
-        assert!(session.slots[4].decision == AdmissionDecision::Admit);
+        assert!(session.ledger.record(4).decision == AdmissionDecision::Admit);
         step_until(&mut session, &mut ops, &mut subs, &mut log, |s| {
             let stages = ["p2", "p3", "p4"].map(|n| stage_of(s, n));
             stages.contains(&Some(Stage::Ran)) && stages.contains(&Some(Stage::Prepared))

@@ -159,7 +159,10 @@ pub struct ServerConfig {
 /// claim it. After [`Self::clear_windows`] consecutive clear windows a
 /// feedback-capped stream is re-priced
 /// ([`crate::admission::AdmissionLedger::regrant`]) and its ceiling
-/// rises again as capacity allows.
+/// rises again as capacity allows. That regrant is the only way up while
+/// the ceiling is feedback-imposed: the re-admission pass after a
+/// release skips the stream, so a departure cannot undo a downgrade
+/// whose lag has not cleared. A regrant to a full admit ends the hold.
 ///
 /// Everything is observed at deterministic points (the sequential
 /// commit pass of [`crate::StreamSession::step`]), so for a fixed attach

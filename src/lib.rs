@@ -98,11 +98,11 @@ pub mod prelude {
         BestSched, BudgetTables, ConstraintTables, EdfScheduler, SharedTables, TableQuery,
     };
     pub use fgqos_serve::{
-        stochastic_backends, table_apps, AdmissionController, AdmissionDecision, Broadcast,
-        CeilingPolicy, ChannelSource, ChurnAction, ChurnEvent, ChurnStorm, Delivery, EncodedFrame,
-        FeedbackConfig, FrameProducer, FrameRing, FrameSource, LifecycleCounts, PacedSource,
-        PublishStats, RingConfig, ServeReport, ServerConfig, StreamOutcome, StreamServer,
-        StreamSession, StreamSpec, StreamSpecBuilder, Subscriber, TraceSource,
+        stochastic_backends, table_apps, AdmissionDecision, Broadcast, CeilingPolicy,
+        ChannelSource, ChurnAction, ChurnEvent, ChurnStorm, Delivery, EncodedFrame, FeedbackConfig,
+        FrameProducer, FrameRing, FrameSource, LifecycleCounts, PacedSource, PublishStats,
+        RingConfig, ServeReport, ServerConfig, StreamOutcome, StreamServer, StreamSession,
+        StreamSpec, StreamSpecBuilder, Subscriber, TraceSource,
     };
     pub use fgqos_sim::app::{TableApp, VideoApp};
     pub use fgqos_sim::budget::{BudgetSpec, ChannelParams};
